@@ -29,6 +29,7 @@ hypothesis cross-check suite.
 from .keys import (
     array_token,
     batch_fingerprint,
+    cacheable_network,
     chunk_token,
     comparator_codes,
     cube_token,
@@ -59,6 +60,7 @@ __all__ = [
     "comparator_codes",
     "prefix_hashes",
     "network_token",
+    "cacheable_network",
     "batch_fingerprint",
     "cube_token",
     "array_token",

@@ -36,17 +36,16 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 import dataclasses
 import hashlib
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from ..core.network import ComparatorNetwork
+from ..core.network import ComparatorNetwork
 
 __all__ = [
     "comparator_codes",
     "prefix_hashes",
     "network_token",
+    "cacheable_network",
     "batch_fingerprint",
     "cube_token",
     "array_token",
@@ -134,6 +133,34 @@ def network_token(network: ComparatorNetwork) -> tuple:
         ``("net", n_lines, code_0, ..., code_{S-1})``.
     """
     return ("net", network.n_lines, *comparator_codes(network))
+
+
+def cacheable_network(network: ComparatorNetwork) -> bool:
+    """Is *network*'s behaviour its comparator list alone?
+
+    Verdict keys and prefix records identify a network by its comparators
+    (:func:`network_token`, :func:`comparator_codes`), and a prefix restore
+    replays them.  The faulty-behaviour networks of
+    :mod:`repro.faults.models` keep the fault-free comparator list but
+    override ``apply_batch`` / ``apply_packed``, so a cached verdict or
+    restore would answer for the fault-free network: the cached checkers
+    send such networks down their uncached path instead.
+
+    Parameters
+    ----------
+    network : ComparatorNetwork
+        The network to classify.
+
+    Returns
+    -------
+    bool
+        ``True`` when no evaluation override is defined.
+    """
+    cls = type(network)
+    return (
+        getattr(cls, "apply_packed", None) is None
+        and cls.apply_batch is ComparatorNetwork.apply_batch
+    )
 
 
 def batch_fingerprint(batch: np.ndarray) -> bytes:

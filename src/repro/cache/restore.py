@@ -14,9 +14,10 @@ recorded deltas are bit-identical to a cold build by construction: the
 common prefix is the same comparator sequence on the same packed input.
 
 :func:`cached_cube_sorted` layers a verdict memo on top: the 0/1-cube
-sorter check (zero-one principle) with full-verdict and prefix-level
-reuse, used by the property checkers and the adversary search when a
-cache is active.
+sorter check (zero-one principle, or Theorem 2.2 (i)'s unsorted inputs
+for the ``testset`` strategy) with full-verdict and prefix-level reuse,
+used by the property checkers and the adversary search when a cache is
+active.
 """
 
 from __future__ import annotations
@@ -218,6 +219,7 @@ def cached_cube_sorted(
     *,
     cache: ResultCache,
     arena: PlaneArena | bool | None = None,
+    restrict_to_unsorted_inputs: bool = False,
 ) -> bool:
     """Does *network* sort the whole 0/1 cube?  (Cache-accelerated.)
 
@@ -230,25 +232,42 @@ def cached_cube_sorted(
     first network of a lineage is recorded).  The violation mask lands
     in arena rows (:func:`repro.core.bitpacked.packed_is_sorted_arena`).
 
+    With *restrict_to_unsorted_inputs* the same cube sweep answers the
+    ``testset`` strategy: only the outputs of Theorem 2.2 (i)'s unsorted
+    inputs are judged.  Both strategies share the cube input and the
+    prefix donors; each verdict has its own key, so neither strategy's
+    verdict is ever read for the other (they differ on non-standard
+    networks).
+
     Parameters
     ----------
     network : ComparatorNetwork
-        The candidate network.
+        The candidate network; its behaviour must be its comparator list
+        (:func:`repro.cache.keys.cacheable_network`), since the key and
+        the restore read only the comparators.
     cache : ResultCache
         The store to consult (required — the uncached spelling is the
         ordinary property checker).
     arena : PlaneArena or bool, optional
-        Scratch arena (``None`` = the process arena for the geometry).
+        Scratch arena (``None`` = this thread's shared arena for the
+        geometry).
+    restrict_to_unsorted_inputs : bool, optional
+        Judge only the unsorted inputs (the ``testset`` verdict).
 
     Returns
     -------
     bool
-        ``True`` when every cube word comes out sorted — bit-identical
-        to the uncached bit-packed checker.
+        ``True`` when every judged cube word comes out sorted —
+        bit-identical to the uncached bit-packed checker.
     """
     from ..faults.simulation import PrefixStates
 
-    key = ("cube-sorted", network_token(network))
+    token = network_token(network)
+    key = (
+        ("cube-sorted", token, "unsorted-inputs")
+        if restrict_to_unsorted_inputs
+        else ("cube-sorted", token)
+    )
     hit = cache.get_verdict(key)
     if hit is not None:
         return bool(hit)
@@ -285,6 +304,8 @@ def cached_cube_sorted(
         finally:
             work.release(slot)
         outputs = PackedBatch(work.state, packed.num_words)
-    verdict = packed_is_sorted_arena(outputs, work)
+    verdict = packed_is_sorted_arena(
+        outputs, work, restrict_to_unsorted_inputs=restrict_to_unsorted_inputs
+    )
     cache.put_verdict(key, bool(verdict))
     return bool(verdict)

@@ -57,6 +57,9 @@ __all__ = [
     "unpack_batch",
     "packed_all_binary_words",
     "packed_cube_range",
+    "rank_to_word",
+    "packed_first_rank",
+    "packed_clear_sorted_cube_words",
     "apply_network_packed",
     "apply_comparators_packed",
     "packed_is_sorted",
@@ -76,7 +79,8 @@ BLOCK_BITS = 64
 #: makes the pack/unpack round trip independent of the platform byte order.
 _BLOCK_DTYPE = np.dtype("<u8")
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_ALL_ONES_INT = (1 << BLOCK_BITS) - 1
+_ALL_ONES = np.uint64(_ALL_ONES_INT)
 
 
 def _blocks_for(num_words: int) -> int:
@@ -264,6 +268,89 @@ def packed_all_binary_words(n: int) -> PackedBatch:
     return packed_cube_range(n, 0, _blocks_for(1 << n))
 
 
+def rank_to_word(rank: int, n: int) -> tuple[int, ...]:
+    """The cube word of the given rank.
+
+    Parameters
+    ----------
+    rank : int
+        Position in the lexicographic cube order, ``0 <= rank < 2**n``.
+    n : int
+        Word length (number of network lines).
+
+    Returns
+    -------
+    tuple of int
+        The binary expansion of *rank*, most significant bit on line 0 —
+        the word at that position of :func:`packed_cube_range`.
+    """
+    return tuple((rank >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def packed_first_rank(blocks: np.ndarray, block_start: int = 0) -> int | None:
+    """Rank of the first set bit of a per-block word mask, or ``None``.
+
+    Parameters
+    ----------
+    blocks : numpy.ndarray
+        A ``(n_blocks,)`` uint64 mask over cube blocks
+        ``[block_start, block_start + n_blocks)``.
+    block_start : int, optional
+        Cube block of ``blocks[0]``.
+
+    Returns
+    -------
+    int or None
+        The smallest rank whose bit is set.
+    """
+    nonzero = np.flatnonzero(blocks)
+    if nonzero.size == 0:
+        return None
+    block = int(nonzero[0])
+    value = int(blocks[block])
+    return (block_start + block) * BLOCK_BITS + ((value & -value).bit_length() - 1)
+
+
+@allocation_free
+def packed_clear_sorted_cube_words(
+    mask: np.ndarray, n: int, *, block_start: int = 0
+) -> np.ndarray:
+    """Clear the bits of the ``n + 1`` sorted inputs from a cube word mask.
+
+    The sorted words of the ``n``-cube are ``0^(n-k) 1^k``, of rank
+    ``2**k - 1`` for ``k = 0..n``; every other word is one of the
+    ``2**n - n - 1`` unsorted words of Theorem 2.2 (i).  Clearing those
+    ``n + 1`` bits restricts a violation mask over the cube to the paper's
+    minimum test set in ``n + 1`` scalar updates, without building an
+    eligibility mask over the inputs.
+
+    Parameters
+    ----------
+    mask : numpy.ndarray
+        A ``(n_blocks,)`` uint64 mask over cube blocks
+        ``[block_start, block_start + n_blocks)`` (the
+        :func:`packed_cube_range` layout); updated in place.
+    n : int
+        Number of lines of the cube.
+    block_start : int, optional
+        Cube block of ``mask[0]``.
+
+    Returns
+    -------
+    numpy.ndarray
+        *mask*.
+    """
+    block_stop = block_start + mask.shape[0]
+    for k in range(n + 1):
+        rank = (1 << k) - 1
+        block = rank // BLOCK_BITS
+        if block_start <= block < block_stop:
+            mask[block - block_start] &= np.uint64(
+                _ALL_ONES_INT ^ (1 << (rank % BLOCK_BITS))
+            )
+    return mask
+
+
 @allocation_free
 def apply_comparators_packed(
     planes: np.ndarray, comparators: Iterable, *, out: np.ndarray | None = None
@@ -416,7 +503,9 @@ def packed_is_sorted(packed: PackedBatch) -> np.ndarray:
 
 
 @allocation_free
-def packed_is_sorted_arena(packed: PackedBatch, arena) -> bool:
+def packed_is_sorted_arena(
+    packed: PackedBatch, arena, *, restrict_to_unsorted_inputs: bool = False
+) -> bool:
     """Single verdict: is *every* word of *packed* sorted?  (Arena-backed.)
 
     The property checkers' violation mask under the
@@ -433,11 +522,16 @@ def packed_is_sorted_arena(packed: PackedBatch, arena) -> bool:
     arena : PlaneArena
         An arena already serving this plane geometry; two rows are
         acquired and released around the sweep.
+    restrict_to_unsorted_inputs : bool, optional
+        *packed* holds a network's outputs on the whole cube in rank
+        order (:func:`packed_all_binary_words`); only the outputs of the
+        Theorem 2.2 (i) test words — the unsorted inputs — are judged
+        (:func:`packed_clear_sorted_cube_words`).
 
     Returns
     -------
     bool
-        ``True`` when no word violates sortedness.
+        ``True`` when no judged word violates sortedness.
     """
     if packed.n_lines <= 1:
         return True
@@ -450,6 +544,8 @@ def packed_is_sorted_arena(packed: PackedBatch, arena) -> bool:
             scratch=arena.plane(scratch_slot),
             pad=arena.pad_row(packed.num_words),
         )
+        if restrict_to_unsorted_inputs:
+            packed_clear_sorted_cube_words(mask, packed.n_lines)
         return not bool(mask.any())
     finally:
         arena.release(scratch_slot)

@@ -73,6 +73,36 @@ class ComparatorNetwork:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+    @staticmethod
+    def _derived(
+        n_lines: int, comparators: tuple[Comparator, ...]
+    ) -> ComparatorNetwork:
+        """A base-class network over comparators already checked to fit.
+
+        The structural operations derive a network mostly from a network's
+        own (validated) comparators; this skips re-checking them, so the
+        caller validates only the comparators it adds.
+        """
+        network = object.__new__(ComparatorNetwork)
+        network._n_lines = n_lines
+        network._comparators = comparators
+        network._hash = None
+        return network
+
+    def _checked(self, item) -> Comparator:
+        """*item* (a comparator or ``(low, high)`` pair) as a comparator
+        that fits on this network's lines.
+
+        ``__init__`` inlines the same check: a call per comparator would
+        slow every network build.
+        """
+        comp = item if isinstance(item, Comparator) else Comparator(*item)
+        if comp.high >= self._n_lines:
+            raise InvalidComparatorError(
+                f"comparator {comp} does not fit on {self._n_lines} lines"
+            )
+        return comp
+
     @classmethod
     def from_pairs(
         cls, n_lines: int, pairs: Iterable[tuple[int, int]]
@@ -213,27 +243,21 @@ class ComparatorNetwork:
             raise LineCountError(
                 f"cannot compose networks on {self._n_lines} and {other.n_lines} lines"
             )
-        return ComparatorNetwork(
-            self._n_lines, self._comparators + other.comparators
-        )
+        return self._derived(self._n_lines, self._comparators + other.comparators)
 
     def __add__(self, other: ComparatorNetwork) -> ComparatorNetwork:
         return self.then(other)
 
     def extended(self, comparators: Iterable) -> ComparatorNetwork:
         """Return a copy with extra comparators appended."""
-        extra = [
-            c if isinstance(c, Comparator) else Comparator(*c) for c in comparators
-        ]
-        return ComparatorNetwork(self._n_lines, self._comparators + tuple(extra))
+        extra = tuple(self._checked(c) for c in comparators)
+        return self._derived(self._n_lines, self._comparators + extra)
 
     def prefix(self, num_comparators: int) -> ComparatorNetwork:
         """Return the network consisting of the first *num_comparators* stages."""
         if num_comparators < 0:
             raise ValueError("num_comparators must be non-negative")
-        return ComparatorNetwork(
-            self._n_lines, self._comparators[:num_comparators]
-        )
+        return self._derived(self._n_lines, self._comparators[:num_comparators])
 
     def without_comparator(self, index: int) -> ComparatorNetwork:
         """Return a copy with the comparator at *index* removed.
@@ -242,15 +266,15 @@ class ComparatorNetwork:
         """
         comps = list(self._comparators)
         del comps[index]
-        return ComparatorNetwork(self._n_lines, comps)
+        return self._derived(self._n_lines, tuple(comps))
 
     def with_comparator_replaced(
         self, index: int, comparator: Comparator
     ) -> ComparatorNetwork:
         """Return a copy with the comparator at *index* replaced."""
         comps = list(self._comparators)
-        comps[index] = comparator
-        return ComparatorNetwork(self._n_lines, comps)
+        comps[index] = self._checked(comparator)
+        return self._derived(self._n_lines, tuple(comps))
 
     def on_lines(
         self, n_lines: int, lines: Sequence[int]

@@ -20,8 +20,8 @@ which plane is a slot-index update, never a copy.
 
 One arena is reused across *all* faults of a simulation run (and across
 vector chunks of the same shape — :func:`shared_arena` keeps a small
-process-local cache keyed by ``(n_lines, n_blocks)``, which is what gives
-every pool worker its own long-lived arena).  :meth:`PlaneArena.reset`
+per-thread cache keyed by ``(n_lines, n_blocks)``, which is what gives
+every pool worker and every thread its own long-lived arena).  :meth:`PlaneArena.reset`
 between faults is an ``O(n_lines)`` index wipe; no memory is touched.
 
 The arena is also the home of the value-plane scratch used by the
@@ -46,6 +46,7 @@ Examples
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable
 from typing import TypeVar
 
@@ -118,11 +119,14 @@ def allocation_free_functions() -> tuple[Callable[..., object], ...]:
 #: temporaries while every line may still own a live error plane.
 _EXTRA_SLOTS = 4
 
-#: Cap on the process-local :func:`shared_arena` cache (distinct
+#: Cap on each thread's :func:`shared_arena` cache (distinct
 #: ``(n_lines, n_blocks)`` shapes kept alive at once).
 _CACHE_CAP = 8
 
-_SHARED_ARENAS: dict[tuple[int, int], PlaneArena] = {}
+#: Holds one ``{(n_lines, n_blocks): PlaneArena}`` cache per thread: an
+#: arena is mutable scratch, so threads of one process (the verification
+#: service's Session pool) must never be handed the same one.
+_SHARED_ARENAS = threading.local()
 
 
 class PlaneArena:
@@ -310,33 +314,38 @@ class PlaneArena:
 def shared_arena(
     n_lines: int, n_blocks: int, dtype: np.dtype = _BLOCK_DTYPE
 ) -> PlaneArena:
-    """A process-local arena for this plane geometry (reset, never copied).
+    """A thread-local arena for this plane geometry (reset, never copied).
 
     Arenas are cached per ``(n_lines, n_blocks)`` key, so every worker
     process of the sharded fault simulator reuses one long-lived arena per
     chunk shape instead of reallocating between tiles.  The cache holds at
     most a handful of shapes; the least recently created entry is evicted
-    beyond that.  Not thread-safe (the simulator shards across *processes*).
+    beyond that.  Each thread has its own cache, so concurrent threads
+    (e.g. Sessions of the verification service's pool) never share or
+    reset each other's scratch; one arena is still for one thread only.
 
     Returns
     -------
     PlaneArena
         A reset arena serving ``(n_lines, n_blocks)`` planes.
     """
+    arenas = getattr(_SHARED_ARENAS, "by_shape", None)
+    if arenas is None:
+        arenas = _SHARED_ARENAS.by_shape = {}
     key = (n_lines, n_blocks)
-    arena = _SHARED_ARENAS.get(key)
+    arena = arenas.get(key)
     if arena is None or arena.dtype != np.dtype(dtype):
-        if len(_SHARED_ARENAS) >= _CACHE_CAP:
-            _SHARED_ARENAS.pop(next(iter(_SHARED_ARENAS)))
+        if len(arenas) >= _CACHE_CAP:
+            arenas.pop(next(iter(arenas)))
         arena = PlaneArena(n_lines, n_blocks, np.dtype(dtype))
-        _SHARED_ARENAS[key] = arena
+        arenas[key] = arena
     else:
         arena.reset()
     return arena
 
 
 def comparator_scratch(n_blocks: int, dtype: np.dtype = _BLOCK_DTYPE) -> np.ndarray:
-    """A process-local ``(n_blocks,)`` comparator scratch row.
+    """A thread-local ``(n_blocks,)`` comparator scratch row.
 
     The single temporary :func:`repro.core.bitpacked.apply_comparators_packed`
     needs to evaluate a comparator without allocating; backed by the same

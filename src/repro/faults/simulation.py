@@ -409,8 +409,8 @@ def fault_detection_matrix(
     arena : PlaneArena or bool, optional
         Scratch-plane arena for the bit-packed engine
         (:class:`repro.core.scratch.PlaneArena`).  ``None`` (default) uses
-        a process-shared arena keyed by the plane geometry — the pruned hot
-        loop then allocates nothing per stage.  Pass an explicit instance
+        a shared arena (one per thread) keyed by the plane geometry — the
+        pruned hot loop then allocates nothing per stage.  Pass an explicit instance
         to reuse it across calls (it is resized on a geometry change), or
         ``False`` to force the legacy per-stage-allocating path (the
         benchmark baseline).  Worker processes of a sharded run always use
@@ -1583,7 +1583,7 @@ def _resolve_arena(
 ) -> PlaneArena | None:
     """Resolve the public ``arena`` knob into a ready arena (or ``None``).
 
-    ``None``/``True`` → the process-shared arena for this plane geometry
+    ``None``/``True`` → this thread's shared arena for the plane geometry
     (worker-local in pool processes — reset between tiles, never
     reallocated while the geometry is stable); a :class:`PlaneArena` →
     that instance, resized on a geometry change; ``False`` → ``None``,

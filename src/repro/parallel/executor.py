@@ -30,8 +30,9 @@ from ..core.bitpacked import (
     BLOCK_BITS,
     apply_network_packed,
     packed_cube_range,
+    packed_first_rank,
     packed_selection_violation_blocks,
-    packed_unsorted_blocks,
+    rank_to_word,
 )
 from ..core.network import ComparatorNetwork
 from ..core.scratch import shared_arena
@@ -66,71 +67,26 @@ __all__ = [
 ]
 
 
-def rank_to_word(rank: int, n: int) -> tuple[int, ...]:
-    """The cube word of the given rank.
-
-    Parameters
-    ----------
-    rank : int
-        Position in the lexicographic cube order, ``0 <= rank < 2**n``.
-    n : int
-        Word length (number of network lines).
-
-    Returns
-    -------
-    tuple of int
-        The binary expansion of *rank*, most significant bit on line 0 —
-        the inverse of the rank returned by the streamed failure scans.
-    """
-    return tuple((rank >> (n - 1 - i)) & 1 for i in range(n))
-
-
-def _first_rank(violation_blocks: np.ndarray, block_start: int) -> int | None:
-    """Rank of the first set bit in a per-block violation mask, or ``None``."""
-    nonzero = np.flatnonzero(violation_blocks)
-    if nonzero.size == 0:
-        return None
-    block = int(nonzero[0])
-    value = int(violation_blocks[block])
-    return (block_start + block) * BLOCK_BITS + ((value & -value).bit_length() - 1)
-
-
 def _sorting_chunk_failure(
     network: ComparatorNetwork,
     restrict_to_unsorted_inputs: bool,
     span: tuple[int, int],
 ) -> int | None:
-    """First rank in the block span the network fails to sort, or ``None``."""
+    """First rank in the block span the network fails to sort, or ``None``.
+
+    The single-shot checker's sweep on the span's block range, which the
+    worker regenerates from the span alone; its worker-local arena keeps
+    the check free of per-stage allocations across every span.
+    """
+    from ..properties.sorter import _sorting_failure_rank
+
     start, stop = span
-    packed = packed_cube_range(network.n_lines, start, stop)
-    # The worker-local arena keeps the whole chunk check free of per-stage
-    # allocations: the comparator sweep stages through ``arena.tmp`` and the
-    # eligibility/violation masks live in pool rows, all reused across every
-    # span this process scans.
-    arena = shared_arena(packed.n_lines, packed.n_blocks, packed.planes.dtype)
-    pad = arena.pad_row(packed.num_words)
-    s_eligible = arena.acquire()
-    s_violation = arena.acquire()
-    try:
-        eligible = None
-        if restrict_to_unsorted_inputs:
-            eligible = packed_unsorted_blocks(
-                packed, out=arena.plane(s_eligible), scratch=arena.tmp, pad=pad
-            )
-            if not np.any(eligible):
-                return None
-        outputs = apply_network_packed(
-            network, packed, copy=False, scratch=arena.tmp
-        )
-        violation = packed_unsorted_blocks(
-            outputs, out=arena.plane(s_violation), scratch=arena.tmp, pad=pad
-        )
-        if eligible is not None:
-            np.bitwise_and(violation, eligible, out=violation)
-        return _first_rank(violation, start)
-    finally:
-        arena.release(s_violation)
-        arena.release(s_eligible)
+    return _sorting_failure_rank(
+        network,
+        packed_cube_range(network.n_lines, start, stop),
+        block_start=start,
+        restrict_to_unsorted_inputs=restrict_to_unsorted_inputs,
+    )
 
 
 def _selection_chunk_failure(
@@ -156,7 +112,7 @@ def _selection_chunk_failure(
             arena=arena,
             out=arena.plane(s_violation),
         )
-        return _first_rank(violation, start)
+        return packed_first_rank(violation, start)
     finally:
         arena.release(s_violation)
 

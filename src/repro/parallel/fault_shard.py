@@ -32,7 +32,7 @@ re-evaluates only its suffix.  Two work shapes live here:
 
 Every bit-packed worker owns a **worker-local scratch arena**
 (:class:`repro.core.scratch.PlaneArena`, resolved through the
-process-local :func:`repro.core.scratch.shared_arena` cache keyed by the
+thread-local :func:`repro.core.scratch.shared_arena` cache keyed by the
 ``(n_lines, n_blocks)`` chunk geometry): between the tiles a worker
 executes it is reset, never reallocated, so the pruned hot loop runs
 allocation-free inside every process exactly as it does serially.
@@ -178,7 +178,7 @@ def _worker_arena(network: ComparatorNetwork, prefix):
     """This worker's scratch arena for the current chunk geometry.
 
     Resolved through :func:`repro.core.scratch.shared_arena`, whose
-    process-local cache keyed by ``(n_lines, n_blocks)`` makes the arena
+    thread-local cache keyed by ``(n_lines, n_blocks)`` makes the arena
     *worker-local*: it is reset — never reallocated — between the tiles a
     worker executes at a stable chunk geometry (only the uneven tail chunk
     triggers a second allocation).  Returns ``False`` (the legacy

@@ -122,7 +122,7 @@ def _binary_batch_selected(
     input planes, and the first ``k`` output planes are compared in place
     (:func:`repro.core.bitpacked.packed_selection_violation_blocks`) — no
     round trip through the unpacked engine.  The violation mask is built
-    on the process-shared :class:`repro.core.PlaneArena` for the batch
+    on this thread's shared :class:`repro.core.PlaneArena` for the batch
     geometry, so the sweep itself allocates nothing (same discipline as
     the sorter's :func:`repro.core.bitpacked.packed_is_sorted_arena` path).
     """

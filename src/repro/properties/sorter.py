@@ -21,15 +21,27 @@ the standard model, exactly as the paper does).
 
 Every checker additionally accepts an ``engine`` keyword selecting the batch
 evaluation engine (:data:`repro.core.evaluation.EVALUATION_ENGINES`).  The
-bit-packed engine applies to the 0/1-input strategies, where with
-``strategy="binary"`` it also generates the input cube directly in packed
-form; permutation-model strategies carry values above 1 and silently fall
-back from ``"bitpacked"`` to ``"vectorized"``.
+bit-packed engine applies to the 0/1-input strategies, and runs both of
+them on the input cube generated directly in packed form: ``binary`` judges
+every cube word, ``testset`` judges the same sweep's outputs with the
+``n + 1`` sorted inputs masked out at their closed-form ranks
+(:func:`repro.core.bitpacked.packed_clear_sorted_cube_words`), so the
+Theorem 2.2 words are never materialised and non-standard networks keep
+their ``testset`` verdict.  The ``scalar`` and ``vectorized`` engines
+evaluate the materialised test set — they are the oracle the packed mask
+is checked against.  Permutation-model strategies carry values above 1 and
+silently fall back from ``"bitpacked"`` to ``"vectorized"``.
 
 A ``config`` keyword (:class:`repro.parallel.ExecutionConfig`) streams the
 0/1 strategies through the bit-packed engine in fixed-size block ranges —
 constant memory at any ``n`` — and shards the ranges across processes when
-``max_workers > 1``; verdicts are identical to the single-shot path.
+``max_workers > 1``; verdicts are identical to the single-shot path.  With
+a result cache (:class:`repro.cache.ResultCache`, the Session backend) the
+single-shot bit-packed ``binary`` and ``testset`` checks share the cached
+cube and its prefix donors (:func:`repro.cache.cached_cube_sorted`), each
+strategy under its own verdict key; the fault-model networks of
+:mod:`repro.faults.models`, which override their evaluation, skip the
+cache (:func:`repro.cache.cacheable_network`).
 """
 
 from __future__ import annotations
@@ -45,8 +57,11 @@ from ..core.bitpacked import (
     apply_network_packed,
     pack_batch,
     packed_all_binary_words,
+    packed_clear_sorted_cube_words,
+    packed_first_rank,
     packed_is_sorted,
     packed_unsorted_blocks,
+    rank_to_word,
 )
 from ..core.scratch import allocation_free, shared_arena
 from ..core.evaluation import (
@@ -106,12 +121,37 @@ def _sorting_violations_arena(outputs, arena, out):
         arena.release(scratch)
 
 
-def _packed_outputs_sorted(outputs) -> bool:
-    """Judge packed sorter outputs on the shared arena for their geometry."""
-    arena = shared_arena(outputs.n_lines, outputs.n_blocks, outputs.planes.dtype)
+def _sorting_failure_rank(
+    network: ComparatorNetwork,
+    packed,
+    *,
+    block_start: int = 0,
+    restrict_to_unsorted_inputs: bool = False,
+) -> int | None:
+    """Rank of the first cube word *network* fails to sort, or ``None``.
+
+    The uncached bit-packed sweep of both 0/1 strategies: *packed* is the
+    whole cube (:func:`packed_all_binary_words`, single-shot) or the block
+    range starting at cube block *block_start* (one streamed chunk, see
+    :mod:`repro.parallel.executor`).  The network runs through
+    :func:`apply_network_packed`, so fault-model overrides apply, and the
+    violation mask lands in an arena row.  With
+    *restrict_to_unsorted_inputs* (the ``testset`` strategy) the bits of
+    the ``n + 1`` sorted inputs are cleared, leaving Theorem 2.2 (i)'s
+    test words.
+    """
+    arena = shared_arena(packed.n_lines, packed.n_blocks, packed.planes.dtype)
+    outputs = apply_network_packed(network, packed, copy=False, scratch=arena.tmp)
     slot = arena.acquire()
     try:
-        return _sorting_violations_arena(outputs, arena, arena.plane(slot))
+        row = arena.plane(slot)
+        if _sorting_violations_arena(outputs, arena, row):
+            return None
+        if restrict_to_unsorted_inputs:
+            packed_clear_sorted_cube_words(
+                row, packed.n_lines, block_start=block_start
+            )
+        return packed_first_rank(row, block_start)
     finally:
         arena.release(slot)
 
@@ -119,12 +159,6 @@ def _packed_outputs_sorted(outputs) -> bool:
 def _outputs_all_sorted(
     network: ComparatorNetwork, batch: np.ndarray, *, engine: str = "vectorized"
 ) -> bool:
-    if engine == "bitpacked":
-        packed = pack_batch(batch, n_lines=network.n_lines)
-        outputs = apply_network_packed(network, packed, copy=False)
-        # The violation mask lands in arena rows (RPR001 discipline), not
-        # a fresh per-word boolean array.
-        return _packed_outputs_sorted(outputs)
     outputs = apply_network_to_batch(network, batch, copy=False, engine=engine)
     return bool(np.all(batch_is_sorted(outputs)))
 
@@ -148,9 +182,9 @@ def is_sorter(
         and the cheapest of the exhaustive-style strategies.
     engine:
         Batch evaluation engine.  ``"bitpacked"`` is the fast path for the
-        0/1 strategies (on ``strategy="binary"`` the cube never leaves
-        packed form); the permutation strategies fall back to
-        ``"vectorized"``.
+        0/1 strategies (the cube never leaves packed form; ``testset``
+        masks out the sorted inputs); the permutation strategies fall back
+        to ``"vectorized"``.
     config:
         Optional :class:`repro.parallel.ExecutionConfig`.  With the
         bit-packed engine the 0/1 strategies stream the cube in fixed-size
@@ -181,9 +215,10 @@ def _is_sorter_impl(
     """Non-deprecating form of :func:`is_sorter` (Session backend).
 
     With a *cache* (:class:`repro.cache.ResultCache`), the bit-packed
-    ``strategy="binary"`` check routes through
+    ``binary`` and ``testset`` checks route through
     :func:`repro.cache.cached_cube_sorted` — a verdict memo plus prefix
-    restore, bit-identical to the plain cube sweep.
+    restore, bit-identical to the plain cube sweep — unless the network
+    overrides its evaluation (:func:`repro.cache.cacheable_network`).
     """
     if strategy not in SORTER_STRATEGIES:
         raise TestSetError(
@@ -192,23 +227,28 @@ def _is_sorter_impl(
     check_engine(engine)
     n = network.n_lines
     streaming = config is not None and config.streaming
-    if (
-        cache is not None
-        and engine == "bitpacked"
-        and strategy == "binary"
-        and not streaming
-    ):
-        from ..cache.restore import cached_cube_sorted
+    if engine == "bitpacked" and strategy in ("binary", "testset"):
+        restrict = strategy == "testset"
+        if streaming:
+            from ..parallel.executor import streamed_is_sorter
 
-        return cached_cube_sorted(network, cache=cache)
-    if streaming and engine == "bitpacked" and strategy in ("binary", "testset"):
-        from ..parallel.executor import streamed_is_sorter
+            return streamed_is_sorter(
+                network, restrict_to_unsorted_inputs=restrict, config=config
+            )
+        if cache is not None:
+            from ..cache.keys import cacheable_network
+            from ..cache.restore import cached_cube_sorted
 
-        return streamed_is_sorter(
+            if cacheable_network(network):
+                return cached_cube_sorted(
+                    network, cache=cache, restrict_to_unsorted_inputs=restrict
+                )
+        rank = _sorting_failure_rank(
             network,
-            restrict_to_unsorted_inputs=(strategy == "testset"),
-            config=config,
+            packed_all_binary_words(n),
+            restrict_to_unsorted_inputs=restrict,
         )
+        return rank is None
     if streaming and strategy in ("permutation", "permutation-testset"):
         from ..parallel.executor import chunked_words_all_sorted
         from ..words.chains import sorting_cover_permutations
@@ -222,10 +262,6 @@ def _is_sorter_impl(
             network, words, engine=_nonbinary_engine(engine), config=config
         )
     if strategy == "binary":
-        if engine == "bitpacked":
-            packed = packed_all_binary_words(n)
-            outputs = apply_network_packed(network, packed, copy=False)
-            return _packed_outputs_sorted(outputs)
         return _outputs_all_sorted(network, all_binary_words_array(n), engine=engine)
     if strategy == "testset":
         return _outputs_all_sorted(
@@ -258,22 +294,25 @@ def find_sorting_counterexample(
     By default searches the minimum test set (equivalently, all unsorted
     binary words); a custom candidate iterable can be supplied, e.g. to
     search only a restricted test set in the empirical lower-bound
-    experiments.  With ``engine="bitpacked"`` and a streaming *config* the
-    default search never materialises the word array and returns the same
+    experiments.  With ``engine="bitpacked"`` the default search runs the
+    packed cube with the sorted inputs masked out — streamed when *config*
+    streams — so it never materialises the word array and returns the same
     (first-in-rank-order) counterexample.
     """
     check_engine(engine)
-    if (
-        candidates is None
-        and engine == "bitpacked"
-        and config is not None
-        and config.streaming
-    ):
-        from ..parallel.executor import rank_to_word, streamed_sorting_failure_rank
+    if candidates is None and engine == "bitpacked":
+        if config is not None and config.streaming:
+            from ..parallel.executor import streamed_sorting_failure_rank
 
-        rank = streamed_sorting_failure_rank(
-            network, restrict_to_unsorted_inputs=True, config=config
-        )
+            rank = streamed_sorting_failure_rank(
+                network, restrict_to_unsorted_inputs=True, config=config
+            )
+        else:
+            rank = _sorting_failure_rank(
+                network,
+                packed_all_binary_words(network.n_lines),
+                restrict_to_unsorted_inputs=True,
+            )
         return None if rank is None else rank_to_word(rank, network.n_lines)
     if candidates is None:
         batch = unsorted_binary_words_array(network.n_lines)

@@ -70,7 +70,7 @@ class ServeClient:
             self._socket = socket.create_connection(
                 (host, port), timeout=timeout
             )
-        self._buffer = b""
+        self._buffer = bytearray()
 
     # -- plumbing ------------------------------------------------------
     def request(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -102,12 +102,20 @@ class ServeClient:
         return response
 
     def _read_line(self) -> bytes:
-        while b"\n" not in self._buffer:
+        # Append in place and scan only the bytes each chunk adds, so a
+        # multi-megabyte line costs linear time, not a copy and a rescan
+        # of the whole buffer per chunk.
+        buffer = self._buffer
+        end = buffer.find(b"\n")
+        while end < 0:
+            scanned = len(buffer)
             chunk = self._socket.recv(65536)
             if not chunk:
                 raise ServiceError("server closed the connection")
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
+            buffer += chunk
+            end = buffer.find(b"\n", scanned)
+        line = bytes(buffer[:end])
+        del buffer[: end + 1]
         return line
 
     def close(self) -> None:

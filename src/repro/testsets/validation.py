@@ -189,15 +189,19 @@ def _cached_passes(
 ) -> bool | None:
     """Cache-served test-set verdict, or ``None`` when not cacheable.
 
-    Non-binary words (permutation test sets) fall back to the ordinary
-    path — the cache only covers the bit-packed 0/1 pipeline.
+    Non-binary words (permutation test sets) and networks that override
+    their evaluation (:func:`repro.cache.cacheable_network`) fall back to
+    the ordinary path — the cache only covers the bit-packed 0/1 pipeline
+    of plain comparator networks.
     """
-    from ..cache.keys import array_token, network_token
+    from ..cache.keys import array_token, cacheable_network, network_token
     from ..cache.restore import acquire_prefix_states
     from ..core.bitpacked import pack_batch, packed_is_sorted_arena
     from ..core.scratch import shared_arena
     from ..exceptions import NotBinaryError
 
+    if not cacheable_network(network):
+        return None
     batch = words_to_array(rows, dtype=np.int64, n_lines=network.n_lines)
     input_token = array_token(batch)
     key = ("passes", network_token(network), input_token)

@@ -47,8 +47,8 @@ def networks(draw, min_lines: int = 2, max_lines: int = 7, max_size: int = 12):
     for _ in range(size):
         low = draw(st.integers(0, n - 2))
         high = draw(st.integers(low + 1, n - 1))
-        comparators.append((low, high))
-    return ComparatorNetwork.from_pairs(n, comparators)
+        comparators.append(Comparator(low, high, draw(st.booleans())))
+    return ComparatorNetwork(n, comparators)
 
 
 @st.composite

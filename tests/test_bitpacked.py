@@ -20,7 +20,14 @@ from repro.core import (
     packed_is_sorted,
     unpack_batch,
 )
-from repro.core.bitpacked import BLOCK_BITS
+from repro.core.bitpacked import (
+    BLOCK_BITS,
+    packed_clear_sorted_cube_words,
+    packed_cube_range,
+    packed_first_rank,
+    rank_to_word,
+    unpack_bits,
+)
 from repro.exceptions import EngineError, InputLengthError, NotBinaryError
 
 
@@ -102,6 +109,33 @@ class TestPackedPredicates:
     def test_packed_equal_shape_mismatch(self):
         with pytest.raises(InputLengthError):
             packed_equal(pack_words([(0, 1)]), pack_words([(0, 1, 1)]))
+
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 9])
+    def test_clearing_sorted_ranks_leaves_the_unsorted_words(self, n):
+        # Every block range of the cube, so the closed-form ranks are
+        # checked at every offset: only Thm 2.2 (i)'s words stay set.
+        unsorted = ~batch_is_sorted(all_binary_words_array(n))
+        total = (2**n + BLOCK_BITS - 1) // BLOCK_BITS
+        for start in range(total):
+            for stop in range(start + 1, total + 1):
+                chunk = packed_cube_range(n, start, stop)
+                mask = packed_clear_sorted_cube_words(
+                    chunk.pad_mask(), n, block_start=start
+                )
+                words = slice(start * BLOCK_BITS, start * BLOCK_BITS + chunk.num_words)
+                assert np.array_equal(
+                    unpack_bits(mask, chunk.num_words), unsorted[words]
+                )
+
+    def test_first_rank_names_the_first_set_word(self):
+        mask = np.zeros(3, dtype=np.uint64)
+        assert packed_first_rank(mask) is None
+        mask[1] = np.uint64(0b1010 << 60)
+        mask[2] = np.uint64(1)
+        assert packed_first_rank(mask) == 64 + 61
+        assert packed_first_rank(mask, block_start=5) == (5 + 1) * 64 + 61
+        assert rank_to_word(6, 4) == (0, 1, 1, 0)
 
 
 class TestPackedEvaluation:

@@ -12,6 +12,9 @@ Alongside it: the key/rolling-hash machinery, the LRU byte bound, the
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
 import warnings
 
 from hypothesis import HealthCheck, given, settings
@@ -32,9 +35,14 @@ from repro.cache import (
     prefix_hashes,
     resolve_cache,
 )
-from repro.constructions import batcher_sorting_network
+from repro.constructions import (
+    batcher_sorting_network,
+    bose_nelson_sorting_network,
+    bubble_sorting_network,
+)
 from repro.core.evaluation import all_binary_words_array
 from repro.faults import enumerate_single_faults, fault_detection_matrix
+from repro.faults.models import SwappingNetwork
 from repro.faults.simulation import PrefixStates, _pack_vectors
 from repro.properties import is_sorter
 from repro.testsets import (
@@ -304,6 +312,76 @@ class TestWarmColdIdentity:
                 cached = s.passes_test_set(four_sorter, permutations)
         assert cached.passed is legacy
         assert cached.execution.engine_effective == "vectorized"
+
+
+# ----------------------------------------------------------------------
+# Where a cache must not answer: fault models, concurrent threads
+# ----------------------------------------------------------------------
+class TestCacheBoundaries:
+    def test_fault_model_networks_get_their_own_verdicts(self):
+        # A stuck-swap network keeps the fault-free comparator list but
+        # overrides evaluation: neither a memoised verdict nor a prefix
+        # restore of that list may answer for it, in either call order.
+        clean = batcher_sorting_network(4)
+        candidates = [clean, SwappingNetwork(clean, 0)]
+        tests = sorting_binary_test_set(4)
+
+        def verdicts(session, network):
+            return (
+                session.verify(network, strategy="binary").verdict,
+                session.verify(network, strategy="testset").verdict,
+                session.passes_test_set(network, tests).passed,
+            )
+
+        with api.Session(engine="vectorized") as oracle:
+            expected = [verdicts(oracle, network) for network in candidates]
+        assert expected == [(True, True, True), (False, False, False)]
+        for order in ([1, 0, 1], [0, 1, 0]):
+            with api.Session(engine="bitpacked", cache=True) as cached:
+                for index in order:
+                    assert verdicts(cached, candidates[index]) == expected[index]
+
+    def test_threads_sharing_a_store_keep_their_own_scratch(self):
+        # The verification service's shape: Sessions in concurrent threads
+        # (more than the CI hosts' cores) over one thread-safe store.  All
+        # lineages are 12-line cubes of one plane geometry, so a scratch
+        # arena shared across threads would be overwritten mid-sweep.
+        lineages = [
+            batcher_sorting_network(12),
+            bose_nelson_sorting_network(12),
+            bubble_sorting_network(12),
+        ]
+        work = [
+            [
+                (candidate, strategy)
+                for candidate in [network]
+                + [mutate_one(network, i) for i in range(network.size)]
+                for strategy in ("testset", "binary")
+            ]
+            for network in lineages
+        ]
+        with api.Session(engine="vectorized") as oracle:
+            expected = [
+                [oracle.verify(net, strategy=s).verdict for net, s in jobs]
+                for jobs in work
+            ]
+        store = ResultCache(thread_safe=True)
+        barrier = threading.Barrier(len(work), timeout=60)
+
+        def run(jobs):
+            with api.Session(engine="bitpacked", cache=store) as session:
+                barrier.wait()
+                return [session.verify(net, strategy=s).verdict for net, s in jobs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads mid-sweep
+        try:
+            with ThreadPoolExecutor(len(work)) as pool:
+                futures = [pool.submit(run, jobs) for jobs in work]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.constructions import batcher_sorting_network
 from repro.core.bitpacked import (
     apply_comparators_packed,
     apply_network_packed,
+    packed_clear_sorted_cube_words,
     packed_count_gt_blocks,
     packed_is_sorted_arena,
     packed_selection_violation_blocks,
@@ -166,6 +167,27 @@ def test_packed_is_sorted_arena(env):
     )
 
 
+def test_packed_is_sorted_arena_on_unsorted_inputs(env):
+    run_budgeted(
+        lambda: packed_is_sorted_arena(
+            env.packed, env.arena, restrict_to_unsorted_inputs=True
+        ),
+        transient=TIGHT,
+        retained=TIGHT,
+        label="packed_is_sorted_arena(restrict_to_unsorted_inputs=True)",
+    )
+
+
+def test_packed_clear_sorted_cube_words(env):
+    # 1024 blocks hold the 2**16-word cube: all 17 sorted ranks land in it.
+    run_budgeted(
+        lambda: packed_clear_sorted_cube_words(env.row_out, 16),
+        transient=TIGHT,
+        retained=TIGHT,
+        label="packed_clear_sorted_cube_words",
+    )
+
+
 def test_packed_selection_violation_blocks(env):
     run_budgeted(
         lambda: packed_selection_violation_blocks(
@@ -305,6 +327,7 @@ COVERED = {
     "repro.core.bitpacked.packed_zero_count_planes",
     "repro.core.bitpacked.packed_count_gt_blocks",
     "repro.core.bitpacked.packed_is_sorted_arena",
+    "repro.core.bitpacked.packed_clear_sorted_cube_words",
     "repro.core.bitpacked.packed_selection_violation_blocks",
     "repro.properties.selector._selection_violations_arena",
     "repro.properties.sorter._sorting_violations_arena",

@@ -104,6 +104,36 @@ class TestStructure:
         assert replaced.comparators[0] == Comparator(0, 1)
         assert fig1_network.comparators[0] == Comparator(0, 2)  # original intact
 
+    def test_derived_networks_check_only_what_they_add(self, fig1_network):
+        from repro.faults.models import SwappingNetwork
+
+        # List index semantics: negative indices, IndexError out of range.
+        assert fig1_network.without_comparator(-1) == fig1_network.prefix(3)
+        last = fig1_network.with_comparator_replaced(-1, (0, 3))
+        assert last.comparators[-1] == Comparator(0, 3)  # pair → Comparator
+        with pytest.raises(IndexError):
+            fig1_network.without_comparator(4)
+        with pytest.raises(IndexError):
+            fig1_network.with_comparator_replaced(-5, Comparator(0, 1))
+        # New comparators must fit on the network's lines.
+        with pytest.raises(InvalidComparatorError):
+            fig1_network.with_comparator_replaced(0, (0, 4))
+        with pytest.raises(InvalidComparatorError):
+            fig1_network.extended([(1, 2), (2, 4)])
+        # Derived networks are plain networks that behave like rebuilt ones.
+        faulty = SwappingNetwork(fig1_network, 0)
+        derived = [
+            faulty.without_comparator(1),
+            faulty.with_comparator_replaced(1, Comparator(1, 3, True)),
+            faulty.prefix(2),
+            faulty.then(fig1_network),
+            faulty.extended([(1, 2)]),
+        ]
+        for network in derived:
+            assert type(network) is ComparatorNetwork
+            rebuilt = ComparatorNetwork(network.n_lines, network.comparators)
+            assert network == rebuilt and hash(network) == hash(rebuilt)
+
     def test_on_lines_embedding(self):
         small = ComparatorNetwork.from_pairs(2, [(0, 1)])
         embedded = small.on_lines(5, [1, 4])

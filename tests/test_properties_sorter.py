@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from hypothesis import HealthCheck, given, settings
 import pytest
+from strategies import mutate_one, networks, odd_chunks
 
+from repro.api import Session
 from repro.constructions import (
     batcher_sorting_network,
     bitonic_sorting_network,
@@ -11,8 +14,9 @@ from repro.constructions import (
     bubble_sorting_network,
     optimal_sorting_network,
 )
-from repro.core import ComparatorNetwork
+from repro.core import Comparator, ComparatorNetwork
 from repro.exceptions import TestSetError
+from repro.parallel import ExecutionConfig
 from repro.properties import (
     SORTER_STRATEGIES,
     find_sorting_counterexample,
@@ -79,6 +83,75 @@ class TestIsSorter:
         assert find_sorting_counterexample(
             adversary, candidates=[(1, 0, 1, 0)]
         ) == (1, 0, 1, 0)
+
+
+class TestBitpackedTestsetOnThePackedCube:
+    """The bit-packed ``testset`` runs the packed cube with the sorted
+    inputs masked out; the materialised ``vectorized`` test set is its
+    oracle, on standard and non-standard networks alike."""
+
+    def test_strategies_keep_their_own_verdicts_on_one_cached_session(self):
+        # Reversed comparators unsort the sorted input 001, which the
+        # Thm 2.2 test set leaves out: binary says no, testset says yes.
+        network = ComparatorNetwork(
+            3,
+            [Comparator(0, 1, True), Comparator(1, 2, True), Comparator(0, 2)],
+        )
+        with Session(engine="bitpacked", cache=True) as session:
+            verdicts = [
+                session.verify(network, strategy=strategy).verdict
+                for strategy in ("binary", "testset", "binary")
+            ]
+        assert verdicts == [False, True, False]
+
+    def test_one_line_network_sorts_its_empty_test_set(self):
+        network = ComparatorNetwork.identity(1)
+        assert find_sorting_counterexample(network, engine="bitpacked") is None
+        with Session(engine="bitpacked", cache=True) as session:
+            assert session.verify(network, strategy="testset").verdict
+
+    @given(networks(), odd_chunks)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_bitpacked_testset_matches_the_vectorized_oracle(self, network, chunk):
+        candidates = [network]
+        if network.size:
+            candidates.append(mutate_one(network, network.size // 2))
+        with Session(engine="vectorized") as oracle:
+            expected = {
+                (candidate, strategy): oracle.verify(
+                    candidate, strategy=strategy
+                ).verdict
+                for candidate in candidates
+                for strategy in ("binary", "testset")
+            }
+        with (
+            Session(engine="bitpacked") as plain,
+            Session(engine="bitpacked", chunk_size=chunk) as streamed,
+            Session(engine="bitpacked", cache=True) as cached,
+        ):
+            # Interleaved, repeated: later calls on the cached Session hit
+            # the verdict memo or restore the incumbent's prefix.
+            for _ in range(2):
+                for candidate in candidates:
+                    for strategy in ("testset", "binary"):
+                        for session in (plain, streamed, cached):
+                            result = session.verify(candidate, strategy=strategy)
+                            assert result.verdict == expected[candidate, strategy]
+        config = ExecutionConfig(chunk_size=chunk)
+        for candidate in candidates:
+            witness = find_sorting_counterexample(candidate)
+            assert (witness is None) == expected[candidate, "testset"]
+            assert find_sorting_counterexample(candidate, engine="bitpacked") == witness
+            assert (
+                find_sorting_counterexample(
+                    candidate, engine="bitpacked", config=config
+                )
+                == witness
+            )
 
 
 class TestSortednessHelpers:

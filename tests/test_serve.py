@@ -103,6 +103,55 @@ def test_decode_rejects_garbage():
         decode_message(b"[1, 2, 3]")
 
 
+class _ChunkedSocket:
+    """A connected socket stand-in that replays fixed ``recv`` chunks."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.recv_calls = 0
+
+    def settimeout(self, timeout):
+        pass
+
+    def connect(self, address):
+        pass
+
+    def sendall(self, data):
+        pass
+
+    def recv(self, size):
+        self.recv_calls += 1
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def close(self):
+        pass
+
+
+def test_client_reads_split_and_packed_lines(monkeypatch):
+    import repro.serve.client as client_module
+
+    big = encode_message({"ok": True, "blob": "x" * (3 << 20)})
+    first = encode_message({"ok": True, "n": 1})
+    second = encode_message({"ok": True, "n": 2})
+    step = 64 << 10
+    chunks = [big[i : i + step] for i in range(0, len(big), step)]
+    chunks.append(first + second)  # two whole lines in one chunk
+    fake = _ChunkedSocket(chunks)
+    monkeypatch.setattr(
+        client_module.socket, "socket", lambda *args, **kwargs: fake
+    )
+    with ServeClient(socket_path="unused") as client:
+        response = client.request({"op": "status"})
+        assert response["blob"] == "x" * (3 << 20)
+        assert fake.recv_calls == len(chunks) - 1
+        assert client.request({"op": "status"})["n"] == 1
+        # The second line was already buffered: no further recv.
+        assert client.request({"op": "status"})["n"] == 2
+        assert fake.recv_calls == len(chunks)
+        with pytest.raises(ServiceError, match="closed the connection"):
+            client.request({"op": "status"})
+
+
 def test_job_request_validation():
     with pytest.raises(ServiceError):
         JobRequest.from_dict({"kind": "no-such-kind"})
