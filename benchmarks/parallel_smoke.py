@@ -64,10 +64,18 @@ Seven workloads, all cross-checked for bit-identical results before timing:
   ``--max-instrumentation-overhead`` (default 1.02 — the span layer may
   cost at most 2 %, the ``instrumentation_overhead`` gate).
 
-All timings are measured through :mod:`repro.observe` spans
-(``_best_of`` wraps every repeat in a span and takes the minimum), and
-each workload records its measurement span tree in the JSON report
-under ``workloads.<name>.trace``.
+All timings are measured through :mod:`repro.observe` spans, and each
+workload records its measurement span tree in the JSON report under
+``workloads.<name>.trace``.  Speedup gates take the best of
+``--repeats`` runs per side (``_best_of``).  The two overhead gates
+compare sides within a few percent, which is below the drift between a
+run of A and a later run of B: they time :data:`OVERHEAD_PAIRS`
+interleaved A/B pairs (the order alternating from pair to pair) with the
+garbage collector off inside each timed region (``_interleaved_ratio``),
+gate on the median of the per-pair ratios and record its interquartile
+range (``session_reuse.*_iqr`` and the gate entries' ``iqr``).  The
+best-of timings of the three serial sides stay in
+``session_reuse.seconds`` for reference.
 
 Every quality gate is recorded in the JSON report under ``gates`` with its
 required floor/ceiling, the measured value and a status: ``passed``,
@@ -92,6 +100,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -130,25 +139,76 @@ def _best_of(repeats: int, thunk, trace: Trace, label: str) -> float:
     return best
 
 
-def _best_of_unobserved(repeats: int, thunk, trace: Trace, label: str) -> float:
-    """Best-of wall-clock of *thunk* with span capture disabled inside.
+#: Interleaved A/B pairs behind each overhead gate (session and
+#: instrumentation), one coverage call per side.  On a shared 2-CPU host
+#: the per-pair ratio has an interquartile range of about ±3 %, which
+#: puts the standard error of the median of 45 pairs under 1 %.
+OVERHEAD_PAIRS = 45
 
-    The measuring spans are created while capture is on (a live span
-    keeps reading the clock regardless of the global switch); *thunk*
-    runs with capture off, so any traces it builds internally hand out
-    inert spans — this prices the instrumentation itself.
+
+def _unobserved(thunk):
+    """*thunk* with span capture off while it runs.
+
+    The measuring span around a call is opened while capture is on (a
+    live span keeps reading the clock regardless of the global switch);
+    any trace *thunk* builds hands out inert spans — this prices the
+    instrumentation itself.
     """
-    best = float("inf")
-    with trace.span(label, repeats=repeats, observation="disabled"):
-        for _ in range(repeats):
-            with trace.span("repeat") as rep:
-                previous = set_observation_enabled(False)
-                try:
-                    thunk()
-                finally:
-                    set_observation_enabled(previous)
-            best = min(best, rep.seconds)
-    return best
+
+    def call():
+        previous = set_observation_enabled(False)
+        try:
+            return thunk()
+        finally:
+            set_observation_enabled(previous)
+
+    return call
+
+
+def _timed_once(thunk, trace: Trace, label: str) -> float:
+    """Wall-clock of one *thunk* call, GC off inside the timed region.
+
+    Garbage from earlier calls is collected first, so neither side of a
+    pair pays for the other's.
+    """
+    gc.collect()
+    with trace.span(label) as rep:
+        gc.disable()
+        try:
+            thunk()
+        finally:
+            gc.enable()
+    return rep.seconds
+
+
+def _interleaved_ratio(pairs: int, a, b, trace: Trace, label: str) -> dict:
+    """Median and IQR of the wall-clock ratio A / B over interleaved pairs.
+
+    *a* and *b* are ``(name, thunk)`` sides.  Each pair times one call
+    of each side back to back — A first in even pairs, B first in odd
+    ones — so slow drift and order effects hit both sides alike.
+
+    Returns
+    -------
+    dict
+        ``ratio`` (the median per-pair ratio, which the gate judges),
+        ``iqr`` (its 25th and 75th percentiles), ``pairs`` and the
+        median seconds of each side under its name.
+    """
+    times: dict[str, list[float]] = {a[0]: [], b[0]: []}
+    ratios = []
+    with trace.span(label, pairs=pairs):
+        for index in range(pairs):
+            for name, thunk in (a, b) if index % 2 == 0 else (b, a):
+                times[name].append(_timed_once(thunk, trace, name))
+            ratios.append(times[a[0]][-1] / times[b[0]][-1])
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    return {
+        "ratio": float(median),
+        "iqr": [float(q1), float(q3)],
+        "pairs": pairs,
+        "seconds": {name: float(np.median(t)) for name, t in times.items()},
+    }
 
 
 def stream_workload(n: int, workers: int, chunk_size: int, repeats: int) -> dict:
@@ -651,28 +711,30 @@ def session_reuse_workload(n: int, workers: int, repeats: int, calls: int = 5) -
 
     trace = Trace()
 
-    def session_serial_loop():
-        for _ in range(calls):
-            serial_session.fault_coverage(device, faults, vectors)
+    def session_call():
+        serial_session.fault_coverage(device, faults, vectors)
 
+    # The three serial sides; the session's per-call Trace hands out inert
+    # spans on the unobserved one.
+    direct_side = ("direct_serial", direct_coverage)
+    session_side = ("session_serial", session_call)
+    unobserved_side = ("session_serial_no_observation", _unobserved(session_call))
+
+    # Best of ``repeats`` loops of ``calls`` calls per serial side, for the
+    # report only (the overhead gates judge the interleaved pairs below).
+    # They also run ahead of the pool-reuse timing so that it follows the
+    # same serial work as it always has: an idle persistent pool measured
+    # slower behind a longer stretch of serial calls (ROADMAP item 1).
     seconds = {
-        "direct_serial": _best_of(
-            repeats, lambda: [direct_coverage() for _ in range(calls)],
-            trace, "direct_serial",
-        ),
-        "session_serial": _best_of(
-            repeats, session_serial_loop, trace, "session_serial",
-        ),
-        # The identical session loop with span capture disabled — the
-        # session's per-call Trace hands out inert spans, so the delta
-        # prices the instrumentation layer itself (the
-        # instrumentation_overhead gate).
-        "session_serial_no_observation": _best_of_unobserved(
-            repeats, session_serial_loop, trace,
-            "session_serial_no_observation",
-        ),
-        # Direct sharded calls spawn (and tear down) a worker pool per call;
-        # the Session submits every call to its one persistent pool.
+        name: _best_of(
+            repeats, lambda thunk=thunk: [thunk() for _ in range(calls)],
+            trace, name,
+        )
+        for name, thunk in (direct_side, session_side, unobserved_side)
+    }
+    seconds |= {
+        # Direct sharded calls spawn (and tear down) a worker pool per
+        # call; the Session submits every call to its one persistent pool.
         "direct_sharded_pool_per_call": _best_of(
             repeats, lambda: [direct_coverage(sharded_cfg) for _ in range(calls)],
             trace, "direct_sharded_pool_per_call",
@@ -686,6 +748,21 @@ def session_reuse_workload(n: int, workers: int, repeats: int, calls: int = 5) -
             trace, "session_sharded_persistent_pool",
         ),
     }
+
+    # One coverage call per side of a pair: many short pairs give a
+    # steadier median than a few long ones on a shared host.
+    overhead = _interleaved_ratio(
+        OVERHEAD_PAIRS, session_side, direct_side, trace, "session_overhead"
+    )
+    # The identical session call with span capture disabled prices the
+    # instrumentation layer itself (the instrumentation_overhead gate).
+    instrumentation = _interleaved_ratio(
+        OVERHEAD_PAIRS,
+        session_side,
+        unobserved_side,
+        trace,
+        "instrumentation_overhead",
+    )
     serial_session.close()
     parallel_session.close()
     return {
@@ -697,17 +774,18 @@ def session_reuse_workload(n: int, workers: int, repeats: int, calls: int = 5) -
         "calls_per_measurement": calls,
         "results_identical": True,
         "seconds": seconds,
-        "session_overhead_vs_direct": (
-            seconds["session_serial"] / seconds["direct_serial"]
-        ),
+        # Median ratio, IQR, pair count and per-side median seconds of
+        # one call for each overhead gate.
+        "session_overhead_pairs": overhead,
+        "instrumentation_overhead_pairs": instrumentation,
+        "session_overhead_vs_direct": overhead["ratio"],
+        "session_overhead_iqr": overhead["iqr"],
         "pool_reuse_speedup": (
             seconds["direct_sharded_pool_per_call"]
             / seconds["session_sharded_persistent_pool"]
         ),
-        "instrumentation_overhead": (
-            seconds["session_serial"]
-            / seconds["session_serial_no_observation"]
-        ),
+        "instrumentation_overhead": instrumentation["ratio"],
+        "instrumentation_overhead_iqr": instrumentation["iqr"],
         "trace": trace.to_dict(),
     }
 
@@ -882,8 +960,11 @@ def main(argv=None) -> int:
         *,
         disabled: bool = False,
         needs_multiworker: bool = False,
+        iqr: list[float] | None = None,
     ) -> dict:
         entry = {"required": required, "measured": measured}
+        if iqr is not None:
+            entry["iqr"] = iqr
         if disabled:
             entry["status"] = "disabled"
             entry["reason"] = "threshold set to 0 on the command line"
@@ -920,6 +1001,7 @@ def main(argv=None) -> int:
             args.max_session_overhead, session_overhead,
             session_overhead <= args.max_session_overhead,
             disabled=args.max_session_overhead <= 0,
+            iqr=session["session_overhead_iqr"],
         ),
         "pool_reuse_speedup": gate(
             args.min_reuse_speedup, reuse_speedup,
@@ -930,6 +1012,7 @@ def main(argv=None) -> int:
             args.max_instrumentation_overhead, instrumentation_overhead,
             instrumentation_overhead <= args.max_instrumentation_overhead,
             disabled=args.max_instrumentation_overhead <= 0,
+            iqr=session["instrumentation_overhead_iqr"],
         ),
         "incremental_reverify_speedup": gate(
             args.min_incremental_speedup, incremental_speedup,

@@ -3,9 +3,10 @@
 Every key in the result store (:mod:`repro.cache.store`) is assembled
 from three ingredients, documented in ``docs/CACHING.md``:
 
-*network identity* — :func:`comparator_codes` encodes each comparator as
-one integer; :func:`prefix_hashes` folds the code sequence into a rolling
-64-bit polynomial hash with one value **per prefix length**, which is
+*network identity* — :func:`comparator_codes` reads the one integer per
+comparator that every network computes at most once
+(:attr:`repro.core.ComparatorNetwork.codes`); :func:`prefix_hashes`
+folds the code sequence into a rolling 64-bit polynomial hash with one value **per prefix length**, which is
 what lets the store find the longest cached prefix of a new network with
 one dictionary probe per candidate length (hash matches are verified
 against the actual code sequence, so collisions cannot corrupt results);
@@ -70,7 +71,8 @@ def comparator_codes(network: ComparatorNetwork) -> tuple[int, ...]:
 
     The encoding is injective on a fixed line count, so two networks on
     the same ``n_lines`` share a code prefix exactly when they share the
-    comparator prefix itself.
+    comparator prefix itself.  The network computes its codes at most
+    once (:attr:`ComparatorNetwork.codes`); this reads them.
 
     Parameters
     ----------
@@ -82,11 +84,7 @@ def comparator_codes(network: ComparatorNetwork) -> tuple[int, ...]:
     tuple of int
         ``network.size`` codes, in comparator order.
     """
-    n = network.n_lines
-    return tuple(
-        ((c.low * n + c.high) << 1) | int(c.reversed)
-        for c in network.comparators
-    )
+    return network.codes
 
 
 def prefix_hashes(codes: Sequence[int]) -> tuple[int, ...]:
@@ -132,7 +130,7 @@ def network_token(network: ComparatorNetwork) -> tuple:
     tuple
         ``("net", n_lines, code_0, ..., code_{S-1})``.
     """
-    return ("net", network.n_lines, *comparator_codes(network))
+    return ("net", network.n_lines, *network.codes)
 
 
 def cacheable_network(network: ComparatorNetwork) -> bool:

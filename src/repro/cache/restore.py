@@ -16,8 +16,11 @@ common prefix is the same comparator sequence on the same packed input.
 :func:`cached_cube_sorted` layers a verdict memo on top: the 0/1-cube
 sorter check (zero-one principle, or Theorem 2.2 (i)'s unsorted inputs
 for the ``testset`` strategy) with full-verdict and prefix-level reuse,
-used by the property checkers and the adversary search when a cache is
-active.
+used by the property checkers when a cache is active.  It judges the
+cube in early-exit chunks (:func:`repro.core.bitpacked.cube_sweep_spans`):
+each chunk restores the donor's prefix state for its own block range
+only, applies the candidate's suffix there and is judged before the next
+chunk is touched, so a non-sorter usually costs a sixteenth of a sweep.
 """
 
 from __future__ import annotations
@@ -29,14 +32,16 @@ import numpy as np
 from ..core.bitpacked import (
     PackedBatch,
     apply_comparators_packed,
+    cube_sweep_spans,
     packed_all_binary_words,
     packed_is_sorted_arena,
 )
-from ..core.scratch import PlaneArena, shared_arena
+from ..core.scratch import PlaneArena, allocation_free, shared_arena
 from .keys import comparator_codes, cube_token, network_token, prefix_hashes
 from .store import ResultCache
 
 if TYPE_CHECKING:
+    from ..core.comparator import Comparator
     from ..core.network import ComparatorNetwork
     from ..faults.simulation import PrefixStates
 
@@ -227,10 +232,17 @@ def cached_cube_sorted(
     verdict memo keyed by the exact network identity (a re-verified
     incumbent is a dictionary lookup), and, on a verdict miss, a prefix
     restore so a mutate-one-comparator candidate only re-simulates its
-    suffix — in place, without building or storing the candidate's own
-    delta record (a throwaway mutant never becomes a donor; only the
-    first network of a lineage is recorded).  The violation mask lands
-    in arena rows (:func:`repro.core.bitpacked.packed_is_sorted_arena`).
+    suffix — without building or storing the candidate's own delta
+    record (a throwaway mutant never becomes a donor; only the first
+    network of a lineage is recorded).
+
+    The cube is judged in the early-exit chunks of
+    :func:`repro.core.bitpacked.cube_sweep_spans`: per chunk, the
+    donor's state after the common prefix is restored for the chunk's
+    block range only, the suffix is applied to that range, and the range
+    is judged (:func:`_donor_chunk_sorted`, all in arena views).  The
+    first chunk with an unsorted judged output settles the verdict, so a
+    typical non-sorter never touches most of the cube.
 
     With *restrict_to_unsorted_inputs* the same cube sweep answers the
     ``testset`` strategy: only the outputs of Theorem 2.2 (i)'s unsorted
@@ -285,27 +297,56 @@ def cached_cube_sorted(
     if donor is None:
         # First sight of this lineage: record the full prefix so later
         # mutate-one-comparator candidates have a donor to restore from.
-        states = PrefixStates.build(network, packed)
-        cache.prefix_store(context, codes, hashes, states)
-        outputs = states.state_after(network.size, out=work.state)
-    else:
-        # A verdict needs only the final state: restore the common
-        # prefix and apply the suffix in place — no O(size) delta record
-        # is built or stored for a throwaway candidate.
-        if lcp == 0:
-            np.copyto(work.state, packed.planes)
-        else:
-            donor.state_after(lcp, out=work.state)
+        # The record is its own donor, with an empty suffix.
+        donor = PrefixStates.build(network, packed)
+        cache.prefix_store(context, codes, hashes, donor)
+        lcp = network.size
+    suffix = network.comparators[lcp:]
+    restrict = restrict_to_unsorted_inputs
+    verdict = all(
+        _donor_chunk_sorted(donor, lcp, suffix, work, span, restrict)
+        for span in cube_sweep_spans(n)
+    )
+    cache.put_verdict(key, verdict)
+    return verdict
+
+
+@allocation_free
+def _donor_chunk_sorted(
+    donor: PrefixStates,
+    lcp: int,
+    suffix: tuple[Comparator, ...],
+    work: PlaneArena,
+    span: tuple[int, int],
+    restrict_to_unsorted_inputs: bool,
+) -> bool:
+    """One chunk of :func:`cached_cube_sorted`'s early-exit sweep.
+
+    Restores the donor's state after its first *lcp* comparators for the
+    cube blocks ``span`` only, into that block range of the arena's
+    ``state`` buffer, applies the candidate's *suffix* there (comparator
+    scratch: the same range of one pool row), and judges the range.
+    *work* must serve the whole cube's geometry; every plane the sweep
+    touches is a view of it, so nothing plane-sized is allocated.
+
+    Returns
+    -------
+    bool
+        ``True`` when every judged word of the chunk comes out sorted.
+    """
+    start, stop = span
+    state = donor.state_after(lcp, out=work.state[:, start:stop], span=span)
+    if suffix:
         slot = work.acquire()
         try:
             apply_comparators_packed(
-                work.state, network.comparators[lcp:], out=work.plane(slot)
+                state.planes, suffix, out=work.plane(slot)[start:stop]
             )
         finally:
             work.release(slot)
-        outputs = PackedBatch(work.state, packed.num_words)
-    verdict = packed_is_sorted_arena(
-        outputs, work, restrict_to_unsorted_inputs=restrict_to_unsorted_inputs
+    return packed_is_sorted_arena(
+        state,
+        work,
+        restrict_to_unsorted_inputs=restrict_to_unsorted_inputs,
+        block_start=start,
     )
-    cache.put_verdict(key, bool(verdict))
-    return bool(verdict)

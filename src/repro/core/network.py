@@ -31,6 +31,11 @@ from .comparator import Comparator
 __all__ = ["ComparatorNetwork"]
 
 
+def _comparator_code(comp: Comparator, n_lines: int) -> int:
+    """The code of *comp* on *n_lines* lines (see :attr:`ComparatorNetwork.codes`)."""
+    return ((comp.low * n_lines + comp.high) << 1) | comp.reversed
+
+
 class ComparatorNetwork:
     """An immutable comparator network on ``n_lines`` lines.
 
@@ -51,7 +56,7 @@ class ComparatorNetwork:
     is stated for standard networks exactly as in the paper.
     """
 
-    __slots__ = ("_n_lines", "_comparators", "_hash")
+    __slots__ = ("_n_lines", "_comparators", "_codes", "_hash")
 
     def __init__(self, n_lines: int, comparators: Iterable = ()) -> None:
         if not isinstance(n_lines, int):
@@ -68,6 +73,7 @@ class ComparatorNetwork:
             comps.append(comp)
         self._n_lines = n_lines
         self._comparators = tuple(comps)
+        self._codes: tuple[int, ...] | None = None
         self._hash: int | None = None
 
     # ------------------------------------------------------------------
@@ -75,17 +81,21 @@ class ComparatorNetwork:
     # ------------------------------------------------------------------
     @staticmethod
     def _derived(
-        n_lines: int, comparators: tuple[Comparator, ...]
+        n_lines: int, comparators: tuple[Comparator, ...], codes: tuple[int, ...]
     ) -> ComparatorNetwork:
         """A base-class network over comparators already checked to fit.
 
         The structural operations derive a network mostly from a network's
         own (validated) comparators; this skips re-checking them, so the
-        caller validates only the comparators it adds.
+        caller validates only the comparators it adds.  *codes* are the
+        comparators' codes, derived the same way from the source network's
+        :attr:`codes` (a slice or splice of a tuple instead of re-encoding
+        every comparator).
         """
         network = object.__new__(ComparatorNetwork)
         network._n_lines = n_lines
         network._comparators = comparators
+        network._codes = codes
         network._hash = None
         return network
 
@@ -127,6 +137,22 @@ class ComparatorNetwork:
     def comparators(self) -> tuple[Comparator, ...]:
         """The comparator sequence, in application order."""
         return self._comparators
+
+    @property
+    def codes(self) -> tuple[int, ...]:
+        """One integer per comparator: ``((low * n_lines + high) << 1) | reversed``.
+
+        Injective on a fixed line count, so two networks on the same
+        ``n_lines`` share a code prefix exactly when they share the
+        comparator prefix.  Computed at most once per instance: on first
+        read for a network built through ``__init__``, and spliced from
+        the source network's codes by the structural operations.  The
+        cache keys of :mod:`repro.cache.keys` are built from it.
+        """
+        if self._codes is None:
+            n = self._n_lines
+            self._codes = tuple(_comparator_code(c, n) for c in self._comparators)
+        return self._codes
 
     @property
     def size(self) -> int:
@@ -243,7 +269,11 @@ class ComparatorNetwork:
             raise LineCountError(
                 f"cannot compose networks on {self._n_lines} and {other.n_lines} lines"
             )
-        return self._derived(self._n_lines, self._comparators + other.comparators)
+        return self._derived(
+            self._n_lines,
+            self._comparators + other.comparators,
+            self.codes + other.codes,
+        )
 
     def __add__(self, other: ComparatorNetwork) -> ComparatorNetwork:
         return self.then(other)
@@ -251,13 +281,22 @@ class ComparatorNetwork:
     def extended(self, comparators: Iterable) -> ComparatorNetwork:
         """Return a copy with extra comparators appended."""
         extra = tuple(self._checked(c) for c in comparators)
-        return self._derived(self._n_lines, self._comparators + extra)
+        n = self._n_lines
+        return self._derived(
+            n,
+            self._comparators + extra,
+            self.codes + tuple(_comparator_code(c, n) for c in extra),
+        )
 
     def prefix(self, num_comparators: int) -> ComparatorNetwork:
         """Return the network consisting of the first *num_comparators* stages."""
         if num_comparators < 0:
             raise ValueError("num_comparators must be non-negative")
-        return self._derived(self._n_lines, self._comparators[:num_comparators])
+        return self._derived(
+            self._n_lines,
+            self._comparators[:num_comparators],
+            self.codes[:num_comparators],
+        )
 
     def without_comparator(self, index: int) -> ComparatorNetwork:
         """Return a copy with the comparator at *index* removed.
@@ -265,16 +304,20 @@ class ComparatorNetwork:
         Used by the fault models ("stuck-pass" faults delete a comparator).
         """
         comps = list(self._comparators)
+        codes = list(self.codes)
         del comps[index]
-        return self._derived(self._n_lines, tuple(comps))
+        del codes[index]
+        return self._derived(self._n_lines, tuple(comps), tuple(codes))
 
     def with_comparator_replaced(
         self, index: int, comparator: Comparator
     ) -> ComparatorNetwork:
         """Return a copy with the comparator at *index* replaced."""
         comps = list(self._comparators)
-        comps[index] = self._checked(comparator)
-        return self._derived(self._n_lines, tuple(comps))
+        codes = list(self.codes)
+        comps[index] = comp = self._checked(comparator)
+        codes[index] = _comparator_code(comp, self._n_lines)
+        return self._derived(self._n_lines, tuple(comps), tuple(codes))
 
     def on_lines(
         self, n_lines: int, lines: Sequence[int]
@@ -414,7 +457,9 @@ class ComparatorNetwork:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ComparatorNetwork(self._n_lines, self._comparators[index])
+            return self._derived(
+                self._n_lines, self._comparators[index], self.codes[index]
+            )
         return self._comparators[index]
 
     def __eq__(self, other: object) -> bool:

@@ -195,7 +195,7 @@ class PlaneArena:
         self.tmp = np.zeros(n_blocks, dtype=dtype)
         self.zero = np.zeros(n_blocks, dtype=dtype)
         self._pad = np.zeros(n_blocks, dtype=dtype)
-        self._pad_words = -1
+        self._pad_tail = -1
         self.err_slot.clear()
         self._free = list(range(self.store.shape[0]))
 
@@ -251,22 +251,22 @@ class PlaneArena:
 
         Equivalent to ``PackedBatch.pad_mask()`` (a 1 for every valid word
         position, padding bits 0) but backed by one arena-owned row that is
-        only rewritten when *num_words* changes — repeated calls on the
-        stable chunk geometry of a streamed run allocate nothing.  Callers
-        must not write through the returned view.
+        only rewritten when the partial last block changes — repeated calls
+        on the stable chunk geometry of a streamed run allocate nothing.
+        Callers must not write through the returned view.
 
         Returns
         -------
         numpy.ndarray
             The ``(n_blocks,)`` pad-mask row.
         """
-        if self._pad_words != num_words:
+        tail = num_words % 64
+        if self._pad_tail != tail:
             pad = self._pad
             pad.fill(_ALL_ONES)
-            tail = num_words % 64
             if self.n_blocks and tail:
                 pad[-1] = np.uint64((1 << tail) - 1)
-            self._pad_words = num_words
+            self._pad_tail = tail
         return self._pad
 
     def reset(self) -> None:

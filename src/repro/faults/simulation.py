@@ -969,7 +969,13 @@ class PrefixStates:
         return self.deltas[index, int(self._writer_pos[stage, line])]
 
     @allocation_free
-    def state_after(self, stage: int, out: np.ndarray | None = None) -> PackedBatch:
+    def state_after(
+        self,
+        stage: int,
+        out: np.ndarray | None = None,
+        *,
+        span: tuple[int, int] | None = None,
+    ) -> PackedBatch:
         """A copy of the packed planes after the first *stage* comparators.
 
         Parameters
@@ -981,15 +987,24 @@ class PrefixStates:
             buffer of a :class:`repro.core.scratch.PlaneArena`); when given
             the reconstruction is pure ``np.copyto`` row pulls with no
             allocation at all.
+        span : (int, int), optional
+            Restore only blocks ``[start, stop)``: *out* (if given) is
+            ``(n_lines, stop - start)`` — e.g. that block range of an
+            arena's ``state`` buffer — and the returned batch holds the
+            range's words.  Defaults to every block.
         """
+        start, stop = (0, self.input_planes.shape[1]) if span is None else span
         planes = (
-            np.empty_like(self.input_planes)  # repro: noqa RPR001 — legacy path
+            np.empty(  # repro: noqa RPR001 — legacy path
+                (self.network.n_lines, stop - start), dtype=self.input_planes.dtype
+            )
             if out is None
             else out
         )
         for line in range(self.network.n_lines):
-            planes[line] = self.line_value(stage, line)
-        return PackedBatch(planes, self.num_words)
+            planes[line] = self.line_value(stage, line)[start:stop]
+        num_words = min(self.num_words, stop * BLOCK_BITS) - start * BLOCK_BITS
+        return PackedBatch(planes, num_words)
 
     def reference(self) -> PackedBatch:
         """The fault-free output planes."""

@@ -39,7 +39,13 @@ constant memory at any ``n`` — and shards the ranges across processes when
 a result cache (:class:`repro.cache.ResultCache`, the Session backend) the
 single-shot bit-packed ``binary`` and ``testset`` checks share the cached
 cube and its prefix donors (:func:`repro.cache.cached_cube_sorted`), each
-strategy under its own verdict key; the fault-model networks of
+strategy under its own verdict key.  By the zero-one principle one
+unsorted output refutes a sorter, so that cached sweep stops early: it
+judges the cube in the chunks of
+:func:`repro.core.bitpacked.cube_sweep_spans` (the first sixteenth of the
+blocks but at least 64, then the rest) and stops after the first chunk
+with an unsorted judged output.  The uncached single-shot sweep judges the
+whole cube in one pass.  The fault-model networks of
 :mod:`repro.faults.models`, which override their evaluation, skip the
 cache (:func:`repro.cache.cacheable_network`).
 """

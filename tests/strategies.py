@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 
 import repro.faults  # noqa: F401  (imports register the fault-model zoo)
 from repro._registry import fault_model_names
+from repro.constructions import batcher_sorting_network
 from repro.core import ComparatorNetwork
+from repro.core.bitpacked import rank_to_word
 from repro.core.evaluation import all_binary_words_array
 from repro.core.network import Comparator
 from repro.faults import enumerate_model_faults
+from repro.testsets import near_sorter
 
 __all__ = [
+    "chunk_boundary_cases",
     "networks",
     "cube_subsets",
     "fault_universes",
@@ -87,3 +91,36 @@ def mutate_one(network: ComparatorNetwork, index: int) -> ComparatorNetwork:
     c = comps[index]
     comps[index] = Comparator(c.low, c.high, not c.reversed)
     return ComparatorNetwork(network.n_lines, comps)
+
+
+def chunk_boundary_cases() -> list[tuple[str, ComparatorNetwork, int | None]]:
+    """``(label, network, first failing binary rank)`` around the chunk
+    boundaries of the early-exit cube sweep.
+
+    At ``n = 13`` the cube has 128 blocks and
+    :func:`repro.core.bitpacked.cube_sweep_spans` judges blocks
+    ``[0, 64)`` (ranks 0–4095) before ``[64, 128)``; a cube of at most 64
+    blocks is one chunk, and at ``n <= 6`` it is one (padded) block.  Each
+    Lemma 2.1 near-sorter ``H_sigma`` fails on exactly one word, so its
+    first failing rank is ``sigma``'s, for the ``binary`` and ``testset``
+    strategies alike.  The reversed-comparator network unsorts the sorted
+    input of rank 1, so its ``testset`` failure comes later (rank 2).
+    """
+
+    def near(n: int, rank: int) -> ComparatorNetwork:
+        return near_sorter(rank_to_word(rank, n))
+
+    return [
+        ("first-chunk", near(13, 3000), 3000),
+        ("first-chunk-end", near(13, 4094), 4094),
+        ("second-chunk-first-rank", near(13, 4096), 4096),
+        ("last-block", near(13, 8190), 8190),
+        ("one-chunk-second-block", near(7, 64), 64),
+        ("one-block-n4", near(4, 5), 5),
+        ("one-block-n5", near(5, 22), 22),
+        ("one-block-n6", near(6, 62), 62),
+        ("reversed-comparator", ComparatorNetwork(7, [Comparator(5, 6, True)]), 1),
+        ("sorter-n13", batcher_sorting_network(13), None),
+        ("sorter-n7", batcher_sorting_network(7), None),
+        ("sorter-n5", batcher_sorting_network(5), None),
+    ]

@@ -13,6 +13,8 @@ Alongside it: the key/rolling-hash machinery, the LRU byte bound, the
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+import functools
+import pickle
 import sys
 import threading
 import warnings
@@ -21,12 +23,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
-from strategies import criteria, engines, mutate_one, networks, odd_chunks
+from strategies import (
+    chunk_boundary_cases,
+    criteria,
+    engines,
+    mutate_one,
+    networks,
+    odd_chunks,
+)
 
 import repro.api as api
+from repro._registry import fault_model_names
 from repro.cache import (
     ResultCache,
     acquire_prefix_states,
+    cacheable_network,
     cached_cube_sorted,
     comparator_codes,
     cube_token,
@@ -40,8 +51,13 @@ from repro.constructions import (
     bose_nelson_sorting_network,
     bubble_sorting_network,
 )
+from repro.core import Comparator, ComparatorNetwork
 from repro.core.evaluation import all_binary_words_array
-from repro.faults import enumerate_single_faults, fault_detection_matrix
+from repro.faults import (
+    enumerate_model_faults,
+    enumerate_single_faults,
+    fault_detection_matrix,
+)
 from repro.faults.models import SwappingNetwork
 from repro.faults.simulation import PrefixStates, _pack_vectors
 from repro.properties import is_sorter
@@ -120,6 +136,72 @@ class TestKeys:
             assert donor is states
             assert found == lcp
         assert codes == comparator_codes(network)  # lookup never mutates
+
+
+# ----------------------------------------------------------------------
+# Comparator codes: computed at most once per network, on every construction path
+# ----------------------------------------------------------------------
+def _faulty(name: str, *, pickled: bool = False) -> ComparatorNetwork:
+    """The last fault of model *name* applied to Batcher(5), optionally
+    after a pickle round trip (the sharded executor pickles networks)."""
+    device = batcher_sorting_network(5)
+    network = enumerate_model_faults(device, name)[-1].apply_to(device)
+    return pickle.loads(pickle.dumps(network)) if pickled else network
+
+
+def _batcher6() -> ComparatorNetwork:
+    return batcher_sorting_network(6)
+
+
+#: One network per construction path, each a zero-argument builder.
+CONSTRUCTIONS = {
+    "init": lambda: ComparatorNetwork(
+        5, [(0, 1), Comparator(2, 4, True), (1, 3)]
+    ),
+    "from_pairs": lambda: ComparatorNetwork.from_pairs(5, [(0, 4), (1, 2)]),
+    "slice": lambda: _batcher6()[2:9],
+    "slice-step": lambda: _batcher6()[::3],
+    "without_comparator": lambda: _batcher6().without_comparator(4),
+    "without_comparator-last": lambda: _batcher6().without_comparator(-1),
+    "with_comparator_replaced": lambda: _batcher6().with_comparator_replaced(
+        3, Comparator(0, 5, True)
+    ),
+    "prefix": lambda: _batcher6().prefix(7),
+    "then": lambda: _batcher6().then(bubble_sorting_network(6)),
+    "add": lambda: _batcher6() + ComparatorNetwork(6, [Comparator(1, 4, True)]),
+    "extended": lambda: _batcher6().extended([(0, 5), Comparator(2, 3, True)]),
+    "pickle": lambda: pickle.loads(
+        pickle.dumps(
+            _batcher6().with_comparator_replaced(2, Comparator(1, 3, True))
+        )
+    ),
+    **{
+        f"{prefix}fault-{name}": functools.partial(
+            _faulty, name, pickled=bool(prefix)
+        )
+        for name in fault_model_names()
+        for prefix in ("", "pickle-")
+    },
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
+def test_cached_codes_match_a_fresh_build(build):
+    # A network computes its comparator codes at most once — on first
+    # read after __init__, or derived from its source's codes; either way
+    # they equal a fresh encoding of the same comparators.
+    network = build()
+    fresh = ComparatorNetwork(network.n_lines, list(network.comparators))
+    n = network.n_lines
+    encoded = tuple(
+        ((c.low * n + c.high) << 1) | int(c.reversed) for c in network.comparators
+    )
+    assert comparator_codes(network) == comparator_codes(fresh) == encoded
+    assert network_token(network) == network_token(fresh) == ("net", n, *encoded)
+    assert prefix_hashes(comparator_codes(network)) == prefix_hashes(encoded)
+    # Fault models override evaluation, so they stay off the cached path
+    # even though their codes name the fault-free comparator list.
+    assert cacheable_network(network) is (type(network) is ComparatorNetwork)
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +315,35 @@ class TestAcquirePrefixStates:
             # Memo hit gives the same answer.
             assert cached_cube_sorted(mutant, cache=cache) is reference
         assert expected is is_sorter(network, strategy="binary", engine="bitpacked")
+
+
+@pytest.mark.parametrize(
+    "network",
+    [pytest.param(network, id=label) for label, network, _ in chunk_boundary_cases()],
+)
+def test_cached_chunks_match_the_vectorized_oracle(network):
+    # The cached sorter check judges the cube in early-exit chunks on both
+    # of its branches: a lineage's first network (a prefix miss, judged
+    # from its own fresh record) and a candidate restored from a donor's
+    # common prefix (a partial hit, suffix applied per chunk).
+    with api.Session(engine="vectorized") as oracle:
+        expected = {
+            strategy: oracle.verify(network, strategy=strategy).verdict
+            for strategy in ("binary", "testset")
+        }
+    for strategy, verdict in expected.items():
+        with api.Session(engine="bitpacked", cache=True) as miss:
+            assert miss.verify(network, strategy=strategy).verdict is verdict
+            assert miss.cache.stats().prefix_misses == 1
+        if network.size < 2:
+            continue
+        with api.Session(engine="bitpacked", cache=True) as restored:
+            restored.verify(network.prefix(network.size // 2), strategy=strategy)
+            partial = restored.cache.stats().prefix_partial_hits
+            assert restored.verify(network, strategy=strategy).verdict is verdict
+            assert restored.cache.stats().prefix_partial_hits == partial + 1
+            # A memo hit repeats the verdict.
+            assert restored.verify(network, strategy=strategy).verdict is verdict
 
 
 # ----------------------------------------------------------------------

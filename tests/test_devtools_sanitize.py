@@ -319,6 +319,35 @@ def test_row_from_errors(env):
 
 
 # ----------------------------------------------------------------------
+# repro.cache.restore
+# ----------------------------------------------------------------------
+def test_donor_chunk_sorted():
+    """One chunk of the cached sorter check's early-exit sweep: restore,
+    suffix and judge all run in views of the cube-geometry arena."""
+    from repro.cache.restore import _donor_chunk_sorted
+    from repro.core.bitpacked import cube_sweep_spans, packed_all_binary_words
+
+    n = 16  # 2**16 words → 1024 blocks → 8 KiB planes, like the env batch
+    network = batcher_sorting_network(n)
+    cube = packed_all_binary_words(n)
+    donor = PrefixStates.build(network, cube)
+    lcp = network.size // 2
+    mutant = network.with_comparator_replaced(
+        lcp, network.comparators[lcp].flipped()
+    )
+    suffix = mutant.comparators[lcp:]
+    arena = PlaneArena(n, cube.n_blocks, cube.planes.dtype)
+    (_, first), span = cube_sweep_spans(n)
+    assert span == (first, cube.n_blocks)
+    run_budgeted(
+        lambda: _donor_chunk_sorted(donor, lcp, suffix, arena, span, True),
+        transient=TIGHT,
+        retained=TIGHT,
+        label="_donor_chunk_sorted",
+    )
+
+
+# ----------------------------------------------------------------------
 # Completeness: every registered function has a scenario above
 # ----------------------------------------------------------------------
 COVERED = {
@@ -337,6 +366,7 @@ COVERED = {
     "repro.faults.simulation._errors_detect",
     "repro.faults.simulation._detection_row",
     "repro.faults.simulation._row_from_errors",
+    "repro.cache.restore._donor_chunk_sorted",
 }
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
+import numpy as np
 import pytest
-from strategies import mutate_one, networks, odd_chunks
+from strategies import chunk_boundary_cases, mutate_one, networks, odd_chunks
 
 from repro.api import Session
 from repro.constructions import (
@@ -15,6 +16,13 @@ from repro.constructions import (
     optimal_sorting_network,
 )
 from repro.core import Comparator, ComparatorNetwork
+from repro.core.bitpacked import packed_all_binary_words, rank_to_word
+from repro.core.evaluation import (
+    all_binary_words_array,
+    apply_network_to_batch,
+    batch_is_sorted,
+    unsorted_binary_words_array,
+)
 from repro.exceptions import TestSetError
 from repro.parallel import ExecutionConfig
 from repro.properties import (
@@ -31,8 +39,36 @@ from repro.properties import (
     unsorted_outputs,
     zero_one_principle_holds_for,
 )
+from repro.properties.sorter import _sorting_failure_rank
 from repro.testsets import near_sorter
 from repro.words import all_binary_words, unsorted_binary_words
+
+
+def vectorized_first_failure(network: ComparatorNetwork, strategy: str):
+    """The first word, in cube rank order, whose ``vectorized`` output is
+    unsorted — over the whole cube (``binary``) or over the materialised
+    Theorem 2.2 test set (``testset``); ``None`` when there is none."""
+    n = network.n_lines
+    words = (
+        all_binary_words_array(n)
+        if strategy == "binary"
+        else unsorted_binary_words_array(n)
+    )
+    outputs = apply_network_to_batch(network, words, engine="vectorized")
+    failing = np.flatnonzero(~batch_is_sorted(outputs))
+    if failing.size == 0:
+        return None
+    return tuple(int(v) for v in words[failing[0]])
+
+
+def packed_first_failure(network: ComparatorNetwork, strategy: str):
+    """The uncached bit-packed sweep's first failing word (or ``None``)."""
+    rank = _sorting_failure_rank(
+        network,
+        packed_all_binary_words(network.n_lines),
+        restrict_to_unsorted_inputs=strategy == "testset",
+    )
+    return None if rank is None else rank_to_word(rank, network.n_lines)
 
 
 class TestIsSorter:
@@ -152,6 +188,48 @@ class TestBitpackedTestsetOnThePackedCube:
                 )
                 == witness
             )
+            for strategy in ("binary", "testset"):
+                assert packed_first_failure(
+                    candidate, strategy
+                ) == vectorized_first_failure(candidate, strategy)
+
+
+class TestEarlyExitChunks:
+    """The cached bit-packed sweep judges the cube in two chunks
+    (``cube_sweep_spans``) and stops at the first failing one; the
+    uncached sweep judges it in one pass.  Around every chunk boundary
+    the uncached verdict and first failing word are the ``vectorized``
+    engine's; the cached paths are pinned in ``tests/test_cache.py`` on
+    the same cases."""
+
+    @pytest.mark.parametrize(
+        ("network", "first_rank"),
+        [
+            pytest.param(network, rank, id=label)
+            for label, network, rank in chunk_boundary_cases()
+        ],
+    )
+    def test_uncached_sweep_matches_the_vectorized_oracle(self, network, first_rank):
+        n = network.n_lines
+        expected = {
+            strategy: vectorized_first_failure(network, strategy)
+            for strategy in ("binary", "testset")
+        }
+        # The case really puts its first failure where its label says.
+        assert expected["binary"] == (
+            None if first_rank is None else rank_to_word(first_rank, n)
+        )
+        with Session(engine="bitpacked") as plain:
+            for strategy, word in expected.items():
+                assert packed_first_failure(network, strategy) == word
+                assert plain.verify(network, strategy=strategy).verdict is (
+                    word is None
+                )
+        assert (
+            find_sorting_counterexample(network, engine="bitpacked")
+            == find_sorting_counterexample(network)
+            == expected["testset"]
+        )
 
 
 class TestSortednessHelpers:
