@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from repro.constructions import batcher_sorting_network
-from repro.faults import enumerate_single_faults, fault_detection_matrix
-from repro.properties import is_sorter
+from repro.faults import enumerate_single_faults
+from repro.faults.simulation import _fault_detection_matrix_impl
+from repro.properties.sorter import _is_sorter_impl
 from repro.testsets import sorting_binary_test_set
 
 
@@ -28,7 +29,9 @@ from repro.testsets import sorting_binary_test_set
 def test_exhaustive_binary_verification(benchmark, n, engine):
     network = batcher_sorting_network(n)
     benchmark.group = f"exhaustive-binary-n{n}"
-    assert benchmark(lambda: is_sorter(network, strategy="binary", engine=engine))
+    assert benchmark(
+        lambda: _is_sorter_impl(network, strategy="binary", engine=engine)
+    )
 
 
 @pytest.mark.parametrize("engine", ["vectorized", "bitpacked"])
@@ -39,7 +42,9 @@ def test_full_fault_simulation_engines(benchmark, n, engine):
     vectors = sorting_binary_test_set(n)
     benchmark.group = f"fault-simulation-n{n}"
     matrix = benchmark(
-        lambda: fault_detection_matrix(device, faults, vectors, engine=engine)
+        lambda: _fault_detection_matrix_impl(
+            device, faults, vectors, engine=engine
+        )
     )
     assert matrix.shape == (len(faults), len(vectors))
 
@@ -51,9 +56,9 @@ def test_engines_agree_on_the_benchmark_workload(n):
     faults = enumerate_single_faults(device)
     vectors = sorting_binary_test_set(n)
     assert np.array_equal(
-        fault_detection_matrix(device, faults, vectors, engine="vectorized"),
-        fault_detection_matrix(device, faults, vectors, engine="bitpacked"),
+        _fault_detection_matrix_impl(device, faults, vectors, engine="vectorized"),
+        _fault_detection_matrix_impl(device, faults, vectors, engine="bitpacked"),
     )
-    assert is_sorter(device, strategy="binary", engine="bitpacked") == is_sorter(
-        device, strategy="binary", engine="vectorized"
-    )
+    assert _is_sorter_impl(
+        device, strategy="binary", engine="bitpacked"
+    ) == _is_sorter_impl(device, strategy="binary", engine="vectorized")

@@ -11,11 +11,8 @@ import pytest
 
 from repro.analysis.experiments import experiment_fault_coverage
 from repro.constructions import batcher_sorting_network
-from repro.faults import (
-    enumerate_single_faults,
-    fault_detection_matrix,
-    greedy_test_selection,
-)
+from repro.faults import enumerate_single_faults, greedy_test_selection
+from repro.faults.simulation import _fault_detection_matrix_impl
 from repro.testsets import sorting_binary_test_set
 
 
@@ -35,7 +32,9 @@ def test_full_fault_simulation(benchmark, n, engine):
     vectors = sorting_binary_test_set(n)
     benchmark.group = f"fault-simulation-n{n}"
     matrix = benchmark(
-        lambda: fault_detection_matrix(device, faults, vectors, engine=engine)
+        lambda: _fault_detection_matrix_impl(
+            device, faults, vectors, engine=engine
+        )
     )
     assert matrix.shape == (len(faults), len(vectors))
 

@@ -27,8 +27,9 @@ import time
 import numpy as np
 
 from repro.constructions import batcher_sorting_network
-from repro.faults import enumerate_single_faults, fault_detection_matrix
-from repro.properties import is_sorter
+from repro.faults import enumerate_single_faults
+from repro.faults.simulation import _fault_detection_matrix_impl
+from repro.properties.sorter import _is_sorter_impl
 from repro.testsets import sorting_binary_test_set
 
 
@@ -44,14 +45,15 @@ def _best_of(repeats: int, thunk) -> float:
 def run(n: int, fault_n: int, repeats: int) -> dict:
     network = batcher_sorting_network(n)
     verdicts = {
-        engine: is_sorter(network, strategy="binary", engine=engine)
+        engine: _is_sorter_impl(network, strategy="binary", engine=engine)
         for engine in ("vectorized", "bitpacked")
     }
     if len(set(verdicts.values())) != 1:
         raise AssertionError(f"engines disagree on is_sorter: {verdicts}")
     exhaustive = {
         engine: _best_of(
-            repeats, lambda e=engine: is_sorter(network, strategy="binary", engine=e)
+            repeats,
+            lambda e=engine: _is_sorter_impl(network, strategy="binary", engine=e),
         )
         for engine in ("vectorized", "bitpacked")
     }
@@ -60,7 +62,7 @@ def run(n: int, fault_n: int, repeats: int) -> dict:
     faults = enumerate_single_faults(device)
     vectors = sorting_binary_test_set(fault_n)
     matrices = {
-        engine: fault_detection_matrix(device, faults, vectors, engine=engine)
+        engine: _fault_detection_matrix_impl(device, faults, vectors, engine=engine)
         for engine in ("vectorized", "bitpacked")
     }
     if not np.array_equal(matrices["vectorized"], matrices["bitpacked"]):
@@ -68,7 +70,9 @@ def run(n: int, fault_n: int, repeats: int) -> dict:
     fault_sim = {
         engine: _best_of(
             repeats,
-            lambda e=engine: fault_detection_matrix(device, faults, vectors, engine=e),
+            lambda e=engine: _fault_detection_matrix_impl(
+                device, faults, vectors, engine=e
+            ),
         )
         for engine in ("vectorized", "bitpacked")
     }

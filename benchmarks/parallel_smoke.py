@@ -1,6 +1,6 @@
 """Benchmark smoke run for the parallel subsystem → BENCH_parallel.json.
 
-Seven workloads, all cross-checked for bit-identical results before timing:
+Six workloads, all cross-checked for bit-identical results before timing:
 
 * **Streamed exhaustive verification** — sortedness of a Batcher sorter
   over the full ``2**n`` cube (default ``n = 24``), comparing the
@@ -17,19 +17,11 @@ Seven workloads, all cross-checked for bit-identical results before timing:
   beat the single-process run by ``--min-speedup`` (the CI quality gate;
   set 0 to skip, e.g. on single-core machines).
 * **Dominated-state pruning** — the same fault universe run through the
-  streamed coverage path (``fault_detection_any``, vector chunks of
+  streamed coverage path (the any-reduction, vector chunks of
   ``2**16`` words) with and without pruning.  The detected-fault vectors
   must be identical, the streamed cube matrix must equal the explicit-cube
   matrix at a small cross-check size, and the pruned run must beat the
   unpruned run by ``--min-prune-speedup`` (second CI gate).
-* **Scratch-plane arena** — the pruned coverage run with the
-  allocation-free arena engine (the default) against the preserved PR-3
-  allocating path (``arena=False``).  Verdicts and
-  ``SimulationStats`` counters must be identical, the arena engine must
-  beat the allocating path by ``--min-arena-speedup`` (third CI gate), and
-  a tracemalloc probe of the pruned hot loop at ``--alloc-n`` asserts the
-  arena's peak allocation does not regress past the allocating path's
-  (the allocation counter recorded in the JSON report).
 * **Incremental re-verification** — the mutate-one-comparator retest
   loop (default ``n = 16``): verify an incumbent Batcher sorter, then
   for each of a dozen single-comparator mutants verify the candidate and
@@ -37,9 +29,10 @@ Seven workloads, all cross-checked for bit-identical results before timing:
   ``Session(cache=True)`` vs a cold ``Session(cache=False)``.  Verdicts
   must be identical (the bit-identity contract of ``docs/CACHING.md``),
   and the warm loop must beat the cold loop by
-  ``--min-incremental-speedup`` (fifth CI gate): the incumbent re-checks
-  are verdict-memo hits and each mutant restores the longest cached
-  comparator prefix and re-simulates only its suffix.
+  ``--min-incremental-speedup`` (the ``incremental_reverify_speedup``
+  gate, on the median of interleaved cold/warm pairs): the incumbent
+  re-checks are verdict-memo hits and each mutant restores the longest
+  cached comparator prefix and re-simulates only its suffix.
 * **Multi-fault diagnosis** — the pruned ``k = 2`` :class:`MultiFault`
   universe of a Batcher sorter (default ``n = 7``; the registry's
   canonical composite universe over the comparator single faults) against
@@ -51,13 +44,13 @@ Seven workloads, all cross-checked for bit-identical results before timing:
   dictionary-build time (serial vs warm cache) and the resolution
   numbers (classes, singletons, undetected residue).
 * **Session reuse** — repeated ``fault_coverage`` calls through the
-  :class:`repro.api.Session` facade vs the legacy free functions
-  (``--session-n``, smaller than the main fault size because each side
-  runs several calls).  Coverage numbers must be identical, the serial
-  Session may cost at most ``--max-session-overhead`` (ratio, e.g. 1.05 =
-  5 %) over direct calls, and the multi-worker Session's persistent pool
-  + owned arena must beat the per-call-pool direct path by
-  ``--min-reuse-speedup`` across repeated calls (fourth CI gate).  The
+  :class:`repro.api.Session` facade vs direct calls of the layer it calls
+  (``_coverage_report_impl``; ``--session-n``, smaller than the main fault
+  size because each side runs several calls).  Coverage numbers must be
+  identical, the serial Session may cost at most ``--max-session-overhead``
+  (ratio, e.g. 1.05 = 5 %) over direct calls, and the multi-worker
+  Session's persistent pool + owned arena must beat the per-call-pool
+  direct path by ``--min-reuse-speedup`` across repeated calls.  The
   same serial loop is re-run with span capture disabled
   (:func:`repro.observe.set_observation_enabled`); the instrumented /
   uninstrumented ratio must stay under
@@ -66,16 +59,17 @@ Seven workloads, all cross-checked for bit-identical results before timing:
 
 All timings are measured through :mod:`repro.observe` spans, and each
 workload records its measurement span tree in the JSON report under
-``workloads.<name>.trace``.  Speedup gates take the best of
-``--repeats`` runs per side (``_best_of``).  The two overhead gates
-compare sides within a few percent, which is below the drift between a
-run of A and a later run of B: they time :data:`OVERHEAD_PAIRS`
-interleaved A/B pairs (the order alternating from pair to pair) with the
-garbage collector off inside each timed region (``_interleaved_ratio``),
-gate on the median of the per-pair ratios and record its interquartile
-range (``session_reuse.*_iqr`` and the gate entries' ``iqr``).  The
-best-of timings of the three serial sides stay in
-``session_reuse.seconds`` for reference.
+``workloads.<name>.trace``.  The sharded, pruning and pool-reuse speedup
+gates take the best of ``--repeats`` runs per side (``_best_of``).  The
+two overhead gates compare sides within a few percent, which is below the
+drift between a run of A and a later run of B, and the incremental
+re-verify loop runs only a few milliseconds per side: these three gates
+time :data:`INTERLEAVED_PAIRS` interleaved A/B pairs (the order
+alternating from pair to pair) with the garbage collector off inside each
+timed region (``_interleaved_ratio``), gate on the median of the per-pair
+ratios and record its interquartile range (``*_iqr`` in the workload and
+the gate entries' ``iqr``).  The best-of timings of the three serial
+session sides stay in ``session_reuse.seconds`` for reference.
 
 Every quality gate is recorded in the JSON report under ``gates`` with its
 required floor/ceiling, the measured value and a status: ``passed``,
@@ -92,7 +86,7 @@ Usage::
     PYTHONPATH=src python benchmarks/parallel_smoke.py \
         --out BENCH_parallel.json [--stream-n 24] [--fault-n 18] \
         [--workers 4] [--repeats 3] [--min-speedup 2] \
-        [--min-prune-speedup 1.3] [--min-arena-speedup 1.15] [--alloc-n 14] \
+        [--min-prune-speedup 1.3] \
         [--session-n 12] [--max-session-overhead 1.05] [--min-reuse-speedup 1.05] \
         [--incremental-n 16] [--min-incremental-speedup 2] [--diagnosis-n 7]
 """
@@ -104,23 +98,19 @@ import gc
 import json
 import os
 import sys
-import tracemalloc
 
 import numpy as np
 
 from repro.constructions import batcher_sorting_network
 from repro.core.evaluation import all_binary_words_array, unsorted_binary_words_array
-from repro.core.scratch import PlaneArena
-from repro.faults import (
-    CubeVectors,
-    SimulationStats,
-    enumerate_single_faults,
-    fault_detection_any,
-    fault_detection_matrix,
+from repro.faults import CubeVectors, SimulationStats, enumerate_single_faults
+from repro.faults.simulation import (
+    _fault_detection_any_impl,
+    _fault_detection_matrix_impl,
 )
 from repro.observe import Trace, set_observation_enabled
 from repro.parallel import DEFAULT_CHUNK_WORDS, ExecutionConfig
-from repro.properties import is_sorter
+from repro.properties.sorter import _is_sorter_impl
 
 
 def _best_of(repeats: int, thunk, trace: Trace, label: str) -> float:
@@ -139,11 +129,12 @@ def _best_of(repeats: int, thunk, trace: Trace, label: str) -> float:
     return best
 
 
-#: Interleaved A/B pairs behind each overhead gate (session and
-#: instrumentation), one coverage call per side.  On a shared 2-CPU host
-#: the per-pair ratio has an interquartile range of about ±3 %, which
-#: puts the standard error of the median of 45 pairs under 1 %.
-OVERHEAD_PAIRS = 45
+#: Interleaved A/B pairs behind each paired gate (session and
+#: instrumentation overhead: one coverage call per side; incremental
+#: re-verify: one retest loop per side).  On a shared 2-CPU host the
+#: per-pair overhead ratio has an interquartile range of about ±3 %,
+#: which puts the standard error of the median of 45 pairs under 1 %.
+INTERLEAVED_PAIRS = 45
 
 
 def _unobserved(thunk):
@@ -217,11 +208,13 @@ def stream_workload(n: int, workers: int, chunk_size: int, repeats: int) -> dict
     parallel_cfg = ExecutionConfig(max_workers=workers, chunk_size=chunk_size)
 
     verdicts = {
-        "single_shot": is_sorter(network, strategy="binary", engine="bitpacked"),
-        "streamed_1_worker": is_sorter(
+        "single_shot": _is_sorter_impl(
+            network, strategy="binary", engine="bitpacked"
+        ),
+        "streamed_1_worker": _is_sorter_impl(
             network, strategy="binary", engine="bitpacked", config=serial_cfg
         ),
-        f"streamed_{workers}_workers": is_sorter(
+        f"streamed_{workers}_workers": _is_sorter_impl(
             network, strategy="binary", engine="bitpacked", config=parallel_cfg
         ),
     }
@@ -232,19 +225,21 @@ def stream_workload(n: int, workers: int, chunk_size: int, repeats: int) -> dict
     seconds = {
         "single_shot": _best_of(
             repeats,
-            lambda: is_sorter(network, strategy="binary", engine="bitpacked"),
+            lambda: _is_sorter_impl(
+                network, strategy="binary", engine="bitpacked"
+            ),
             trace, "single_shot",
         ),
         "streamed_1_worker": _best_of(
             repeats,
-            lambda: is_sorter(
+            lambda: _is_sorter_impl(
                 network, strategy="binary", engine="bitpacked", config=serial_cfg
             ),
             trace, "streamed_1_worker",
         ),
         f"streamed_{workers}_workers": _best_of(
             repeats,
-            lambda: is_sorter(
+            lambda: _is_sorter_impl(
                 network,
                 strategy="binary",
                 engine="bitpacked",
@@ -281,10 +276,10 @@ def fault_workload(n: int, workers: int, repeats: int) -> dict:
     vectors = unsorted_binary_words_array(n)
     sharded_cfg = ExecutionConfig(max_workers=workers)
 
-    serial_matrix = fault_detection_matrix(
+    serial_matrix = _fault_detection_matrix_impl(
         device, faults, vectors, engine="bitpacked"
     )
-    sharded_matrix = fault_detection_matrix(
+    sharded_matrix = _fault_detection_matrix_impl(
         device, faults, vectors, engine="bitpacked", config=sharded_cfg
     )
     if not np.array_equal(serial_matrix, sharded_matrix):
@@ -297,14 +292,14 @@ def fault_workload(n: int, workers: int, repeats: int) -> dict:
     seconds = {
         "bitpacked_1_worker": _best_of(
             repeats,
-            lambda: fault_detection_matrix(
+            lambda: _fault_detection_matrix_impl(
                 device, faults, vectors, engine="bitpacked"
             ),
             trace, "bitpacked_1_worker",
         ),
         f"bitpacked_{workers}_workers": _best_of(
             repeats,
-            lambda: fault_detection_matrix(
+            lambda: _fault_detection_matrix_impl(
                 device, faults, vectors, engine="bitpacked", config=sharded_cfg
             ),
             trace, f"bitpacked_{workers}_workers",
@@ -334,11 +329,11 @@ def prune_workload(n: int, repeats: int, cross_check_n: int = 10) -> dict:
     # Cross-check 1: streamed-cube matrix equals the explicit-cube matrix.
     small = batcher_sorting_network(cross_check_n)
     small_faults = enumerate_single_faults(small, line_stuck_at_input_only=False)
-    explicit = fault_detection_matrix(
+    explicit = _fault_detection_matrix_impl(
         small, small_faults, all_binary_words_array(cross_check_n),
         engine="bitpacked", prune=False,
     )
-    streamed = fault_detection_matrix(
+    streamed = _fault_detection_matrix_impl(
         small, small_faults, CubeVectors(cross_check_n), engine="bitpacked",
         config=ExecutionConfig(chunk_size=1 << 8),
     )
@@ -348,11 +343,11 @@ def prune_workload(n: int, repeats: int, cross_check_n: int = 10) -> dict:
         )
 
     # Cross-check 2: pruned and unpruned coverage verdicts are identical.
-    unpruned = fault_detection_any(
+    unpruned = _fault_detection_any_impl(
         device, faults, vectors, engine="bitpacked", config=config, prune=False
     )
     stats = SimulationStats()
-    pruned = fault_detection_any(
+    pruned = _fault_detection_any_impl(
         device, faults, vectors, engine="bitpacked", config=config, prune=True,
         stats=stats,
     )
@@ -363,7 +358,7 @@ def prune_workload(n: int, repeats: int, cross_check_n: int = 10) -> dict:
     seconds = {
         "unpruned": _best_of(
             repeats,
-            lambda: fault_detection_any(
+            lambda: _fault_detection_any_impl(
                 device, faults, vectors, engine="bitpacked", config=config,
                 prune=False,
             ),
@@ -371,7 +366,7 @@ def prune_workload(n: int, repeats: int, cross_check_n: int = 10) -> dict:
         ),
         "pruned": _best_of(
             repeats,
-            lambda: fault_detection_any(
+            lambda: _fault_detection_any_impl(
                 device, faults, vectors, engine="bitpacked", config=config,
                 prune=True,
             ),
@@ -394,118 +389,7 @@ def prune_workload(n: int, repeats: int, cross_check_n: int = 10) -> dict:
     }
 
 
-def _traced_peak_bytes(thunk) -> int:
-    """Peak tracemalloc bytes allocated while *thunk* runs (warmed up once).
-
-    numpy >= 1.22 reports array-data allocations through tracemalloc, so
-    the per-stage plane churn of the allocating engine is visible here
-    while the arena engine's pre-allocated pool is not (it is created
-    before tracing starts).
-    """
-    thunk()  # warm caches (arena pool, writer tables, numpy internals)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        thunk()
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def arena_workload(n: int, repeats: int, alloc_n: int) -> dict:
-    """Arena-backed pruned engine vs the PR-3 allocating path (module docstring)."""
-    device = batcher_sorting_network(n)
-    faults = enumerate_single_faults(device, line_stuck_at_input_only=False)
-    vectors = unsorted_binary_words_array(n)
-    config = ExecutionConfig(chunk_size=1 << 16)
-
-    # Cross-check: identical verdicts AND identical pruning counters.
-    stats_arena = SimulationStats()
-    stats_alloc = SimulationStats()
-    arena_verdicts = fault_detection_any(
-        device, faults, vectors, engine="bitpacked", config=config, prune=True,
-        stats=stats_arena,
-    )
-    alloc_verdicts = fault_detection_any(
-        device, faults, vectors, engine="bitpacked", config=config, prune=True,
-        stats=stats_alloc, arena=False,
-    )
-    if not np.array_equal(arena_verdicts, alloc_verdicts):
-        raise AssertionError("arena-backed verdicts differ from the allocating path")
-    if stats_arena.counts() != stats_alloc.counts():
-        raise AssertionError(
-            "arena-backed pruning counters differ from the allocating path: "
-            f"{stats_arena.counts()} vs {stats_alloc.counts()}"
-        )
-
-    trace = Trace()
-    seconds = {
-        "arena": _best_of(
-            repeats,
-            lambda: fault_detection_any(
-                device, faults, vectors, engine="bitpacked", config=config,
-                prune=True,
-            ),
-            trace, "arena",
-        ),
-        "alloc": _best_of(
-            repeats,
-            lambda: fault_detection_any(
-                device, faults, vectors, engine="bitpacked", config=config,
-                prune=True, arena=False,
-            ),
-            trace, "alloc",
-        ),
-    }
-
-    # Allocation counter: tracemalloc peak of the pruned hot loop alone
-    # (prefix states and output rows are built before tracing, so the peak
-    # isolates the per-stage churn the arena removes).  Smaller n keeps the
-    # traced run fast — tracemalloc slows allocation-heavy code sharply.
-    from repro.faults.simulation import PrefixStates, _fault_rows, _pack_vectors
-
-    small = batcher_sorting_network(alloc_n)
-    small_faults = enumerate_single_faults(small, line_stuck_at_input_only=False)
-    packed = _pack_vectors(small, unsorted_binary_words_array(alloc_n))
-    prefix = PrefixStates.build(small, packed)
-    rows = np.zeros((len(small_faults), packed.num_words), dtype=bool)
-    arena = PlaneArena(small.n_lines, packed.n_blocks)
-    peak_arena = _traced_peak_bytes(
-        lambda: _fault_rows(
-            small, small_faults, prefix, "specification", rows, prune=True,
-            arena=arena,
-        )
-    )
-    peak_alloc = _traced_peak_bytes(
-        lambda: _fault_rows(
-            small, small_faults, prefix, "specification", rows, prune=True,
-            arena=False,
-        )
-    )
-    return {
-        "n": n,
-        "device": f"batcher({n})",
-        "faults": len(faults),
-        "vectors": int(vectors.shape[0]),
-        "chunk_size_words": 1 << 16,
-        "results_identical": True,
-        "stats_identical": True,
-        "prune_ratio": round(stats_arena.prune_ratio, 4),
-        "seconds": seconds,
-        "arena_speedup": seconds["alloc"] / seconds["arena"],
-        "alloc_probe_n": alloc_n,
-        "alloc_peak_bytes": {"arena": peak_arena, "alloc": peak_alloc},
-        "alloc_peak_reduction": (
-            (peak_alloc / peak_arena) if peak_arena else float("inf")
-        ),
-        "trace": trace.to_dict(),
-    }
-
-
-def incremental_workload(
-    n: int, repeats: int, candidates: int = 12, site_span: int = 8
-) -> dict:
+def incremental_workload(n: int, candidates: int = 12, site_span: int = 8) -> dict:
     """Mutate-one-comparator retest loop, warm vs cold cache (module docstring)."""
     from repro.api import Session
     from repro.core.network import Comparator, ComparatorNetwork
@@ -556,12 +440,15 @@ def incremental_workload(
         retest_loop(warm_session)
 
     trace = Trace()
-    seconds = {
-        "cold": _best_of(
-            repeats, lambda: retest_loop(cold_session), trace, "cold"
-        ),
-        "warm": _best_of(repeats, warm_from_empty, trace, "warm"),
-    }
+    # One retest loop per side of a pair; the loop takes only a few
+    # milliseconds, so a best-of over a handful of loops follows host load.
+    pairs = _interleaved_ratio(
+        INTERLEAVED_PAIRS,
+        ("cold", lambda: retest_loop(cold_session)),
+        ("warm", warm_from_empty),
+        trace,
+        "incremental_reverify",
+    )
     warm_session.cache.clear()
     before = warm_session.cache.stats()
     retest_loop(warm_session)
@@ -577,8 +464,12 @@ def incremental_workload(
         "verifications_per_loop": 1 + 2 * candidates,
         "results_identical": True,
         "sorter_verdicts": sum(cold_verdicts),
-        "seconds": seconds,
-        "incremental_speedup": seconds["cold"] / seconds["warm"],
+        # Median seconds of one loop per side, the median cold / warm
+        # ratio the gate judges, and its IQR.
+        "seconds": pairs["seconds"],
+        "incremental_speedup_pairs": pairs,
+        "incremental_speedup": pairs["ratio"],
+        "incremental_speedup_iqr": pairs["iqr"],
         "cache": {
             "hit_rate": round(cache_stats.hit_rate, 4),
             "verdict_hits": cache_stats.verdict_hits,
@@ -673,10 +564,8 @@ def diagnosis_workload(n: int, workers: int, repeats: int) -> dict:
 
 def session_reuse_workload(n: int, workers: int, repeats: int, calls: int = 5) -> dict:
     """Session facade vs direct calls on repeated coverage runs (module docstring)."""
-    import warnings
-
     from repro.api import Session
-    from repro.faults import coverage_report
+    from repro.faults.coverage import _coverage_report_impl
 
     # The pool-reuse comparison is about amortising worker-pool spawn cost,
     # so it needs an actual pool even on a single-core box (where the main
@@ -689,24 +578,23 @@ def session_reuse_workload(n: int, workers: int, repeats: int, calls: int = 5) -
     sharded_cfg = ExecutionConfig(max_workers=workers)
 
     def direct_coverage(config=None):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return coverage_report(
-                device, faults, vectors, engine="bitpacked", config=config
-            )
+        # The layer the Session calls, with the same engine and config.
+        return _coverage_report_impl(
+            device, faults, vectors, engine="bitpacked", config=config
+        )
 
-    # Cross-check: the facade's numbers are the legacy function's numbers.
-    legacy = direct_coverage()
+    # Cross-check: the facade's numbers are the direct calls' numbers.
+    direct = direct_coverage()
     serial_session = Session(engine="bitpacked")
     parallel_session = Session(engine="bitpacked", workers=workers)
     facade = serial_session.fault_coverage(device, faults, vectors)
     sharded = parallel_session.fault_coverage(device, faults, vectors)  # warms pool
     for name, report in (("serial", facade), ("sharded", sharded)):
         if (report.coverage, report.detected_faults, dict(report.by_kind)) != (
-            legacy.coverage, legacy.detected_faults, dict(legacy.by_kind)
+            direct.coverage, direct.detected_faults, dict(direct.by_kind)
         ):
             raise AssertionError(
-                f"Session {name} coverage differs from the legacy free function"
+                f"Session {name} coverage differs from the direct call"
             )
 
     trace = Trace()
@@ -752,12 +640,12 @@ def session_reuse_workload(n: int, workers: int, repeats: int, calls: int = 5) -
     # One coverage call per side of a pair: many short pairs give a
     # steadier median than a few long ones on a shared host.
     overhead = _interleaved_ratio(
-        OVERHEAD_PAIRS, session_side, direct_side, trace, "session_overhead"
+        INTERLEAVED_PAIRS, session_side, direct_side, trace, "session_overhead"
     )
     # The identical session call with span capture disabled prices the
     # instrumentation layer itself (the instrumentation_overhead gate).
     instrumentation = _interleaved_ratio(
-        OVERHEAD_PAIRS,
+        INTERLEAVED_PAIRS,
         session_side,
         unobserved_side,
         trace,
@@ -823,20 +711,6 @@ def main(argv=None) -> int:
         default=1.3,
         help="required dominated-state-pruning speedup on the streamed "
         "coverage path (0 disables)",
-    )
-    parser.add_argument(
-        "--min-arena-speedup",
-        type=float,
-        default=1.15,
-        help="required scratch-arena speedup over the PR-3 allocating "
-        "pruned engine (0 disables)",
-    )
-    parser.add_argument(
-        "--alloc-n",
-        type=int,
-        default=14,
-        help="device size for the tracemalloc allocation probe "
-        "(tracemalloc slows the traced run; keep this modest)",
     )
     parser.add_argument(
         "--session-n",
@@ -908,15 +782,10 @@ def main(argv=None) -> int:
             "pruned_fault_simulation": prune_workload(
                 args.fault_n, args.repeats
             ),
-            "arena_scratch_planes": arena_workload(
-                args.fault_n, args.repeats, args.alloc_n
-            ),
             "session_reuse": session_reuse_workload(
                 args.session_n, workers, args.repeats
             ),
-            "incremental_reverify": incremental_workload(
-                args.incremental_n, args.repeats
-            ),
+            "incremental_reverify": incremental_workload(args.incremental_n),
             "multi_fault_diagnosis": diagnosis_workload(
                 args.diagnosis_n, workers, args.repeats
             ),
@@ -929,9 +798,6 @@ def main(argv=None) -> int:
     prune_speedup = report["workloads"]["pruned_fault_simulation"][
         "prune_speedup"
     ]
-    arena = report["workloads"]["arena_scratch_planes"]
-    arena_speedup = arena["arena_speedup"]
-    alloc_peaks = arena["alloc_peak_bytes"]
     session = report["workloads"]["session_reuse"]
     session_overhead = session["session_overhead_vs_direct"]
     reuse_speedup = session["pool_reuse_speedup"]
@@ -943,7 +809,7 @@ def main(argv=None) -> int:
     # Host capability: a 1-CPU runner cannot physically beat the serial
     # path with worker processes, so the multi-worker speedup gates are
     # recorded as "skipped" (informational, not failures) there.  The
-    # serial gates (pruning, arena, allocation, facade overhead) always
+    # serial gates (pruning, facade overhead, incremental re-verify) always
     # run — single-core machines exercise them just as well.
     cpu_count = os.cpu_count() or 1
     multiworker_capable = cpu_count >= 2
@@ -988,15 +854,6 @@ def main(argv=None) -> int:
             prune_speedup >= args.min_prune_speedup,
             disabled=args.min_prune_speedup <= 0,
         ),
-        "arena_speedup": gate(
-            args.min_arena_speedup, arena_speedup,
-            arena_speedup >= args.min_arena_speedup,
-            disabled=args.min_arena_speedup <= 0,
-        ),
-        "arena_alloc_peak": gate(
-            alloc_peaks["alloc"], alloc_peaks["arena"],
-            alloc_peaks["arena"] <= alloc_peaks["alloc"],
-        ),
         "session_overhead": gate(
             args.max_session_overhead, session_overhead,
             session_overhead <= args.max_session_overhead,
@@ -1018,8 +875,9 @@ def main(argv=None) -> int:
             args.min_incremental_speedup, incremental_speedup,
             incremental_speedup >= args.min_incremental_speedup,
             disabled=args.min_incremental_speedup <= 0,
+            iqr=incremental["incremental_speedup_iqr"],
         ),
-        # Flag-less exactness gate (like arena_alloc_peak): the workload
+        # Flag-less exactness gate: the workload
         # raises before timing on any divergence, so reaching this point
         # means the sharded and warm-cache diagnoses matched the serial
         # dictionary bit-for-bit — recorded here so the report says so.
@@ -1054,15 +912,14 @@ def main(argv=None) -> int:
         f"OK: fault-sim n={args.fault_n} sharded speedup {speedup:.2f}x with "
         f"{workers} workers (floor {args.min_speedup:.1f}x), pruning speedup "
         f"{prune_speedup:.2f}x (floor {args.min_prune_speedup:.1f}x), "
-        f"arena speedup {arena_speedup:.2f}x (floor "
-        f"{args.min_arena_speedup:.2f}x, peak alloc "
-        f"{alloc_peaks['arena']} B vs {alloc_peaks['alloc']} B), "
         f"session overhead {session_overhead:.3f}x (ceiling "
         f"{args.max_session_overhead:.2f}x), instrumentation overhead "
         f"{instrumentation_overhead:.3f}x (ceiling "
         f"{args.max_instrumentation_overhead:.2f}x), pool-reuse speedup "
         f"{reuse_speedup:.2f}x (floor {args.min_reuse_speedup:.2f}x), "
-        f"incremental re-verify speedup {incremental_speedup:.2f}x (floor "
+        f"incremental re-verify speedup {incremental_speedup:.2f}x median "
+        f"(IQR {incremental['incremental_speedup_iqr'][0]:.2f}-"
+        f"{incremental['incremental_speedup_iqr'][1]:.2f}, floor "
         f"{args.min_incremental_speedup:.2f}x, cache hit rate "
         f"{incremental['cache']['hit_rate']:.2f}), multi-fault diagnosis "
         f"n={args.diagnosis_n} exact across serial/sharded/warm-cache "

@@ -1,8 +1,7 @@
 """``repro.api`` — the stable public facade of the repro package.
 
-One entry point for the paper's four workloads, replacing the four
-generations of loose keyword arguments (``engine=``, ``config=``,
-``prune=``, ``arena=``) that used to thread through every call site:
+One entry point for the paper's four workloads, and the only place where
+execution is configured (engine, workers, chunk size, pruning, cache):
 
 :class:`Session`
     Owns the execution configuration *and* the reusable resources behind
@@ -18,16 +17,17 @@ generations of loose keyword arguments (``engine=``, ``config=``,
     The frozen result dataclasses (:class:`VerificationResult`,
     :class:`TestSetResult`, :class:`FaultMatrixResult`,
     :class:`CoverageReport`) carrying verdicts bit-identical to the
-    legacy free functions plus timings, the effective engine after
+    plain free functions plus timings, the effective engine after
     binary-only downgrades, and the planned work grid.
 :mod:`repro.cache`
     The cross-call result cache behind the Session's ``cache=`` knob
     (re-exported here as :class:`ResultCache` / :class:`CacheStats`);
     the caching contract lives in ``docs/CACHING.md``.
 
-The legacy free functions still work; explicitly passing execution
-kwargs to them emits a :class:`DeprecationWarning` pointing here.  See
-the README's "Public API" section for the migration table.
+The free functions (``is_sorter``, ``fault_coverage``, ...) keep their
+domain arguments and run the default engine in-process; they no longer
+take execution keywords.  See the README's "Public API" section for the
+migration table.
 """
 
 from ..cache.store import CacheStats, ResultCache

@@ -2,16 +2,16 @@
 
 Every workload method of the Session returns a frozen dataclass instead of
 a bare bool / float / ndarray, so callers get the execution metadata the
-legacy free functions used to swallow: wall-clock, the *effective* engine
+plain free functions swallow: wall-clock, the *effective* engine
 after the automatic binary-only → vectorized downgrade
 (:func:`repro.core.evaluation.narrow_binary_batch`), the worker / chunk
 configuration the call actually ran with, and — for the fault workloads —
 the planned (fault-shards × vector-chunks) work grid and the
 :class:`repro.faults.SimulationStats` pruning counters.
 
-The payload fields keep the exact values of the legacy functions (the
+The payload fields keep the exact values of the free functions (the
 result objects *wrap* them, bit-identically), so migrating is mechanical:
-``is_sorter(n, engine=e)`` → ``session.verify(n).verdict``,
+``is_sorter(n)`` → ``Session(engine=e).verify(n).verdict``,
 ``coverage_report(...)`` → ``session.fault_coverage(...)`` whose
 :class:`CoverageReport` carries the same ``coverage`` / ``by_kind``
 numbers.
@@ -235,6 +235,8 @@ class TestSetResult(_WireFormat):
     execution : ExecutionInfo
         Timing and effective-engine metadata.
     """
+
+    __test__ = False  # not a pytest test class, despite the name
 
     passed: bool
     vectors_used: int

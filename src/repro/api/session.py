@@ -1,9 +1,8 @@
 """The :class:`Session` facade: one configured entry point for all workloads.
 
-A Session owns the execution knobs that used to be threaded through every
-free function as loose keyword arguments — evaluation engine, worker
-count, chunk size, pruning policy, scratch arena — plus the *resources*
-behind them: a lazily-created persistent worker pool
+A Session is the one place where execution is configured — evaluation
+engine, worker count, chunk size and pruning policy — and it owns the
+*resources* behind them: a lazily-created persistent worker pool
 (:class:`repro.parallel.WorkerPool`) and a process-local scratch-plane
 arena (:class:`repro.core.scratch.PlaneArena`), both reused across calls
 so repeated workloads pay the spawn / allocation cost once.
@@ -20,9 +19,10 @@ The four paper workloads run through it::
     session.diagnose(network, faults, words)       # DiagnosisResult
     session.close()                                # or: with Session(...) as s:
 
-Results are **bit-identical** to the legacy free functions (the Session
-calls the same implementations); the result objects add timings, the
-effective engine after binary-only downgrades, and the planned work grid.
+Results are **bit-identical** to the plain free functions (the Session
+calls the same implementations with its configuration); the result objects
+add timings, the effective engine after binary-only downgrades, and the
+planned work grid.
 """
 
 from __future__ import annotations
@@ -105,12 +105,9 @@ class Session:
         :class:`repro.parallel.ExecutionConfig`.
     prune : bool, optional
         Dominated-state pruning in the bit-packed fault simulator
-        (default ``True``; results are identical either way).
-    arena : PlaneArena, bool or None, optional
-        Scratch-plane arena policy for the bit-packed fault simulator:
-        ``None`` (default) uses a Session-owned arena reused across calls,
-        an explicit :class:`~repro.core.scratch.PlaneArena` shares that
-        instance, ``False`` forces the legacy allocating path.
+        (default ``True``; results are identical either way).  The
+        simulator runs on a Session-owned scratch-plane arena
+        (:class:`~repro.core.scratch.PlaneArena`) reused across calls.
     cache : ResultCache, bool, int or None, optional
         Cross-call result cache (:mod:`repro.cache`; contract in
         ``docs/CACHING.md``).  ``None`` / ``False`` (default) runs
@@ -141,7 +138,6 @@ class Session:
         workers: int = 1,
         chunk_size: int | None = None,
         prune: bool = True,
-        arena: PlaneArena | bool | None = None,
         cache: ResultCache | bool | int | None = None,
     ) -> None:
         self.engine = check_engine(engine)
@@ -156,7 +152,6 @@ class Session:
         self.workers = workers
         self.chunk_size = chunk_size
         self.prune = prune
-        self.arena = arena
         # ``True`` builds a Session-owned store (the process-wide
         # ``default_cache`` stays reserved for the opt-in analysis
         # helpers); everything else follows ``resolve_cache``.
@@ -173,8 +168,7 @@ class Session:
 
         Recognised variables (all optional): ``REPRO_ENGINE`` (engine
         name), ``REPRO_WORKERS`` (int, 0 = one per CPU), ``REPRO_CHUNK_SIZE``
-        (words per streamed chunk), ``REPRO_PRUNE`` (bool), ``REPRO_ARENA``
-        (bool; ``0`` selects the legacy allocating path), ``REPRO_CACHE``
+        (words per streamed chunk), ``REPRO_PRUNE`` (bool), ``REPRO_CACHE``
         (bool; ``1`` enables a Session-owned result cache).
         """
         chunk = os.environ.get("REPRO_CHUNK_SIZE")
@@ -183,7 +177,6 @@ class Session:
             workers=int(os.environ.get("REPRO_WORKERS", "1")),
             chunk_size=int(chunk) if chunk else None,
             prune=_env_bool("REPRO_PRUNE", True),
-            arena=None if _env_bool("REPRO_ARENA", True) else False,
             cache=_env_bool("REPRO_CACHE", False),
         )
 
@@ -206,11 +199,10 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:
-        """Knob summary (pool/arena state included for debugging)."""
+        """Knob summary (pool state included for debugging)."""
         return (
             f"Session(engine={self.engine!r}, workers={self.workers}, "
             f"chunk_size={self.chunk_size}, prune={self.prune}, "
-            f"arena={'owned' if self.arena is None else self.arena!r}, "
             f"cache={'off' if self.cache is None else self.cache!r}, "
             f"pool={'live' if self._pool is not None and self._pool.active else 'idle'})"
         )
@@ -229,18 +221,15 @@ class Session:
             max_workers=self.workers, chunk_size=self.chunk_size, pool=pool
         )
 
-    def _fault_arena(self) -> PlaneArena | bool | None:
-        """The arena handle for a fault-simulation call.
+    def _fault_arena(self) -> PlaneArena:
+        """The Session-owned arena for a fault-simulation call.
 
-        ``None`` policy → the Session-owned arena (created on first use and
-        resized by the simulator's ``ensure`` on geometry changes), so
-        repeated calls reuse one plane pool.
+        Created on first use and resized by the simulator's ``ensure`` on
+        geometry changes, so repeated calls reuse one plane pool.
         """
-        if self.arena is None:
-            if self._owned_arena is None:
-                self._owned_arena = PlaneArena(1, 1)
-            return self._owned_arena
-        return self.arena
+        if self._owned_arena is None:
+            self._owned_arena = PlaneArena(1, 1)
+        return self._owned_arena
 
     # ------------------------------------------------------------------
     # Execution metadata
@@ -512,7 +501,7 @@ class Session:
         Returns
         -------
         CoverageReport
-            Coverage numbers bit-identical to the legacy
+            Coverage numbers bit-identical to
             :func:`repro.faults.coverage.coverage_report`, plus the
             simulation counters and execution metadata.
         """

@@ -56,7 +56,7 @@ def acquire_prefix_states(
     token: tuple | None = None,
     engine: str = "bitpacked",
     deltas_out: np.ndarray | None = None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
 ) -> PrefixStates:
     """Fault-free prefix states for *network* on *packed_input*.
 
@@ -87,9 +87,9 @@ def acquire_prefix_states(
         shared-memory array of the sharded executor.  The cache never
         keeps references into it — entries built through it are copied
         into cache-owned storage.
-    arena : PlaneArena or bool, optional
-        Scratch arena for the prefix restore (``None`` = the process
-        arena for this geometry, ``False`` = allocate fresh planes).
+    arena : PlaneArena, optional
+        Scratch arena for the prefix restore (``None`` = this thread's
+        shared arena for the geometry).
 
     Returns
     -------
@@ -145,22 +145,16 @@ def _running_after(
     donor: PrefixStates | None,
     packed_input: PackedBatch,
     lcp: int,
-    arena: PlaneArena | bool | None,
+    arena: PlaneArena | None,
 ) -> np.ndarray:
-    """The full packed state after the common prefix, in writable planes.
-
-    Restores into the arena's ``state`` buffer (no allocation) unless
-    ``arena=False`` requests the legacy allocating path.
-    """
+    """The full packed state after the common prefix, restored into the
+    arena's ``state`` buffer (no allocation)."""
     n_lines, n_blocks = packed_input.planes.shape
-    if arena is False:
-        buf = np.empty_like(packed_input.planes)
+    if arena is None:
+        arena = shared_arena(n_lines, n_blocks, packed_input.planes.dtype)
     else:
-        if arena is None:
-            arena = shared_arena(n_lines, n_blocks, packed_input.planes.dtype)
-        else:
-            arena.ensure(n_lines, n_blocks, packed_input.planes.dtype)
-        buf = arena.state
+        arena.ensure(n_lines, n_blocks, packed_input.planes.dtype)
+    buf = arena.state
     if donor is None or lcp == 0:
         np.copyto(buf, packed_input.planes)
     else:
@@ -223,7 +217,7 @@ def cached_cube_sorted(
     network: ComparatorNetwork,
     *,
     cache: ResultCache,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
     restrict_to_unsorted_inputs: bool = False,
 ) -> bool:
     """Does *network* sort the whole 0/1 cube?  (Cache-accelerated.)
@@ -260,7 +254,7 @@ def cached_cube_sorted(
     cache : ResultCache
         The store to consult (required — the uncached spelling is the
         ordinary property checker).
-    arena : PlaneArena or bool, optional
+    arena : PlaneArena, optional
         Scratch arena (``None`` = this thread's shared arena for the
         geometry).
     restrict_to_unsorted_inputs : bool, optional
@@ -285,7 +279,7 @@ def cached_cube_sorted(
         return bool(hit)
     n = network.n_lines
     packed = cached_cube_packed(n, cache)
-    if arena is None or arena is False:
+    if arena is None:
         work = shared_arena(n, packed.n_blocks, packed.planes.dtype)
     else:
         arena.ensure(n, packed.n_blocks, packed.planes.dtype)

@@ -6,9 +6,9 @@ Two complementary halves:
     An AST-based checker (``python -m repro.devtools.check``) enforcing
     the project's structural invariants — RPR001 (no allocating numpy in
     ``@allocation_free`` functions), RPR002 (engine names only in the
-    registry), RPR003 (no deprecated execution kwargs internally),
-    RPR004 (no fork/pickle hazards in worker-shipped objects), RPR005
-    (numpydoc docstrings on the public surface).
+    registry), RPR004 (no fork/pickle hazards in worker-shipped
+    objects), RPR005 (numpydoc docstrings on the public surface) and
+    RPR006–RPR008 (see :mod:`repro.devtools.builtin`).
 :mod:`repro.devtools.sanitize`
     :func:`~repro.devtools.sanitize.assert_allocation_free`, a
     tracemalloc-based context manager proving at runtime what RPR001

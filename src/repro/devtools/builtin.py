@@ -8,9 +8,8 @@ RPR001 ``@allocation_free`` bodies never call allocating numpy     all files
        without ``out=``)
 RPR002 engine names are never hard-coded as tuples outside         ``src``
        ``repro._registry`` — enumeration goes through the registry
-RPR003 internal code never passes the deprecated execution kwargs  ``src``
-       (``engine=``/``config=``/``prune=``/``arena=``) to the
-       legacy free-function shims
+RPR003 retired with the execution kwargs it guarded; the number   —
+       is not reused
 RPR004 task objects shipped to ``WorkerPool`` workers capture no   parallel
        unpicklable resources or shared mutable class state
 RPR005 public functions in un-grandfathered modules carry          ``src``
@@ -49,7 +48,6 @@ from .rules import FileContext, Rule, register_rule
 __all__ = [
     "AllocationFreeRule",
     "EngineTupleRule",
-    "LegacyExecKwargsRule",
     "WorkerShippingRule",
     "DocstringRule",
     "PrefixBuildRule",
@@ -285,67 +283,6 @@ class EngineTupleRule(Rule):
                     f"hard-coded engine names ({names}) — enumerate "
                     "engines through repro.api.registry "
                     "(engine_names()/builtin_engine_names()) instead",
-                )
-
-
-# ----------------------------------------------------------------------
-# RPR003 — no deprecated execution kwargs at internal shim call sites
-# ----------------------------------------------------------------------
-@register_rule
-class LegacyExecKwargsRule(Rule):
-    """RPR003: internal code uses Session / the ``_impl`` layer."""
-
-    id = "RPR003"
-    summary = (
-        "internal call sites must not pass deprecated execution kwargs "
-        "(engine=/config=/prune=/arena=) to the legacy free functions"
-    )
-    scope = "src"
-
-    #: The deprecated free-function shims (each has an ``_impl`` form).
-    shims = frozenset(
-        {
-            "is_sorter",
-            "is_selector",
-            "is_merger",
-            "network_passes_test_set",
-            "fault_detection_matrix",
-            "fault_detection_any",
-            "fault_coverage",
-            "coverage_report",
-            "compare_test_sets",
-        }
-    )
-
-    #: The kwargs whose explicit use triggers the deprecation shim.
-    legacy_kwargs = frozenset({"engine", "config", "prune", "arena"})
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag shim calls passing any of the deprecated kwargs."""
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            if isinstance(callee, ast.Name):
-                name = callee.id
-            elif isinstance(callee, ast.Attribute):
-                name = callee.attr
-            else:
-                continue
-            if name not in self.shims:
-                continue
-            passed = sorted(
-                kw.arg
-                for kw in node.keywords
-                if kw.arg in self.legacy_kwargs
-            )
-            if passed:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"deprecated execution kwarg(s) {', '.join(passed)} "
-                    f"passed to legacy shim {name}() — use "
-                    f"repro.api.Session or {name.lstrip('_')}'s _impl form",
                 )
 
 

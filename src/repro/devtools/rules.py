@@ -20,9 +20,8 @@ Scopes
     Every checked file (``src/``, ``tests/``, ``benchmarks/``).
 ``"src"``
     Only files inside the ``repro`` package source tree.  Rules about
-    *internal* discipline (registry indirection, no deprecated kwargs)
-    use this — tests and benchmarks legitimately enumerate engines and
-    exercise the deprecated paths.
+    *internal* discipline (registry indirection, prefix acquisition) use
+    this — tests and benchmarks legitimately enumerate engines.
 ``"parallel"``
     Only ``repro.parallel`` modules (the fork/pickle hazard rule).
 ``"serve"``

@@ -90,6 +90,8 @@ class AdversaryError(ReproError, ValueError):
 class TestSetError(ReproError, ValueError):
     """A test-set generator or validator was used with invalid parameters."""
 
+    __test__ = False  # not a pytest test class, despite the name
+
 
 class FaultModelError(ReproError, ValueError):
     """A fault cannot be applied to the given network."""

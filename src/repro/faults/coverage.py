@@ -16,13 +16,11 @@ cube (:class:`repro.faults.simulation.CubeVectors`) can be used as a test
 set in constant memory; only :func:`greedy_test_selection` needs the full
 per-vector matrix.
 
-These free functions are the legacy spelling of the coverage workload:
-the supported entry point is :meth:`repro.api.Session.fault_coverage`,
-which returns a typed report carrying the same numbers plus timings and
-execution metadata.  The free functions share the Session's implementation
-bit for bit, but explicitly passing the execution kwargs (``engine=``,
-``config=``, ``prune=``, ``arena=``) to them emits a
-:class:`DeprecationWarning`.
+The free functions run the default engine in-process.  To choose the
+engine, workers, chunk size or pruning, use
+:meth:`repro.api.Session.fault_coverage`, which returns a typed report
+carrying the same numbers plus timings and execution metadata (it calls
+the same implementation, so the numbers are bit-identical).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._compat import UNSET, unset_or, warn_legacy_exec_kwargs
 from .._typing import WordLike
 from ..core.network import ComparatorNetwork
 from ..exceptions import FaultModelError
@@ -96,11 +93,7 @@ def fault_coverage(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = UNSET,
-    config: ExecutionConfig | None = UNSET,
-    prune: bool = UNSET,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = UNSET,
 ) -> float:
     """Fraction of *faults* detected by *test_vectors*.
 
@@ -113,25 +106,16 @@ def fault_coverage(
     test_vectors : sequence of words, 2-D array, or CubeVectors
         Vectors to apply; :class:`~repro.faults.simulation.CubeVectors`
         streams the exhaustive cube in constant memory.
-    criterion, engine, config, prune, stats, arena :
-        Forwarded to :func:`repro.faults.simulation.fault_detection_any`
-        (*arena* is the scratch-plane arena knob of the bit-packed
-        engine).  Explicitly passing *engine*, *config*, *prune* or
-        *arena* is deprecated — configure a :class:`repro.api.Session`
-        instead.
+    criterion, stats :
+        Forwarded to :func:`repro.faults.simulation.fault_detection_any`.
 
     Returns
     -------
     float
         Detected fraction in ``[0, 1]``.
     """
-    warn_legacy_exec_kwargs(
-        "fault_coverage", engine=engine, config=config, prune=prune, arena=arena
-    )
     return _fault_coverage_impl(
-        network, faults, test_vectors, criterion=criterion,
-        engine=unset_or(engine, "vectorized"), config=unset_or(config, None),
-        prune=unset_or(prune, True), stats=stats, arena=unset_or(arena, None),
+        network, faults, test_vectors, criterion=criterion, stats=stats
     )
 
 
@@ -145,10 +129,12 @@ def _fault_coverage_impl(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
     cache=None,
 ) -> float:
-    """Non-deprecating form of :func:`fault_coverage` (Session backend)."""
+    """:func:`fault_coverage` with its execution configured (Session
+    backend); the knobs follow
+    :func:`repro.faults.simulation._fault_detection_matrix_impl`."""
     if not faults:
         return 1.0
     detected = _fault_detection_any_impl(
@@ -164,16 +150,11 @@ def coverage_report(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = UNSET,
-    config: ExecutionConfig | None = UNSET,
-    prune: bool = UNSET,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = UNSET,
 ) -> CoverageReport:
     """Full coverage report with a per-fault-kind breakdown.
 
-    Parameters are those of :func:`fault_coverage` (including the
-    deprecation of explicitly passed execution kwargs); the per-vector
+    Parameters are those of :func:`fault_coverage`; the per-vector
     matrix is never materialised, so exhaustive
     (:class:`~repro.faults.simulation.CubeVectors`) test sets run in
     constant memory.
@@ -183,14 +164,8 @@ def coverage_report(
     CoverageReport
         Totals, coverage fraction and the per-fault-kind breakdown.
     """
-    warn_legacy_exec_kwargs(
-        "coverage_report", engine=engine, config=config, prune=prune,
-        arena=arena,
-    )
     return _coverage_report_impl(
-        network, faults, test_vectors, criterion=criterion,
-        engine=unset_or(engine, "vectorized"), config=unset_or(config, None),
-        prune=unset_or(prune, True), stats=stats, arena=unset_or(arena, None),
+        network, faults, test_vectors, criterion=criterion, stats=stats
     )
 
 
@@ -204,10 +179,11 @@ def _coverage_report_impl(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
     cache=None,
 ) -> CoverageReport:
-    """Non-deprecating form of :func:`coverage_report` (Session backend)."""
+    """:func:`coverage_report` with its execution configured (Session
+    backend); the knobs follow :func:`_fault_coverage_impl`."""
     detected = (
         _fault_detection_any_impl(
             network, faults, test_vectors, criterion=criterion, engine=engine,
@@ -287,34 +263,20 @@ def compare_test_sets(
     test_sets: Mapping[str, Sequence[WordLike] | CubeVectors],
     *,
     criterion: str = "specification",
-    engine: str = UNSET,
-    config: ExecutionConfig | None = UNSET,
-    prune: bool = UNSET,
-    arena: PlaneArena | bool | None = UNSET,
 ) -> dict[str, CoverageReport]:
     """Coverage of several named test sets against the same fault universe.
 
-    Explicitly passing the execution kwargs is deprecated (see
-    :func:`fault_coverage`).
+    :meth:`repro.api.Session.compare_test_sets` runs the same comparison
+    on a configured Session.
 
     Returns
     -------
     dict of str to CoverageReport
         One report per entry of *test_sets*, in input order.
     """
-    warn_legacy_exec_kwargs(
-        "compare_test_sets", engine=engine, config=config, prune=prune,
-        arena=arena,
-    )
-    resolved_engine = unset_or(engine, "vectorized")
-    resolved_config = unset_or(config, None)
-    resolved_prune = unset_or(prune, True)
-    resolved_arena = unset_or(arena, None)
     return {
         name: _coverage_report_impl(
-            network, faults, vectors, criterion=criterion,
-            engine=resolved_engine, config=resolved_config,
-            prune=resolved_prune, arena=resolved_arena,
+            network, faults, vectors, criterion=criterion
         )
         for name, vectors in test_sets.items()
     }

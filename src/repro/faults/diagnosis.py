@@ -209,7 +209,7 @@ def build_fault_dictionary(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
     cache: ResultCache | None = None,
 ) -> FaultDictionary:
     """Simulate the universe and build its :class:`FaultDictionary`.
@@ -224,7 +224,7 @@ def build_fault_dictionary(
         Vectors the signatures are recorded over.
     criterion, engine, config, prune, stats, arena, cache :
         Execution knobs of
-        :func:`repro.faults.simulation.fault_detection_matrix`; prefer
+        :func:`repro.faults.simulation._fault_detection_matrix_impl`; prefer
         :meth:`repro.api.Session.diagnose`, which also reports timings.
 
     Returns

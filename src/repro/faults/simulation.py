@@ -17,8 +17,9 @@ questions:
     fault-free output at all (classical stuck-at testing with a golden
     reference).  Strictly more sensitive than ``"specification"``.
 
-Three simulation engines are available (``engine=`` keyword, cross-checked
-against each other by the test suite):
+Three simulation engines are available (the ``engine`` of a
+:class:`repro.api.Session`, cross-checked against each other by the test
+suite):
 
 ``"scalar"``
     One :meth:`~repro.core.network.ComparatorNetwork.apply` call per
@@ -36,12 +37,12 @@ against each other by the test suite):
     instead of ``O(size**2)`` full passes, on top of the ~64× density win —
     in practice two orders of magnitude faster than the vectorised loop.
 
-Dominated-state pruning (``prune=True``, the default for the bit-packed
-engine) cuts the ``O(size**2 / 2)`` suffix work further: after every suffix
-stage the faulty planes are compared against the fault-free planes that
-:class:`PrefixStates` already holds, per line.  Lines whose planes agree
-with the fault-free run are *clean* and comparators whose inputs are all
-clean are skipped outright (their outputs are fault-free by determinism);
+Dominated-state pruning (the Session's ``prune``, on by default for the
+bit-packed engine) cuts the ``O(size**2 / 2)`` suffix work further: after
+every suffix stage the faulty planes are compared against the fault-free
+planes that :class:`PrefixStates` already holds, per line.  Lines whose
+planes agree with the fault-free run are *clean* and comparators whose
+inputs are all clean are skipped outright (their outputs are fault-free by determinism);
 a fault whose state has fully converged stops re-evaluating altogether and
 inherits the fault-free detection row.  The skipped work is reported
 through :class:`SimulationStats` and the result is bit-identical to the
@@ -51,18 +52,16 @@ The pruned hot loop runs allocation-free on a scratch-plane arena
 (:class:`repro.core.scratch.PlaneArena`): every error plane lives in a
 reusable slot pool written through ``out=`` ufuncs, one arena serving all
 faults of a run (and, in the sharded executors, all tiles of a worker
-process).  Pass ``arena=`` to share an arena across calls, or
-``arena=False`` to force the legacy per-stage-allocating path (kept as the
-baseline for the benchmark gate in ``benchmarks/parallel_smoke.py``).
+process).  A Session hands down its own arena, reused across its calls;
+the free functions use this thread's shared arena.
 
 The vector axis streams exactly like exhaustive verification does: pass a
 :class:`CubeVectors` marker (the full ``2**n`` cube, never materialised) or
-any explicit batch together with a streaming
-:class:`~repro.parallel.config.ExecutionConfig` and the packed chunks are
-(re)generated per block range via
+run any explicit batch on a Session with a ``chunk_size`` and the packed
+chunks are (re)generated per block range via
 :func:`repro.core.bitpacked.packed_cube_range` — constant memory at any
 ``n``, and a 2-D (faults × vector-chunks) work grid across processes when
-``max_workers > 1``.
+the Session has more than one worker.
 
 The main entry point :func:`fault_detection_matrix` returns a boolean matrix
 ``(num_faults, num_vectors)``; :func:`fault_detection_any` reduces the
@@ -78,7 +77,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._compat import UNSET, unset_or, warn_legacy_exec_kwargs
 from .._registry import builtin_engine_names
 from .._typing import WordLike
 from ..core.bitpacked import (
@@ -88,9 +86,6 @@ from ..core.bitpacked import (
     apply_network_packed,
     pack_words,
     packed_cube_range,
-    packed_equal,
-    packed_is_sorted,
-    packed_unsorted_blocks,
 )
 from ..core.evaluation import (
     apply_network_to_batch,
@@ -358,24 +353,16 @@ def fault_detection_matrix(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = UNSET,
-    config: ExecutionConfig | None = UNSET,
-    prune: bool = UNSET,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = UNSET,
 ) -> np.ndarray:
     """Boolean matrix ``D[f, t]``: does test vector ``t`` detect fault ``f``?
 
     Rows follow the order of *faults*, columns the order of *test_vectors*.
-    All engines and all execution configurations produce bit-identical
-    matrices on 0/1 vectors.
-
-    .. deprecated::
-        Passing the execution kwargs (``engine``, ``config``, ``prune``,
-        ``arena``) here is deprecated; configure a
-        :class:`repro.api.Session` instead (``session.fault_matrix(...)``
-        returns the same matrix inside a typed result object).  Calls that
-        leave them at their defaults are not deprecated.
+    This runs the default engine in-process; a :class:`repro.api.Session`
+    chooses the engine, workers, chunk size and pruning
+    (``session.fault_matrix(...)`` returns the same matrix inside a typed
+    result object).  All engines and execution configurations produce
+    bit-identical matrices on 0/1 vectors.
 
     Parameters
     ----------
@@ -385,36 +372,13 @@ def fault_detection_matrix(
         Faults to simulate, one matrix row each.
     test_vectors : sequence of words, 2-D integer array, or CubeVectors
         The vectors to apply, one matrix column each.  A 2-D array is used
-        as-is (zero-copy fast path); a :class:`CubeVectors` marker streams
-        the exhaustive cube in packed block ranges without materialising it
-        (bit-packed engine; other engines expand the cube first).
+        as-is (zero-copy fast path); a :class:`CubeVectors` marker stands
+        for the exhaustive cube, which the bit-packed engine streams in
+        packed block ranges without materialising it.
     criterion : {"specification", "reference"}, optional
         Detection criterion (module docstring).
-    engine : {"vectorized", "scalar", "bitpacked"}, optional
-        Simulation engine (module docstring).
-    config : ExecutionConfig, optional
-        Execution configuration.  ``max_workers > 1`` shards the work across
-        a process pool: the fault axis alone when the vector batch fits one
-        chunk (fault-free prefix states computed once, published through
-        shared memory), or a 2-D (faults × vector-chunks) grid when the
-        vector axis streams — each worker then regenerates its own packed
-        chunk and fills disjoint slices of the shared matrix.  An explicit
-        ``chunk_size`` bounds the packed working set per process.
-    prune : bool, optional
-        Enable dominated-state pruning in the bit-packed engine (default).
-        ``False`` forces the full suffix re-evaluation; the matrix is
-        identical either way.
     stats : SimulationStats, optional
         Accumulates pruning counters across chunks and workers.
-    arena : PlaneArena or bool, optional
-        Scratch-plane arena for the bit-packed engine
-        (:class:`repro.core.scratch.PlaneArena`).  ``None`` (default) uses
-        a shared arena (one per thread) keyed by the plane geometry — the
-        pruned hot loop then allocates nothing per stage.  Pass an explicit instance
-        to reuse it across calls (it is resized on a geometry change), or
-        ``False`` to force the legacy per-stage-allocating path (the
-        benchmark baseline).  Worker processes of a sharded run always use
-        their own worker-local arenas; ``False`` is forwarded to them.
 
     Returns
     -------
@@ -423,20 +387,8 @@ def fault_detection_matrix(
         cube-scale vector counts prefer :func:`fault_detection_any`, which
         never materialises the matrix.
     """
-    warn_legacy_exec_kwargs(
-        "fault_detection_matrix", engine=engine, config=config, prune=prune,
-        arena=arena,
-    )
     return _fault_detection_matrix_impl(
-        network,
-        faults,
-        test_vectors,
-        criterion=criterion,
-        engine=unset_or(engine, "vectorized"),
-        config=unset_or(config, None),
-        prune=unset_or(prune, True),
-        stats=stats,
-        arena=unset_or(arena, None),
+        network, faults, test_vectors, criterion=criterion, stats=stats
     )
 
 
@@ -450,18 +402,26 @@ def _fault_detection_matrix_impl(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
     cache: ResultCache | None = None,
 ) -> np.ndarray:
-    """Non-deprecating form of :func:`fault_detection_matrix`.
+    """:func:`fault_detection_matrix` with its execution configured.
 
     This is what the :class:`repro.api.Session` facade (and the other
-    internal callers) invoke; the public free function is a thin shim over
-    it that warns when legacy execution kwargs are passed explicitly.
-    *cache* is a :class:`repro.cache.ResultCache` consulted by the
-    bit-packed paths for prefix states, packed inputs and per-chunk
-    verdict rows; results are bit-identical with or without it (other
-    engines ignore it).
+    internal callers) invoke.  *engine* is the simulation engine (module
+    docstring).  *config* with ``max_workers > 1`` shards the work across
+    a process pool: the fault axis alone when the vector batch fits one
+    chunk (prefix states computed once, published through shared memory),
+    or a 2-D (faults × vector-chunks) grid when the vector axis streams;
+    an explicit ``chunk_size`` bounds the packed working set per process.
+    *prune* enables dominated-state pruning in the bit-packed engine (the
+    matrix is identical either way).  *arena* is the scratch-plane arena
+    of the bit-packed engine (``None`` = this thread's shared arena for
+    the geometry; an explicit instance is resized on a geometry change;
+    worker processes always use their own).  *cache* is a
+    :class:`repro.cache.ResultCache` consulted by the bit-packed paths for
+    prefix states, packed inputs and per-chunk verdict rows; results are
+    bit-identical with or without it (other engines ignore it).
     """
     if criterion not in DETECTION_CRITERIA:
         raise FaultModelError(
@@ -490,11 +450,7 @@ def fault_detection_any(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = UNSET,
-    config: ExecutionConfig | None = UNSET,
-    prune: bool = UNSET,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = UNSET,
 ) -> np.ndarray:
     """Per-fault detection verdicts: is fault ``f`` detected by *any* vector?
 
@@ -502,29 +458,15 @@ def fault_detection_any(
     happens chunk by chunk, so exhaustive (:class:`CubeVectors`) and other
     streamed runs never materialise the ``(num_faults, num_vectors)``
     matrix — this is what keeps cube-scale coverage reports in constant
-    memory.  Parameters are those of :func:`fault_detection_matrix`,
-    including the deprecation of explicitly passed execution kwargs
-    (configure a :class:`repro.api.Session` instead).
+    memory.  Parameters are those of :func:`fault_detection_matrix`.
 
     Returns
     -------
     numpy.ndarray
         Boolean vector of length ``len(faults)``.
     """
-    warn_legacy_exec_kwargs(
-        "fault_detection_any", engine=engine, config=config, prune=prune,
-        arena=arena,
-    )
     return _fault_detection_any_impl(
-        network,
-        faults,
-        test_vectors,
-        criterion=criterion,
-        engine=unset_or(engine, "vectorized"),
-        config=unset_or(config, None),
-        prune=unset_or(prune, True),
-        stats=stats,
-        arena=unset_or(arena, None),
+        network, faults, test_vectors, criterion=criterion, stats=stats
     )
 
 
@@ -538,12 +480,11 @@ def _fault_detection_any_impl(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
     cache: ResultCache | None = None,
 ) -> np.ndarray:
-    """Non-deprecating form of :func:`fault_detection_any` (Session backend).
-
-    *cache* follows :func:`_fault_detection_matrix_impl`.
+    """:func:`fault_detection_any` with its execution configured (Session
+    backend); the knobs follow :func:`_fault_detection_matrix_impl`.
     """
     if criterion not in DETECTION_CRITERIA:
         raise FaultModelError(
@@ -576,7 +517,7 @@ def _detection_run(
     config: ExecutionConfig | None,
     prune: bool,
     stats: SimulationStats | None,
-    arena: PlaneArena | bool | None,
+    arena: PlaneArena | None,
     reduce: str,
     cache: ResultCache | None = None,
 ) -> np.ndarray:
@@ -609,7 +550,6 @@ def _detection_run(
             config=config,
             prune=prune,
             stats=stats,
-            arena=arena,
             cache=cache,
             base_token=base_token,
             reduce=reduce,
@@ -757,23 +697,17 @@ def _detection_row(
     state: PackedBatch,
     reference: PackedBatch,
     criterion: str,
-    arena: PlaneArena | None = None,
+    arena: PlaneArena,
 ) -> np.ndarray:
     """Detection row of a fully materialised faulty state.
 
-    Without an *arena* this is the legacy allocating form (one fresh plane
-    per bitwise step of ``packed_is_sorted`` / ``packed_equal``, then the
-    boolean expansion).  With an *arena* the packed temporaries — the
-    adjacent-pair sortedness sweep or the per-line XOR/OR difference
-    accumulation — run on pool rows through ``out=`` ufuncs, so the only
-    remaining allocation is the unpacked boolean row itself (the caller's
-    output).  Padding bits need no masking here: ``unpack_bits`` truncates
-    to ``num_words``, which drops them by construction.
+    The packed temporaries — the adjacent-pair sortedness sweep or the
+    per-line XOR/OR difference accumulation — run on pool rows of the
+    *arena* through ``out=`` ufuncs, so the only allocation is the
+    unpacked boolean row itself (the caller's output).  Padding bits need
+    no masking here: ``unpack_bits`` truncates to ``num_words``, which
+    drops them by construction.
     """
-    if arena is None:
-        if criterion == "specification":
-            return ~packed_is_sorted(state)
-        return ~packed_equal(state, reference)
     from ..core.bitpacked import unpack_bits
 
     planes = state.planes
@@ -995,7 +929,7 @@ class PrefixStates:
         """
         start, stop = (0, self.input_planes.shape[1]) if span is None else span
         planes = (
-            np.empty(  # repro: noqa RPR001 — legacy path
+            np.empty(  # repro: noqa RPR001 — a fresh copy without out=
                 (self.network.n_lines, stop - start), dtype=self.input_planes.dtype
             )
             if out is None
@@ -1015,19 +949,19 @@ def _fault_state(
     network: ComparatorNetwork,
     fault: Fault,
     prefix: PrefixStates,
-    arena: PlaneArena | None = None,
+    arena: PlaneArena,
 ) -> PackedBatch:
     """The packed output planes of the faulty device, restarted from the
     shared fault-free prefix state at the fault site.
 
-    With an *arena* the state planes are reconstructed into the arena's
-    ``state`` buffer and the suffix sweep runs on its comparator scratch —
-    no per-stage allocation; the returned batch is a view of the arena and
+    The state planes are reconstructed into the *arena*'s ``state``
+    buffer and the suffix sweep runs on its comparator scratch — no
+    per-stage allocation; the returned batch is a view of the arena and
     only valid until its next use.
     """
     comparators = network.comparators
-    out = arena.state if arena is not None else None
-    scratch = arena.tmp if arena is not None else None
+    out = arena.state
+    scratch = arena.tmp
 
     if isinstance(fault, StuckPassFault):
         index = _checked_index(network, fault.index)
@@ -1039,14 +973,9 @@ def _fault_state(
         index = _checked_index(network, fault.index)
         state = prefix.state_after(index, out=out)
         comp = comparators[index]
-        if scratch is None:
-            state.planes[[comp.low, comp.high]] = state.planes[
-                [comp.high, comp.low]
-            ]
-        else:
-            np.copyto(scratch, state.planes[comp.low])
-            state.planes[comp.low] = state.planes[comp.high]
-            state.planes[comp.high] = scratch
+        np.copyto(scratch, state.planes[comp.low])
+        state.planes[comp.low] = state.planes[comp.high]
+        state.planes[comp.high] = scratch
         apply_comparators_packed(
             state.planes, comparators[index + 1 :], out=scratch
         )
@@ -1104,9 +1033,7 @@ def _pruned_fault_errors(
     (:class:`repro.core.scratch.PlaneArena`): a comparator acquires two
     free pool rows, writes its outputs into them with ``out=`` ufuncs and
     recycles the rows it consumed, so the whole loop allocates **nothing**
-    per stage.  The allocating PR-3 implementation is preserved as
-    :func:`_pruned_fault_errors_alloc` (the benchmark baseline) and both
-    are cross-checked bit-identical by the test suite.
+    per stage.
 
     Returns ``None`` when the state converged to the fault-free state, a
     ``{line: error_plane}`` dict (views into the arena, valid until its
@@ -1322,196 +1249,6 @@ def _pruned_fault_errors(
     return arena.error_planes()
 
 
-def _pruned_fault_errors_alloc(
-    network: ComparatorNetwork,
-    fault: Fault,
-    prefix: PrefixStates,
-    stats: SimulationStats,
-) -> dict[int, np.ndarray] | PackedBatch | None:
-    """The PR-3 allocating form of :func:`_pruned_fault_errors`.
-
-    Identical algorithm (and identical :class:`SimulationStats`
-    accounting), but every bitwise operation allocates a fresh plane.
-    Kept as the measured baseline of the scratch-arena speedup gate in
-    ``benchmarks/parallel_smoke.py`` (``arena=False`` selects it) and as a
-    bit-identity oracle in the test suite.
-    """
-    comparators = network.comparators
-    size = network.size
-    n = network.n_lines
-    deltas = prefix.deltas
-    input_planes = prefix.input_planes
-    n_blocks = input_planes.shape[1]
-    last_writer, writer_pos = prefix.writer_tables()
-    probe = n_blocks >> 1
-
-    def line_value(stage: int, line: int) -> np.ndarray:
-        index = last_writer[stage][line]
-        if index < 0:
-            return input_planes[line]
-        return deltas[index, writer_pos[stage][line]]
-
-    err: dict[int, np.ndarray] = {}
-    forced_line = -1
-    forced_plane: np.ndarray | None = None
-
-    if isinstance(
-        fault, (StuckPassFault, StuckSwapFault, ReversedComparatorFault)
-    ):
-        index = _checked_index(network, fault.index)
-        start = index + 1
-        comp = comparators[index]
-        a = line_value(index, comp.low)
-        b = line_value(index, comp.high)
-        evaluated = 0
-        if isinstance(fault, ReversedComparatorFault):
-            baseline = size - index
-            evaluated = 1
-            # Swapping min and max flips exactly the positions where the
-            # inputs differ — on both output lines.
-            e = a ^ b
-            if e[probe] or e.any():
-                err[comp.low] = e
-                err[comp.high] = e
-        else:
-            baseline = size - start
-            lo_src, hi_src = (
-                (a, b) if isinstance(fault, StuckPassFault) else (b, a)
-            )
-            e_lo = lo_src ^ deltas[index, 0]
-            e_hi = hi_src ^ deltas[index, 1]
-            if e_lo[probe] or e_lo.any():
-                err[comp.low] = e_lo
-            if e_hi[probe] or e_hi.any():
-                err[comp.high] = e_hi
-    elif isinstance(fault, LineStuckFault):
-        if fault.line < 0 or fault.line >= n:
-            raise FaultModelError(
-                f"line {fault.line} out of range for {n} lines"
-            )
-        if fault.stage < 0 or fault.stage > size:
-            raise FaultModelError(
-                f"stage {fault.stage} out of range for a network of size {size}"
-            )
-        forced_line = fault.line
-        forced_plane = (
-            prefix.pad_mask
-            if fault.value
-            else np.zeros(n_blocks, dtype=input_planes.dtype)
-        )
-        start = fault.stage
-        # Same corrected baseline as the arena path: `size - stage` stages
-        # are all the difference-form loop could ever evaluate.
-        baseline = size - start
-        evaluated = 0
-        e = forced_plane ^ line_value(start, forced_line)
-        if e[probe] or e.any():
-            err[forced_line] = e
-    else:
-        # Unknown fault model: no prefix-restart structure to exploit.
-        stats.evaluated_stage_blocks += size * n_blocks
-        stats.faults += 1
-        return _fault_state(network, fault, prefix)
-
-    stats.faults += 1
-    for i in range(start, size):
-        comp = comparators[i]
-        lo = comp.low
-        hi = comp.high
-        e_a = err.get(lo)
-        e_b = err.get(hi)
-        if e_a is None and e_b is None:
-            # Clean inputs: fault-free outputs by determinism.  Only a
-            # stuck line needs re-checking, because forcing re-applies
-            # after every stage that writes it.
-            if forced_line == lo or forced_line == hi:
-                assert forced_plane is not None
-                e = forced_plane ^ deltas[i, 0 if forced_line == lo else 1]
-                if e[probe] or e.any():
-                    err[forced_line] = e
-            continue
-        evaluated += 1
-        if e_b is None:
-            assert e_a is not None
-            e_and = e_a & line_value(i, hi)
-            e_or = e_a ^ e_and
-        elif e_a is None:
-            e_and = e_b & line_value(i, lo)
-            e_or = e_b ^ e_and
-        else:
-            v_a = line_value(i, lo) ^ e_a
-            v_b = line_value(i, hi) ^ e_b
-            if comp.reversed:
-                e_and = (v_a & v_b) ^ deltas[i, 1]
-                e_or = (v_a | v_b) ^ deltas[i, 0]
-            else:
-                e_and = (v_a & v_b) ^ deltas[i, 0]
-                e_or = (v_a | v_b) ^ deltas[i, 1]
-        e_lo, e_hi = (e_or, e_and) if comp.reversed else (e_and, e_or)
-        if e_lo[probe] or e_lo.any():
-            err[lo] = e_lo
-        else:
-            err.pop(lo, None)
-        if e_hi[probe] or e_hi.any():
-            err[hi] = e_hi
-        else:
-            err.pop(hi, None)
-        if forced_line == lo or forced_line == hi:
-            assert forced_plane is not None
-            e = forced_plane ^ deltas[i, 0 if forced_line == lo else 1]
-            if e[probe] or e.any():
-                err[forced_line] = e
-            else:
-                err.pop(forced_line, None)
-        if not err and forced_line < 0:
-            # Converged: the remaining suffix maps equal states to equal
-            # states, so the faulty output equals the fault-free output.
-            # (A stuck line cannot take this exit — forcing may re-diverge
-            # later — but the skip branch above keeps its tail cheap.)
-            break
-    stats.evaluated_stage_blocks += evaluated * n_blocks
-    stats.pruned_stage_blocks += (baseline - evaluated) * n_blocks
-    if not err:
-        stats.converged_faults += 1
-        return None
-    return err
-
-
-def _row_from_errors_alloc(
-    reference: PackedBatch,
-    err: dict[int, np.ndarray],
-    criterion: str,
-    pad_mask: np.ndarray,
-) -> np.ndarray:
-    """Allocating form of :func:`_row_from_errors` (no arena).
-
-    Selected by ``arena=False`` (the legacy code paths); every bitwise
-    step allocates a fresh plane.  Bit-identical to the arena form.
-    """
-    from ..core.bitpacked import unpack_bits
-
-    if criterion == "reference":
-        if not err:
-            return np.zeros(reference.num_words, dtype=bool)
-        acc: np.ndarray | None = None
-        for e in err.values():
-            acc = e.copy() if acc is None else (acc | e)
-        assert acc is not None
-        return unpack_bits(acc, reference.num_words)
-    planes = reference.planes
-    n = planes.shape[0]
-    if n <= 1:
-        return np.zeros(reference.num_words, dtype=bool)
-    mask = np.zeros(planes.shape[1], dtype=planes.dtype)
-    prev = planes[0] ^ err[0] if 0 in err else planes[0]
-    for i in range(1, n):
-        cur = planes[i] ^ err[i] if i in err else planes[i]
-        mask |= prev & ~cur
-        prev = cur
-    mask &= pad_mask
-    return unpack_bits(mask, reference.num_words)
-
-
 @allocation_free
 def _row_from_errors(
     reference: PackedBatch,
@@ -1527,8 +1264,7 @@ def _row_from_errors(
     ``"specification"`` criterion fuses the XOR into the usual adjacent-pair
     sortedness sweep — no full faulty state is ever materialised.  The sweep
     temporaries live in pool rows of the *arena* (``out=`` ufuncs), so the
-    only allocation is the unpacked boolean result row itself;
-    :func:`_row_from_errors_alloc` is the legacy allocating form.
+    only allocation is the unpacked boolean result row itself.
 
     An empty *err* means the faulty output equals the reference on every
     word: all-false under ``"reference"``, the reference's own violation
@@ -1591,24 +1327,21 @@ def _row_from_errors(
 
 
 def _resolve_arena(
-    arena: PlaneArena | bool | None,
+    arena: PlaneArena | None,
     n_lines: int,
     n_blocks: int,
     dtype: np.dtype,
-) -> PlaneArena | None:
-    """Resolve the public ``arena`` knob into a ready arena (or ``None``).
+) -> PlaneArena:
+    """A ready arena for the plane geometry.
 
-    ``None``/``True`` → this thread's shared arena for the plane geometry
-    (worker-local in pool processes — reset between tiles, never
-    reallocated while the geometry is stable); a :class:`PlaneArena` →
-    that instance, resized on a geometry change; ``False`` → ``None``,
-    selecting the legacy allocating code paths.
+    ``None`` → this thread's shared arena for the geometry (worker-local
+    in pool processes — reset between tiles, never reallocated while the
+    geometry is stable); a :class:`PlaneArena` → that instance, resized on
+    a geometry change.
     """
-    if arena is False:
-        return None
-    if isinstance(arena, PlaneArena):
-        return arena.ensure(n_lines, n_blocks, dtype)
-    return shared_arena(n_lines, n_blocks, dtype)
+    if arena is None:
+        return shared_arena(n_lines, n_blocks, dtype)
+    return arena.ensure(n_lines, n_blocks, dtype)
 
 
 def _fault_rows(
@@ -1620,7 +1353,7 @@ def _fault_rows(
     *,
     prune: bool = False,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
 ) -> np.ndarray:
     """Fill ``out[row]`` with the detection row of ``faults[row]``.
 
@@ -1629,7 +1362,7 @@ def _fault_rows(
     tile.  With ``prune=True`` the dominated-state pruner runs and faults
     whose state converged inherit the fault-free detection row.  One
     resolved *arena* (see :func:`_resolve_arena`) serves every fault of
-    the call; ``arena=False`` keeps the legacy allocating paths.
+    the call.
     """
     reference = prefix.reference()
     pool = _resolve_arena(
@@ -1648,20 +1381,14 @@ def _fault_rows(
     converged_row = _detection_row(reference, reference, criterion, arena=pool)
     pad_mask = reference.pad_mask()
     for row, fault in enumerate(faults):
-        result = (
-            _pruned_fault_errors(network, fault, prefix, stats, pool)
-            if pool is not None
-            else _pruned_fault_errors_alloc(network, fault, prefix, stats)
-        )
+        result = _pruned_fault_errors(network, fault, prefix, stats, pool)
         if result is None:
             out[row] = converged_row
         elif isinstance(result, PackedBatch):
             out[row] = _detection_row(result, reference, criterion, arena=pool)
         else:
-            out[row] = (
-                _row_from_errors(reference, result, criterion, pad_mask, pool)
-                if pool is not None
-                else _row_from_errors_alloc(reference, result, criterion, pad_mask)
+            out[row] = _row_from_errors(
+                reference, result, criterion, pad_mask, pool
             )
     return out
 
@@ -1673,7 +1400,7 @@ def _errors_detect(
     criterion: str,
     pad_mask: np.ndarray,
     ref_pair_any: Sequence[bool],
-    arena: PlaneArena | None = None,
+    arena: PlaneArena,
 ) -> bool:
     """Does a fault with output error planes *err* detect on any word?
 
@@ -1682,8 +1409,8 @@ def _errors_detect(
     adjacent-line pairs touching a diverged line can change their violation
     mask, so the sweep recomputes just those pairs (early-exiting on the
     first violation) and reads the untouched pairs' verdicts from the
-    per-chunk precomputed *ref_pair_any*.  With an *arena* the pair sweep
-    runs on pool rows via ``out=`` ufuncs (no allocation).
+    per-chunk precomputed *ref_pair_any*.  The pair sweep runs on pool
+    rows of the *arena* via ``out=`` ufuncs (no allocation).
     """
     if criterion == "reference":
         return True
@@ -1700,14 +1427,6 @@ def _errors_detect(
         for j, ref_violates in enumerate(ref_pair_any)
     ):
         return True
-    if arena is None:
-        for j in pairs:
-            prev = planes[j] ^ err[j] if j in err else planes[j]
-            nxt = planes[j + 1] ^ err[j + 1] if j + 1 in err else planes[j + 1]
-            violation = prev & ~nxt & pad_mask
-            if violation.any():
-                return True
-        return False
     s_prev = arena.acquire()
     s_next = arena.acquire()
     s_tmp = arena.acquire()
@@ -1747,7 +1466,7 @@ def _fault_any(
     *,
     prune: bool = False,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
 ) -> np.ndarray:
     """OR one vector chunk's detection verdicts into ``detected``.
 
@@ -1757,7 +1476,7 @@ def _fault_any(
     an earlier chunk are *dropped* — skipped entirely, since another
     detection cannot change the OR.  ``prune=False`` reproduces the plain
     row-building loop.  Either way ``detected`` ends up identical.  The
-    *arena* knob follows :func:`_fault_rows`.
+    *arena* follows :func:`_fault_rows`.
     """
     if not prune:
         rows = np.zeros((len(faults), prefix.num_words), dtype=bool)
@@ -1786,11 +1505,7 @@ def _fault_any(
         if detected[row]:
             stats.dropped_faults += 1
             continue
-        result = (
-            _pruned_fault_errors(network, fault, prefix, stats, pool)
-            if pool is not None
-            else _pruned_fault_errors_alloc(network, fault, prefix, stats)
-        )
+        result = _pruned_fault_errors(network, fault, prefix, stats, pool)
         if result is None:
             detected[row] = ref_detect
         elif isinstance(result, PackedBatch):
@@ -1848,7 +1563,7 @@ def _streamed_bitpacked_detection(
     *,
     prune: bool,
     stats: SimulationStats | None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
     cache: ResultCache | None = None,
     base_token: tuple | None = None,
     reduce: str,
@@ -1960,7 +1675,7 @@ def _bitpacked_detection_matrix(
     *,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | bool | None = None,
+    arena: PlaneArena | None = None,
     cache: ResultCache | None = None,
     base_token: tuple | None = None,
 ) -> np.ndarray:
@@ -2024,7 +1739,7 @@ def _stuck_line_state(
     network: ComparatorNetwork,
     fault: LineStuckFault,
     prefix: PrefixStates,
-    arena: PlaneArena | None = None,
+    arena: PlaneArena,
 ) -> PackedBatch:
     if fault.line < 0 or fault.line >= network.n_lines:
         raise FaultModelError(
@@ -2040,9 +1755,8 @@ def _stuck_line_state(
     # for stage 0, otherwise right after comparator stage-1 — so the shared
     # fault-free prefix extends through comparator stage-2.
     start = max(fault.stage - 1, 0)
-    out = arena.state if arena is not None else None
-    scratch = arena.tmp if arena is not None else None
-    state = prefix.state_after(start, out=out)
+    scratch = arena.tmp
+    state = prefix.state_after(start, out=arena.state)
     if fault.stage == 0:
         state.planes[fault.line] = forced
     for position in range(start, network.size):

@@ -150,7 +150,6 @@ def _init_bitpacked_worker(
     faults: list[Fault],
     criterion: str,
     prune: bool,
-    use_arena: bool,
     num_words: int,
     input_spec,
     deltas_spec,
@@ -162,7 +161,6 @@ def _init_bitpacked_worker(
     _WORKER["criterion"] = criterion
     _WORKER["network"] = network
     _WORKER["prune"] = prune
-    _WORKER["use_arena"] = use_arena
     input_shared = attach_shared_array(input_spec)
     deltas_shared = attach_shared_array(deltas_spec)
     # Keep the handles alive: the PrefixStates views borrow their buffers.
@@ -181,11 +179,8 @@ def _worker_arena(network: ComparatorNetwork, prefix):
     thread-local cache keyed by ``(n_lines, n_blocks)`` makes the arena
     *worker-local*: it is reset — never reallocated — between the tiles a
     worker executes at a stable chunk geometry (only the uneven tail chunk
-    triggers a second allocation).  Returns ``False`` (the legacy
-    allocating path marker) when the run disabled arenas.
+    triggers a second allocation).
     """
-    if not _WORKER.get("use_arena", True):
-        return False
     from ..core.scratch import shared_arena
 
     planes = prefix.input_planes
@@ -241,7 +236,6 @@ def _init_grid_worker(
     faults: list[Fault],
     criterion: str,
     prune: bool,
-    use_arena: bool,
     cube_n: int,
     raw_spec,
     chunks: list[tuple[int, int, int]],
@@ -254,7 +248,6 @@ def _init_grid_worker(
     _WORKER["faults"] = faults
     _WORKER["criterion"] = criterion
     _WORKER["prune"] = prune
-    _WORKER["use_arena"] = use_arena
     _WORKER["cube_n"] = cube_n
     _WORKER["chunks"] = chunks
     _WORKER["reduce"] = reduce
@@ -401,17 +394,15 @@ def sharded_fault_detection_matrix(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats=None,
-    arena=None,
     cache=None,
     base_token: tuple | None = None,
     reduce: str = "matrix",
 ) -> np.ndarray:
     """Fault- and vector-axis sharded detection, bit-identical to serial.
 
-    Callers normally reach this through
-    :func:`repro.faults.simulation.fault_detection_matrix` (or
-    :func:`~repro.faults.simulation.fault_detection_any`) with a parallel
-    *config*.
+    Callers normally reach this through a :class:`repro.api.Session`
+    with more than one worker, which hands the fault-simulation
+    dispatcher of :mod:`repro.faults.simulation` a parallel *config*.
 
     Parameters
     ----------
@@ -436,12 +427,6 @@ def sharded_fault_detection_matrix(
         Dominated-state pruning in the workers (bit-packed engine only).
     stats : SimulationStats, optional
         Merged with the workers' pruning counters.
-    arena : PlaneArena or bool, optional
-        The scratch-arena knob of :func:`repro.faults.simulation.fault_detection_matrix`.
-        Worker processes always build their own worker-local arenas (a
-        parent-owned arena cannot cross the process boundary usefully);
-        only ``False`` — disable arenas, run the legacy allocating path —
-        is forwarded to them.
     cache : ResultCache, optional
         Parent-side result store (:mod:`repro.cache`): the shared prefix
         states of the fault-sharded path are acquired through the
@@ -469,7 +454,6 @@ def sharded_fault_detection_matrix(
     fault_list = list(faults)
     num_vectors = len(vectors)
     workers = cfg.resolved_workers()
-    use_arena = arena is not False
     caching = cache is not None and base_token is not None
     if not fault_list:
         shape = (0, num_vectors) if reduce == "matrix" else (0,)
@@ -486,7 +470,6 @@ def sharded_fault_detection_matrix(
             cfg=cfg,
             prune=prune,
             stats=stats,
-            use_arena=use_arena,
             use_cache=caching,
             base_token=base_token if caching else None,
             reduce=reduce,
@@ -529,7 +512,6 @@ def sharded_fault_detection_matrix(
                         fault_list,
                         criterion,
                         prune,
-                        use_arena,
                         packed_input.num_words,
                         input_shared.spec,
                         deltas_shared.spec,
@@ -573,7 +555,6 @@ def _grid_detection(
     cfg: ExecutionConfig,
     prune: bool,
     stats,
-    use_arena: bool,
     use_cache: bool = False,
     base_token: tuple | None = None,
     reduce: str,
@@ -611,7 +592,6 @@ def _grid_detection(
                 fault_list,
                 criterion,
                 prune,
-                use_arena,
                 cube_n,
                 raw_shared.spec if raw_shared is not None else None,
                 chunks,

@@ -21,11 +21,12 @@ Strategies:
 ``permutation-testset``
     The ``n/2`` permutations of Theorem 2.5 (ii).
 
-``is_merger`` accepts an ``engine`` keyword
-(:data:`repro.core.evaluation.EVALUATION_ENGINES`); the 0/1 strategies can
-run on the bit-packed engine, the permutation strategies fall back from
-``"bitpacked"`` to ``"vectorized"``.  A ``config`` keyword
-(:class:`repro.parallel.ExecutionConfig`) evaluates the chosen strategy's
+The engine (:data:`repro.core.evaluation.EVALUATION_ENGINES`) is the
+``engine`` of a :class:`repro.api.Session`; the 0/1 strategies can run on
+the bit-packed engine, the permutation strategies fall back from
+``"bitpacked"`` to ``"vectorized"``.  An execution configuration
+(:class:`repro.parallel.ExecutionConfig`, from a Session's ``workers`` /
+``chunk_size``) evaluates the chosen strategy's
 word list chunk by chunk (bounded memory on the ``C(n, n/2)``-sized
 permutation model), optionally sharded across worker processes.
 """
@@ -37,7 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._compat import UNSET, unset_or, warn_legacy_exec_kwargs
 from .._typing import BinaryWord
 from ..core.bitpacked import (
     apply_network_packed,
@@ -166,22 +166,13 @@ def is_merger(
     network: ComparatorNetwork,
     *,
     strategy: str = "testset",
-    engine: str = UNSET,
-    config: ExecutionConfig | None = UNSET,
 ) -> bool:
     """Decide whether *network* is an ``(n/2, n/2)``-merging network.
 
-    .. deprecated::
-        Explicitly passing ``engine`` / ``config`` is deprecated; use
-        :meth:`repro.api.Session.verify` (same verdict, typed result).
+    :meth:`repro.api.Session.verify` (``prop="merger"``) gives the same
+    verdict on a configured engine, worker pool and chunk size.
     """
-    warn_legacy_exec_kwargs("is_merger", engine=engine, config=config)
-    return _is_merger_impl(
-        network,
-        strategy=strategy,
-        engine=unset_or(engine, "vectorized"),
-        config=unset_or(config, None),
-    )
+    return _is_merger_impl(network, strategy=strategy)
 
 
 def _is_merger_impl(
@@ -191,7 +182,7 @@ def _is_merger_impl(
     engine: str = "vectorized",
     config: ExecutionConfig | None = None,
 ) -> bool:
-    """Non-deprecating form of :func:`is_merger` (Session backend)."""
+    """:func:`is_merger` with its execution configured (Session backend)."""
     if strategy not in MERGER_STRATEGIES:
         raise TestSetError(
             f"unknown strategy {strategy!r}; choose one of {MERGER_STRATEGIES}"

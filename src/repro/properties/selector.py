@@ -23,15 +23,15 @@ Strategies:
     The ``C(n, min(k, floor(n/2))) - 1`` cover permutations of
     Theorem 2.4 (ii).
 
-Checkers accept an ``engine`` keyword
-(:data:`repro.core.evaluation.EVALUATION_ENGINES`); the bit-packed engine
-runs the 0/1 strategies *fully packed* — zero counts come from a vertical
+The engine (:data:`repro.core.evaluation.EVALUATION_ENGINES`) is the
+``engine`` of a :class:`repro.api.Session` or the ``engine`` keyword of
+:func:`find_selection_counterexample`; the bit-packed engine runs the 0/1 strategies *fully packed* — zero counts come from a vertical
 (bit-sliced) popcount over the input planes and the first ``k`` output
 planes are compared against them without ever unpacking — while the
 permutation strategies fall back from ``"bitpacked"`` to ``"vectorized"``
-(their values exceed 1).  A ``config`` keyword
-(:class:`repro.parallel.ExecutionConfig`) streams the 0/1 strategies over
-the cube in fixed-size block ranges, optionally across worker processes.
+(their values exceed 1).  An execution configuration
+(:class:`repro.parallel.ExecutionConfig`, from a Session's ``workers`` /
+``chunk_size``) streams the 0/1 strategies over the cube in fixed-size block ranges, optionally across worker processes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._compat import UNSET, unset_or, warn_legacy_exec_kwargs
 from .._typing import BinaryWord
 from ..core.bitpacked import (
     apply_network_packed,
@@ -159,29 +158,13 @@ def is_selector(
     k: int,
     *,
     strategy: str = "testset",
-    engine: str = UNSET,
-    config: ExecutionConfig | None = UNSET,
 ) -> bool:
     """Decide whether *network* is a ``(k, n)``-selector.
 
-    *config* (an :class:`repro.parallel.ExecutionConfig`) streams the 0/1
-    strategies over the packed cube in fixed-size block ranges when
-    ``engine="bitpacked"`` — constant memory at any ``n``, optionally
-    sharded across worker processes — with a verdict identical to the
-    single-shot path.
-
-    .. deprecated::
-        Explicitly passing ``engine`` / ``config`` is deprecated; use
-        :meth:`repro.api.Session.verify` (same verdict, typed result).
+    :meth:`repro.api.Session.verify` (``prop="selector"``) gives the same
+    verdict on a configured engine, worker pool and chunk size.
     """
-    warn_legacy_exec_kwargs("is_selector", engine=engine, config=config)
-    return _is_selector_impl(
-        network,
-        k,
-        strategy=strategy,
-        engine=unset_or(engine, "vectorized"),
-        config=unset_or(config, None),
-    )
+    return _is_selector_impl(network, k, strategy=strategy)
 
 
 def _is_selector_impl(
@@ -192,7 +175,13 @@ def _is_selector_impl(
     engine: str = "vectorized",
     config: ExecutionConfig | None = None,
 ) -> bool:
-    """Non-deprecating form of :func:`is_selector` (Session backend)."""
+    """:func:`is_selector` with its execution configured (Session backend).
+
+    With a *config* and ``engine="bitpacked"`` the 0/1 strategies stream
+    the packed cube in fixed-size block ranges — constant memory at any
+    ``n``, optionally sharded across worker processes — with a verdict
+    identical to the single-shot path.
+    """
     if strategy not in SELECTOR_STRATEGIES:
         raise TestSetError(
             f"unknown strategy {strategy!r}; choose one of {SELECTOR_STRATEGIES}"

@@ -19,9 +19,10 @@ All strategies agree for standard networks; the exhaustive ones remain
 correct for non-standard networks as well (the test-set strategies assume
 the standard model, exactly as the paper does).
 
-Every checker additionally accepts an ``engine`` keyword selecting the batch
-evaluation engine (:data:`repro.core.evaluation.EVALUATION_ENGINES`).  The
-bit-packed engine applies to the 0/1-input strategies, and runs both of
+The batch evaluation engine (:data:`repro.core.evaluation.EVALUATION_ENGINES`)
+is the ``engine`` of a :class:`repro.api.Session` (``session.verify``) or
+the ``engine`` keyword of :func:`find_sorting_counterexample`;
+:func:`is_sorter` runs the default engine.  The bit-packed engine applies to the 0/1-input strategies, and runs both of
 them on the input cube generated directly in packed form: ``binary`` judges
 every cube word, ``testset`` judges the same sweep's outputs with the
 ``n + 1`` sorted inputs masked out at their closed-form ranks
@@ -32,8 +33,8 @@ evaluate the materialised test set — they are the oracle the packed mask
 is checked against.  Permutation-model strategies carry values above 1 and
 silently fall back from ``"bitpacked"`` to ``"vectorized"``.
 
-A ``config`` keyword (:class:`repro.parallel.ExecutionConfig`) streams the
-0/1 strategies through the bit-packed engine in fixed-size block ranges —
+An execution configuration (:class:`repro.parallel.ExecutionConfig`,
+from a Session's ``workers`` / ``chunk_size``) streams the 0/1 strategies through the bit-packed engine in fixed-size block ranges —
 constant memory at any ``n`` — and shards the ranges across processes when
 ``max_workers > 1``; verdicts are identical to the single-shot path.  With
 a result cache (:class:`repro.cache.ResultCache`, the Session backend) the
@@ -57,7 +58,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._compat import UNSET, unset_or, warn_legacy_exec_kwargs
 from .._typing import BinaryWord, WordLike
 from ..core.bitpacked import (
     apply_network_packed,
@@ -173,8 +173,6 @@ def is_sorter(
     network: ComparatorNetwork,
     *,
     strategy: str = "testset",
-    engine: str = UNSET,
-    config: ExecutionConfig | None = UNSET,
 ) -> bool:
     """Decide whether *network* sorts every input.
 
@@ -186,28 +184,11 @@ def is_sorter(
         One of :data:`SORTER_STRATEGIES`; see the module docstring.  The
         default uses the paper's minimum 0/1 test set, which is both correct
         and the cheapest of the exhaustive-style strategies.
-    engine:
-        Batch evaluation engine.  ``"bitpacked"`` is the fast path for the
-        0/1 strategies (the cube never leaves packed form; ``testset``
-        masks out the sorted inputs); the permutation strategies fall back
-        to ``"vectorized"``.
-    config:
-        Optional :class:`repro.parallel.ExecutionConfig`.  With the
-        bit-packed engine the 0/1 strategies stream the cube in fixed-size
-        block ranges (constant memory, optionally across worker processes);
-        the permutation strategies chunk their word batches.
 
-    .. deprecated::
-        Explicitly passing ``engine`` / ``config`` is deprecated; use
-        :meth:`repro.api.Session.verify` (same verdict, typed result).
+    :meth:`repro.api.Session.verify` gives the same verdict on a configured
+    engine, worker pool and chunk size, inside a typed result.
     """
-    warn_legacy_exec_kwargs("is_sorter", engine=engine, config=config)
-    return _is_sorter_impl(
-        network,
-        strategy=strategy,
-        engine=unset_or(engine, "vectorized"),
-        config=unset_or(config, None),
-    )
+    return _is_sorter_impl(network, strategy=strategy)
 
 
 def _is_sorter_impl(
@@ -218,8 +199,14 @@ def _is_sorter_impl(
     config: ExecutionConfig | None = None,
     cache=None,
 ) -> bool:
-    """Non-deprecating form of :func:`is_sorter` (Session backend).
+    """:func:`is_sorter` with its execution configured (Session backend).
 
+    ``engine="bitpacked"`` is the fast path for the 0/1 strategies (the
+    cube never leaves packed form; ``testset`` masks out the sorted
+    inputs); the permutation strategies fall back to ``"vectorized"``.
+    With a *config* the bit-packed 0/1 strategies stream the cube in
+    fixed-size block ranges (constant memory, optionally across worker
+    processes); the permutation strategies chunk their word batches.
     With a *cache* (:class:`repro.cache.ResultCache`), the bit-packed
     ``binary`` and ``testset`` checks route through
     :func:`repro.cache.cached_cube_sorted` — a verdict memo plus prefix

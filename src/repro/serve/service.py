@@ -19,11 +19,16 @@
 
 Server-level counters (``jobs_accepted`` / ``jobs_deduped`` /
 ``jobs_executed`` / ``jobs_completed`` / ``jobs_failed`` /
-``jobs_cancelled`` / ``jobs_resumed`` / ``jobs_replayed``) live in a
+``jobs_cancelled`` / ``jobs_resumed`` / ``jobs_replayed`` /
+``protocol_errors``) live in a
 :class:`repro.observe.Metrics` registry surfaced by the ``status``
 endpoint, next to an aggregated :data:`~repro.faults.simulation.SIMULATION_COUNTERS`
 registry — the latter is how the crash-resume test proves a replayed
 job ran zero simulation work.
+
+A request line longer than :data:`MAX_LINE_BYTES` is discarded through
+its newline and answered with ``{"ok": false}``; the connection stays
+open.
 
 Blocking :class:`~repro.api.Session` calls live in the *synchronous*
 :meth:`VerificationService._execute`, which only ever runs inside the
@@ -52,7 +57,11 @@ from .protocol import (
     encode_message,
 )
 
-__all__ = ["SERVER_COUNTERS", "VerificationService", "serve"]
+__all__ = ["MAX_LINE_BYTES", "SERVER_COUNTERS", "VerificationService", "serve"]
+
+#: Longest request line the socket front end reads, newline excluded
+#: (the stream reader's limit; asyncio's default, declared here).
+MAX_LINE_BYTES = 65536
 
 #: Fixed schema of the server-level metrics registry.
 SERVER_COUNTERS = (
@@ -64,6 +73,7 @@ SERVER_COUNTERS = (
     "jobs_cancelled",
     "jobs_resumed",
     "jobs_replayed",
+    "protocol_errors",
 )
 
 
@@ -506,11 +516,15 @@ async def _handle_connection(
 ) -> None:
     """Serve one client connection (one JSON message per line)."""
     while True:
-        line = await reader.readline()
-        if not line:
+        line = await _read_line(reader)
+        if line == b"":
             break
         shutdown = False
         try:
+            if line is None:
+                raise ServiceError(
+                    f"request line exceeds the {MAX_LINE_BYTES}-byte limit"
+                )
             message = decode_message(line)
             shutdown = message.get("op") == "shutdown"
             response = await _dispatch(service, message)
@@ -518,6 +532,8 @@ async def _handle_connection(
             response = {"ok": False, "error": str(exc)}
         except Exception as exc:  # defensive: never drop the connection
             response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        if not response["ok"]:
+            service.metrics.increment("protocol_errors")
         writer.write(encode_message(response))
         try:
             await writer.drain()
@@ -530,6 +546,26 @@ async def _handle_connection(
         await writer.wait_closed()
     except ConnectionError:
         pass
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (``b""`` at EOF), or ``None`` for a line over
+    :data:`MAX_LINE_BYTES`.
+
+    An oversize line is discarded through its newline, ``consumed`` bytes
+    at a time, so the next read starts at the next request.
+    """
+    oversize = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            oversize = True
+            continue
+        return None if oversize else line
 
 
 async def _dispatch(
@@ -635,9 +671,13 @@ async def serve(
         await _handle_connection(service, reader, writer)
 
     if socket_path is not None:
-        server = await asyncio.start_unix_server(handler, path=socket_path)
+        server = await asyncio.start_unix_server(
+            handler, path=socket_path, limit=MAX_LINE_BYTES
+        )
     else:
-        server = await asyncio.start_server(handler, host=host, port=port)
+        server = await asyncio.start_server(
+            handler, host=host, port=port, limit=MAX_LINE_BYTES
+        )
     try:
         if ready is not None:
             ready.set()

@@ -22,9 +22,10 @@ adversary populations lives in :mod:`repro.testsets.minimal`.
 
 :func:`network_passes_test_set` is the other half of the story — the
 decision procedure a tester actually runs: apply every word of a test set to
-a device and accept iff every observed output is sorted.  It accepts an
-``engine`` keyword (:data:`repro.core.evaluation.EVALUATION_ENGINES`) so
-exhaustive-scale test sets can be applied through the bit-packed engine.
+a device and accept iff every observed output is sorted.
+:meth:`repro.api.Session.passes_test_set` runs it on a configured engine
+(:data:`repro.core.evaluation.EVALUATION_ENGINES`), so exhaustive-scale
+test sets can be applied through the bit-packed engine.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .._compat import UNSET, unset_or, warn_legacy_exec_kwargs
 from .._typing import BinaryWord, WordLike
 from ..core.evaluation import (
     apply_network_to_batch,
@@ -114,9 +114,6 @@ def uncovered_required_words(
 def network_passes_test_set(
     network: ComparatorNetwork,
     test_words: Iterable[WordLike],
-    *,
-    engine: str = UNSET,
-    config=UNSET,
 ) -> bool:
     """Apply a test set to a device: ``True`` iff every output is sorted.
 
@@ -125,27 +122,12 @@ def network_passes_test_set(
     sorted.  For a valid test set the verdict equals "the device has the
     property"; for an arbitrary word collection it is simply "no applied
     word exposed the device".  Works for binary words and permutations
-    alike (a sorted permutation output is ``0..n-1``).  ``engine`` selects
-    the evaluation engine; ``"bitpacked"`` requires 0/1 test words and
-    falls back to ``"vectorized"`` when the words are not binary.
-    *config* (an :class:`repro.parallel.ExecutionConfig`) applies the test
-    set chunk by chunk — bounded memory on exhaustive-scale sets,
-    optionally sharded across worker processes — with the same verdict.
-
-    .. deprecated::
-        Explicitly passing ``engine`` / ``config`` is deprecated; use
-        :meth:`repro.api.Session.passes_test_set`, which returns the same
-        verdict inside a typed result object.
+    alike (a sorted permutation output is ``0..n-1``).
+    :meth:`repro.api.Session.passes_test_set` returns the same verdict on
+    a configured engine, worker pool and chunk size, inside a typed
+    result object.
     """
-    warn_legacy_exec_kwargs(
-        "network_passes_test_set", engine=engine, config=config
-    )
-    return _network_passes_test_set_impl(
-        network,
-        test_words,
-        engine=unset_or(engine, "vectorized"),
-        config=unset_or(config, None),
-    )
+    return _network_passes_test_set_impl(network, test_words)
 
 
 def _network_passes_test_set_impl(
@@ -156,12 +138,18 @@ def _network_passes_test_set_impl(
     config=None,
     cache=None,
 ) -> bool:
-    """Non-deprecating form of :func:`network_passes_test_set` (Session backend).
+    """:func:`network_passes_test_set` with its execution configured
+    (Session backend).
 
-    With a *cache* (a :class:`repro.cache.ResultCache`) and the bit-packed
-    engine on binary words, the verdict is memoised per exact network and
-    input fingerprint, and on a verdict miss the simulation reuses the
-    longest cached comparator prefix — same ``True``/``False`` either way.
+    ``engine="bitpacked"`` requires 0/1 test words and falls back to
+    ``"vectorized"`` when the words are not binary.  A *config* (an
+    :class:`repro.parallel.ExecutionConfig`) applies the test set chunk by
+    chunk — bounded memory on exhaustive-scale sets, optionally sharded
+    across worker processes — with the same verdict.  With a *cache* (a
+    :class:`repro.cache.ResultCache`) and the bit-packed engine on binary
+    words, the verdict is memoised per exact network and input
+    fingerprint, and on a verdict miss the simulation reuses the longest
+    cached comparator prefix — same ``True``/``False`` either way.
     """
     check_engine(engine)
     rows = list(test_words)

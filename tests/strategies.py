@@ -4,7 +4,9 @@ One place for the generators the differential-oracle tests are built on —
 random comparator networks, explicit 0/1 test batches, fault universes
 drawn from the registered model zoo, and the engine / criterion /
 chunk-size combinations every bit-identity guarantee is quantified over.
-The test modules import from here instead of copy-pasting composites.
+The test modules import from here instead of copy-pasting composites,
+together with the two Session one-liners (:func:`session_matrix`,
+:func:`session_verdict`) the engine cross-checks are spelled with.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import repro.faults  # noqa: F401  (imports register the fault-model zoo)
 from repro._registry import fault_model_names
+from repro.api import Session
 from repro.constructions import batcher_sorting_network
 from repro.core import ComparatorNetwork
 from repro.core.bitpacked import rank_to_word
@@ -29,6 +32,8 @@ __all__ = [
     "fault_universes",
     "fault_models",
     "mutate_one",
+    "session_matrix",
+    "session_verdict",
     "odd_chunks",
     "criteria",
     "engines",
@@ -83,6 +88,22 @@ def fault_universes(draw, network: ComparatorNetwork, max_faults: int = 32):
         start = draw(st.integers(0, len(universe) - max_faults))
         universe = universe[start : start + max_faults]
     return name, universe
+
+
+def session_matrix(
+    network, faults, vectors, criterion="specification", **knobs
+) -> np.ndarray:
+    """The detection matrix of a ``Session(**knobs)``."""
+    with Session(**knobs) as session:
+        return session.fault_matrix(
+            network, faults, vectors, criterion=criterion
+        ).matrix
+
+
+def session_verdict(network, prop="sorter", *, k=1, strategy="testset", **knobs):
+    """The verdict of ``Session(**knobs).verify(...)``."""
+    with Session(**knobs) as session:
+        return session.verify(network, prop, k=k, strategy=strategy).verdict
 
 
 def mutate_one(network: ComparatorNetwork, index: int) -> ComparatorNetwork:

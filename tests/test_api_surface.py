@@ -1,11 +1,11 @@
-"""Public-API surface snapshot and deprecation-shim contract.
+"""Public-API surface snapshot and the free-function contract.
 
 Two guarantees: (a) the shape of the :mod:`repro.api` facade — exported
 names, Session signature, result-object fields, registry built-ins — is
-pinned so accidental surface changes fail loudly, and (b) every legacy
-free-function shim emits a :class:`DeprecationWarning` exactly when the
-deprecated execution kwargs are passed explicitly, and stays silent on
-plain calls.
+pinned so accidental surface changes fail loudly, and (b) the Session is
+the only execution surface: no free function takes the execution
+keywords (``engine`` / ``config`` / ``prune`` / ``arena``), and plain
+calls stay silent.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class TestApiSurface:
     def test_session_constructor_signature(self):
         params = inspect.signature(api.Session).parameters
         assert list(params) == [
-            "engine", "workers", "chunk_size", "prune", "arena", "cache",
+            "engine", "workers", "chunk_size", "prune", "cache",
         ]
         assert all(
             p.kind is inspect.Parameter.KEYWORD_ONLY for p in params.values()
@@ -70,7 +70,6 @@ class TestApiSurface:
             "workers": 1,
             "chunk_size": None,
             "prune": True,
-            "arena": None,
             "cache": None,
         }
 
@@ -227,45 +226,28 @@ class TestEngineRegistry:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# Free functions: domain arguments only
 # ----------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_is_sorter_shim_warns_on_engine(self, four_sorter):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            assert is_sorter(four_sorter, engine="vectorized")
+FREE_FUNCTIONS = (
+    is_sorter,
+    is_selector,
+    is_merger,
+    network_passes_test_set,
+    fault_detection_matrix,
+    fault_detection_any,
+    fault_coverage,
+    coverage_report,
+    compare_test_sets,
+)
 
-    def test_is_selector_shim_warns_on_config(self, four_sorter):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            assert is_selector(four_sorter, 1, config=None)
 
-    def test_is_merger_shim_warns_on_engine(self):
-        from repro.constructions import batcher_merging_network
-
-        merger = batcher_merging_network(4)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            assert is_merger(merger, engine="vectorized")
-
-    def test_network_passes_test_set_shim_warns(self, four_sorter):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            assert network_passes_test_set(
-                four_sorter, sorting_binary_test_set(4), engine="vectorized"
-            )
-
-    def test_fault_simulation_shims_warn(self, four_sorter):
-        faults = enumerate_single_faults(four_sorter)
-        vectors = sorting_binary_test_set(4)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            fault_detection_matrix(four_sorter, faults, vectors, engine="bitpacked")
-        with pytest.warns(DeprecationWarning, match="Session"):
-            fault_detection_any(four_sorter, faults, vectors, prune=False)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            fault_coverage(four_sorter, faults, vectors, engine="bitpacked")
-        with pytest.warns(DeprecationWarning, match="Session"):
-            coverage_report(four_sorter, faults, vectors, arena=False)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            compare_test_sets(
-                four_sorter, faults, {"testset": vectors}, engine="bitpacked"
-            )
+class TestFreeFunctions:
+    @pytest.mark.parametrize(
+        "func", FREE_FUNCTIONS, ids=lambda func: func.__name__
+    )
+    def test_takes_no_execution_keywords(self, func):
+        params = inspect.signature(func).parameters
+        assert not {"engine", "config", "prune", "arena"} & set(params)
 
     def test_plain_calls_do_not_warn(self, four_sorter):
         faults = enumerate_single_faults(four_sorter)

@@ -262,10 +262,14 @@ class TestNarrowBinaryBatch:
 
     def test_falls_back_for_non_binary_and_preserves_floats(self):
         from repro.core import narrow_binary_batch
+        from repro.core.evaluation import reset_engine_downgrade_warning
+        from repro.exceptions import EngineDowngradeWarning
 
-        batch, engine = narrow_binary_batch(
-            np.array([[0, 5]], dtype=np.int64), "bitpacked"
-        )
+        reset_engine_downgrade_warning()
+        with pytest.warns(EngineDowngradeWarning):
+            batch, engine = narrow_binary_batch(
+                np.array([[0, 5]], dtype=np.int64), "bitpacked"
+            )
         assert batch.dtype == np.int64 and engine == "vectorized"
         floats, engine = narrow_binary_batch(np.array([[0.25, 0.75]]), "vectorized")
         assert floats.dtype == np.float64 and engine == "vectorized"

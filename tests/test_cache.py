@@ -30,6 +30,8 @@ from strategies import (
     mutate_one,
     networks,
     odd_chunks,
+    session_matrix,
+    session_verdict,
 )
 
 import repro.api as api
@@ -53,14 +55,9 @@ from repro.constructions import (
 )
 from repro.core import Comparator, ComparatorNetwork
 from repro.core.evaluation import all_binary_words_array
-from repro.faults import (
-    enumerate_model_faults,
-    enumerate_single_faults,
-    fault_detection_matrix,
-)
+from repro.faults import enumerate_model_faults, enumerate_single_faults
 from repro.faults.models import SwappingNetwork
 from repro.faults.simulation import PrefixStates, _pack_vectors
-from repro.properties import is_sorter
 from repro.testsets import (
     network_passes_test_set,
     sorting_binary_test_set,
@@ -308,13 +305,17 @@ class TestAcquirePrefixStates:
     )
     def test_cached_cube_sorted_matches_the_plain_checker(self, network):
         cache = ResultCache()
-        expected = is_sorter(network, strategy="binary", engine="bitpacked")
+        expected = session_verdict(network, strategy="binary", engine="bitpacked")
         for mutant in (network, mutate_one(network, 0) if network.size else network):
-            reference = is_sorter(mutant, strategy="binary", engine="bitpacked")
+            reference = session_verdict(
+                mutant, strategy="binary", engine="bitpacked"
+            )
             assert cached_cube_sorted(mutant, cache=cache) is reference
             # Memo hit gives the same answer.
             assert cached_cube_sorted(mutant, cache=cache) is reference
-        assert expected is is_sorter(network, strategy="binary", engine="bitpacked")
+        assert expected is session_verdict(
+            network, strategy="binary", engine="bitpacked"
+        )
 
 
 @pytest.mark.parametrize(
@@ -361,16 +362,14 @@ class TestWarmColdIdentity:
             network, line_stuck_at_input_only=False
         )
         vectors = all_binary_words_array(network.n_lines)
-        legacy = fault_detection_matrix(
-            network, faults, vectors, criterion=criterion, engine=engine
-        )
+        plain = session_matrix(network, faults, vectors, criterion, engine=engine)
         with api.Session(engine=engine, chunk_size=chunk, cache=False) as s:
             cold = s.fault_matrix(network, faults, vectors, criterion=criterion)
         with api.Session(engine=engine, chunk_size=chunk, cache=True) as s:
             fill = s.fault_matrix(network, faults, vectors, criterion=criterion)
             warm = s.fault_matrix(network, faults, vectors, criterion=criterion)
         for result in (cold, fill, warm):
-            assert np.array_equal(result.matrix, legacy)
+            assert np.array_equal(result.matrix, plain)
         # SimulationStats replay: a verdict hit merges the recorded
         # counters, so warm counts equal the cold ones exactly.
         assert warm.stats.counts() == cold.stats.counts()
@@ -404,15 +403,17 @@ class TestWarmColdIdentity:
     )
     def test_verify_and_passes_test_set(self, network):
         tests = sorting_binary_test_set(network.n_lines)
-        legacy_verdict = is_sorter(network, strategy="binary", engine="bitpacked")
-        legacy_passes = network_passes_test_set(network, tests)
+        plain_verdict = session_verdict(
+            network, strategy="binary", engine="bitpacked"
+        )
+        plain_passes = network_passes_test_set(network, tests)
         with api.Session(engine="bitpacked", cache=True) as s:
             for _ in range(2):  # second round is answered from the store
                 assert (
                     s.verify(network, "sorter", strategy="binary").verdict
-                    is legacy_verdict
+                    is plain_verdict
                 )
-                assert s.passes_test_set(network, tests).passed is legacy_passes
+                assert s.passes_test_set(network, tests).passed is plain_passes
 
     def test_permutation_test_sets_fall_back_identically(self, four_sorter):
         permutations = [(3, 1, 0, 2), (0, 2, 1, 3), (1, 0, 3, 2)]

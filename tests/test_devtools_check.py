@@ -50,7 +50,7 @@ def rule_lines(path: Path, rule_id: str) -> list[int]:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "rule_id",
-    ["RPR001", "RPR002", "RPR003", "RPR004", "RPR006", "RPR007", "RPR008"],
+    ["RPR001", "RPR002", "RPR004", "RPR006", "RPR007", "RPR008"],
 )
 def test_rule_fires_exactly_on_expect_markers(rule_id):
     fixture = FIXTURES / f"rpr{rule_id[3:]}_case.py"
@@ -69,13 +69,6 @@ def test_rpr005_fires_exactly_on_expect_markers():
         f.line for f in rule.check(ctx) if not is_suppressed(f, ctx.noqa)
     )
     assert lines == expected_lines(fixture)
-
-
-def test_rpr003_message_names_every_deprecated_kwarg():
-    fixture = FIXTURES / "rpr003_case.py"
-    findings = check_file(fixture, [get_rule("RPR003")], respect_scope=False)
-    both = [f for f in findings if "config, prune" in f.message]
-    assert len(both) == 1
 
 
 def test_rpr002_exempts_the_registry_module():
@@ -207,7 +200,6 @@ def test_every_rule_is_registered():
     assert [r.id for r in all_rules()] == [
         "RPR001",
         "RPR002",
-        "RPR003",
         "RPR004",
         "RPR005",
         "RPR006",

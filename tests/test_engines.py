@@ -1,8 +1,8 @@
 """Cross-checks proving the scalar, vectorised and bit-packed engines agree.
 
 Hypothesis property tests over random networks, random binary batches and
-random fault universes: every ``engine=`` choice must produce identical
-outputs, identical property verdicts and identical fault-detection matrices.
+random fault universes: every engine (``apply_network_to_batch(engine=)``,
+``Session(engine=)``) must produce identical outputs, identical property verdicts and identical fault-detection matrices.
 These are the guarantees that let the fast bit-packed engine replace the
 reference engines on the exhaustive workloads.
 """
@@ -13,7 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
+from strategies import session_matrix
 
+from repro.api import Session
 from repro.core import (
     EVALUATION_ENGINES,
     ComparatorNetwork,
@@ -24,8 +26,7 @@ from repro.faults import (
     enumerate_single_faults,
     fault_detection_matrix,
 )
-from repro.properties import is_sorter
-from repro.testsets import network_passes_test_set, sorting_binary_test_set
+from repro.testsets import sorting_binary_test_set
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -103,11 +104,13 @@ def test_all_engines_agree_on_binary_batches(data):
 )
 @given(networks(max_lines=6))
 def test_all_engines_agree_on_sorter_verdicts(network):
-    verdicts = {
-        (strategy, engine): is_sorter(network, strategy=strategy, engine=engine)
-        for strategy in ("binary", "testset")
-        for engine in EVALUATION_ENGINES
-    }
+    verdicts = {}
+    for engine in EVALUATION_ENGINES:
+        with Session(engine=engine) as session:
+            for strategy in ("binary", "testset"):
+                verdicts[strategy, engine] = session.verify(
+                    network, "sorter", strategy=strategy
+                ).verdict
     assert len(set(verdicts.values())) == 1, verdicts
 
 
@@ -117,10 +120,10 @@ def test_all_engines_agree_on_sorter_verdicts(network):
 @given(networks(max_lines=6))
 def test_all_engines_agree_on_test_set_application(network):
     vectors = sorting_binary_test_set(network.n_lines)
-    verdicts = {
-        engine: network_passes_test_set(network, vectors, engine=engine)
-        for engine in EVALUATION_ENGINES
-    }
+    verdicts = {}
+    for engine in EVALUATION_ENGINES:
+        with Session(engine=engine) as session:
+            verdicts[engine] = session.passes_test_set(network, vectors).passed
     assert len(set(verdicts.values())) == 1, verdicts
 
 
@@ -137,13 +140,11 @@ def test_all_engines_agree_on_test_set_application(network):
 def test_fault_matrices_identical_across_engines(data, criterion):
     network, faults = data
     vectors = sorting_binary_test_set(network.n_lines)
-    reference = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine="scalar"
+    reference = session_matrix(
+        network, faults, vectors, criterion, engine="scalar"
     )
     for engine in ("vectorized", "bitpacked"):
-        matrix = fault_detection_matrix(
-            network, faults, vectors, criterion=criterion, engine=engine
-        )
+        matrix = session_matrix(network, faults, vectors, criterion, engine=engine)
         assert np.array_equal(matrix, reference), (engine, criterion)
 
 
@@ -153,9 +154,7 @@ def test_fault_matrix_engines_on_batcher(batcher8, criterion, engine):
     """Deterministic pin: all engines, full fault universe, Batcher(8)."""
     faults = enumerate_single_faults(batcher8, line_stuck_at_input_only=False)
     vectors = sorting_binary_test_set(8)[:64]
-    matrix = fault_detection_matrix(
-        batcher8, faults, vectors, criterion=criterion, engine=engine
-    )
+    matrix = session_matrix(batcher8, faults, vectors, criterion, engine=engine)
     reference = fault_detection_matrix(
         batcher8, faults, vectors, criterion=criterion
     )

@@ -13,18 +13,21 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 import numpy as np
 import pytest
-from strategies import criteria, networks, odd_chunks
+from strategies import criteria, networks, odd_chunks, session_matrix
 
+from repro.api import Session
 from repro.constructions import batcher_sorting_network
 from repro.core.evaluation import all_binary_words_array, unsorted_binary_words_array
 from repro.exceptions import FaultModelError
 from repro.faults import (
     CubeVectors,
     SimulationStats,
-    coverage_report,
     enumerate_single_faults,
-    fault_detection_any,
     fault_detection_matrix,
+)
+from repro.faults.simulation import (
+    _fault_detection_any_impl,
+    _fault_detection_matrix_impl,
 )
 from repro.parallel import ExecutionConfig, grid_tiles
 
@@ -44,26 +47,24 @@ def test_pruned_and_streamed_matrices_match_serial(network, criterion, chunk):
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = all_binary_words_array(network.n_lines)
     reference = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine="vectorized"
+        network, faults, vectors, criterion=criterion
     )
-    unpruned = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine="bitpacked",
-        prune=False,
+    unpruned = session_matrix(
+        network, faults, vectors, criterion, engine="bitpacked", prune=False
     )
-    pruned = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine="bitpacked",
-        prune=True,
+    pruned = session_matrix(
+        network, faults, vectors, criterion, engine="bitpacked", prune=True
     )
     assert np.array_equal(unpruned, reference)
     assert np.array_equal(pruned, reference)
     config = ExecutionConfig(max_workers=1, chunk_size=chunk)
     for prune in (False, True):
-        streamed = fault_detection_matrix(
-            network, faults, CubeVectors(network.n_lines),
-            criterion=criterion, engine="bitpacked", config=config, prune=prune,
+        streamed = session_matrix(
+            network, faults, CubeVectors(network.n_lines), criterion,
+            engine="bitpacked", chunk_size=chunk, prune=prune,
         )
         assert np.array_equal(streamed, reference)
-        detected = fault_detection_any(
+        detected = _fault_detection_any_impl(
             network, faults, CubeVectors(network.n_lines),
             criterion=criterion, engine="bitpacked", config=config, prune=prune,
         )
@@ -83,17 +84,16 @@ def test_streamed_explicit_vectors_match(network, criterion, chunk):
     if vectors.shape[0] == 0:
         return
     reference = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine="vectorized"
+        network, faults, vectors, criterion=criterion
     )
-    config = ExecutionConfig(max_workers=1, chunk_size=chunk)
-    streamed = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine="bitpacked",
-        config=config,
+    streamed = session_matrix(
+        network, faults, vectors, criterion, engine="bitpacked",
+        chunk_size=chunk,
     )
     assert np.array_equal(streamed, reference)
-    detected = fault_detection_any(
+    detected = _fault_detection_any_impl(
         network, faults, vectors, criterion=criterion, engine="bitpacked",
-        config=config,
+        config=ExecutionConfig(max_workers=1, chunk_size=chunk),
     )
     assert np.array_equal(detected, reference.any(axis=1))
 
@@ -102,17 +102,14 @@ def test_cube_vectors_equivalent_to_explicit_cube():
     """CubeVectors(n) is column-for-column the explicit cube array."""
     network = batcher_sorting_network(6)
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
-    explicit = fault_detection_matrix(
+    explicit = session_matrix(
         network, faults, all_binary_words_array(6), engine="bitpacked"
     )
-    lazy = fault_detection_matrix(
-        network, faults, CubeVectors(6), engine="bitpacked"
-    )
+    lazy = session_matrix(network, faults, CubeVectors(6), engine="bitpacked")
     assert np.array_equal(lazy, explicit)
     # Non-bit-packed engines expand the cube and agree as well.
     assert np.array_equal(
-        fault_detection_matrix(network, faults, CubeVectors(6), engine="vectorized"),
-        explicit,
+        fault_detection_matrix(network, faults, CubeVectors(6)), explicit
     )
 
 
@@ -122,7 +119,7 @@ def test_cube_vectors_validation():
     network = batcher_sorting_network(4)
     faults = enumerate_single_faults(network)
     with pytest.raises(FaultModelError):
-        fault_detection_matrix(network, faults, CubeVectors(5), engine="bitpacked")
+        session_matrix(network, faults, CubeVectors(5), engine="bitpacked")
     assert len(CubeVectors(10)) == 1024
 
 
@@ -154,19 +151,18 @@ def test_grid_sharded_matrix_is_bit_identical(criterion, prune):
     network = batcher_sorting_network(7)
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     reference = fault_detection_matrix(
-        network, faults, all_binary_words_array(7), criterion=criterion,
-        engine="vectorized",
+        network, faults, all_binary_words_array(7), criterion=criterion
     )
     config = ExecutionConfig(max_workers=2, chunk_size=48)
     stats = SimulationStats()
-    grid = fault_detection_matrix(
+    grid = _fault_detection_matrix_impl(
         network, faults, CubeVectors(7), criterion=criterion,
         engine="bitpacked", config=config, prune=prune, stats=stats,
     )
     assert np.array_equal(grid, reference)
     if prune:
         assert stats.faults > 0
-    detected = fault_detection_any(
+    detected = _fault_detection_any_impl(
         network, faults, CubeVectors(7), criterion=criterion,
         engine="bitpacked", config=config, prune=prune,
     )
@@ -178,15 +174,15 @@ def test_grid_sharded_explicit_vectors():
     network = batcher_sorting_network(7)
     faults = enumerate_single_faults(network)
     vectors = all_binary_words_array(7)
-    reference = fault_detection_matrix(network, faults, vectors, engine="vectorized")
+    reference = fault_detection_matrix(network, faults, vectors)
     config = ExecutionConfig(max_workers=2, chunk_size=32)
     assert config.wants_vector_chunking(vectors.shape[0])
-    grid = fault_detection_matrix(
+    grid = _fault_detection_matrix_impl(
         network, faults, vectors, engine="bitpacked", config=config
     )
     assert np.array_equal(grid, reference)
     tuples = [tuple(int(v) for v in row) for row in vectors]
-    grid_tuples = fault_detection_matrix(
+    grid_tuples = _fault_detection_matrix_impl(
         network, faults, tuples, engine="bitpacked", config=config
     )
     assert np.array_equal(grid_tuples, reference)
@@ -210,11 +206,10 @@ def test_prune_counter_monotone_in_network_size():
     for n in (4, 6, 8, 10):
         network = batcher_sorting_network(n)
         faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
-        stats = SimulationStats()
-        fault_detection_matrix(
-            network, faults, all_binary_words_array(n), engine="bitpacked",
-            prune=True, stats=stats,
-        )
+        with Session(engine="bitpacked", prune=True) as session:
+            stats = session.fault_matrix(
+                network, faults, all_binary_words_array(n)
+            ).stats
         assert stats.pruned_stage_blocks > previous
         assert stats.total_stage_blocks == (
             stats.evaluated_stage_blocks + stats.pruned_stage_blocks
@@ -230,11 +225,11 @@ def test_fault_dropping_counts_and_identical_verdicts():
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     config = ExecutionConfig(chunk_size=64)  # 4 chunks at n=8
     stats = SimulationStats()
-    detected = fault_detection_any(
+    detected = _fault_detection_any_impl(
         network, faults, CubeVectors(8), engine="bitpacked", config=config,
         prune=True, stats=stats,
     )
-    reference = fault_detection_any(
+    reference = _fault_detection_any_impl(
         network, faults, CubeVectors(8), engine="bitpacked", config=config,
         prune=False,
     )
@@ -257,13 +252,12 @@ def test_stats_merge_counts_roundtrip():
 def test_coverage_report_on_cube_matches_explicit():
     network = batcher_sorting_network(6)
     faults = enumerate_single_faults(network)
-    explicit = coverage_report(
-        network, faults, all_binary_words_array(6), engine="bitpacked"
-    )
-    streamed = coverage_report(
-        network, faults, CubeVectors(6), engine="bitpacked",
-        config=ExecutionConfig(chunk_size=16),
-    )
+    with Session(engine="bitpacked") as session:
+        explicit = session.fault_coverage(
+            network, faults, all_binary_words_array(6)
+        )
+    with Session(engine="bitpacked", chunk_size=16) as session:
+        streamed = session.fault_coverage(network, faults, CubeVectors(6))
     assert streamed.coverage == explicit.coverage
     assert streamed.detected_faults == explicit.detected_faults
     assert streamed.by_kind == explicit.by_kind

@@ -29,7 +29,6 @@ from repro.faults import (
     LineStuckFault,
     MultiFault,
     ReversedComparatorFault,
-    SimulationStats,
     StuckPassFault,
     StuckSwapFault,
     compare_test_sets,
@@ -44,7 +43,7 @@ from repro.faults import (
     greedy_test_selection,
     undetected_faults,
 )
-from repro.parallel import ExecutionConfig
+from repro.faults.simulation import _fault_detection_matrix_impl
 from repro.properties import is_sorter
 from repro.testsets import sorting_binary_test_set
 from repro.words import all_binary_words
@@ -270,9 +269,10 @@ class TestFaultSimulation:
             matrix = fault_detection_matrix(
                 four_sorter, faults, vectors, criterion=criterion
             )
-            reference = fault_detection_matrix(
-                four_sorter, faults, vectors, criterion=criterion, engine="scalar"
-            )
+            with api.Session(engine="scalar") as session:
+                reference = session.fault_matrix(
+                    four_sorter, faults, vectors, criterion=criterion
+                ).matrix
             assert np.array_equal(matrix, reference), criterion
 
     def test_large_valued_reference_criterion_detects_reversed_fault(self):
@@ -295,16 +295,17 @@ class TestFaultSimulation:
     def test_engine_selection(self, four_sorter, engine):
         faults = enumerate_single_faults(four_sorter)
         vectors = sorting_binary_test_set(4)
-        matrix = fault_detection_matrix(
-            four_sorter, faults, vectors, engine=engine
-        )
+        with api.Session(engine=engine) as session:
+            matrix = session.fault_matrix(four_sorter, faults, vectors).matrix
         assert matrix.shape == (len(faults), len(vectors))
 
     def test_unknown_engine_rejected(self, four_sorter):
         from repro.exceptions import EngineError
 
         with pytest.raises(EngineError):
-            fault_detection_matrix(
+            api.Session(engine="psychic")
+        with pytest.raises(EngineError):
+            _fault_detection_matrix_impl(
                 four_sorter, [], [(0, 1, 1, 0)], engine="psychic"
             )
 
@@ -410,16 +411,16 @@ class TestDifferentialOracles:
         chunk = data.draw(odd_chunks, label="chunk")
         vectors = all_binary_words_array(network.n_lines)
         expected = brute_force_matrix(network, faults, vectors, criterion)
-        pruned = fault_detection_matrix(
-            network, faults, vectors, criterion=criterion,
-            engine="bitpacked", prune=True,
-        )
+        with api.Session(engine="bitpacked", prune=True) as s:
+            pruned = s.fault_matrix(
+                network, faults, vectors, criterion=criterion
+            ).matrix
         assert np.array_equal(pruned, expected), name
-        streamed = fault_detection_matrix(
-            network, faults, CubeVectors(network.n_lines),
-            criterion=criterion, engine="bitpacked",
-            config=ExecutionConfig(max_workers=1, chunk_size=chunk),
-        )
+        with api.Session(engine="bitpacked", chunk_size=chunk) as s:
+            streamed = s.fault_matrix(
+                network, faults, CubeVectors(network.n_lines),
+                criterion=criterion,
+            ).matrix
         assert np.array_equal(streamed, expected), name
         with api.Session(engine="bitpacked", chunk_size=chunk, cache=True) as s:
             fill = s.fault_matrix(network, faults, vectors, criterion=criterion)
@@ -443,14 +444,10 @@ class TestDifferentialOracles:
                 )
                 sharded = s.fault_matrix(network, faults, vectors)
                 assert np.array_equal(sharded.matrix, expected), name
-                serial_stats = SimulationStats()
-                serial = fault_detection_matrix(
-                    network, faults, vectors, engine="bitpacked",
-                    config=ExecutionConfig(max_workers=1, chunk_size=16),
-                    stats=serial_stats,
-                )
-                assert np.array_equal(serial, expected), name
-                assert sharded.stats.counts() == serial_stats.counts(), name
+                with api.Session(engine="bitpacked", chunk_size=16) as serial_s:
+                    serial = serial_s.fault_matrix(network, faults, vectors)
+                assert np.array_equal(serial.matrix, expected), name
+                assert sharded.stats.counts() == serial.stats.counts(), name
 
     def test_k2_multi_faults_match_brute_force(self):
         """The k=2 composite product space (post dominance pruning) stays
@@ -461,10 +458,10 @@ class TestDifferentialOracles:
         vectors = all_binary_words_array(4)
         for criterion in ("specification", "reference"):
             expected = brute_force_matrix(network, composites, vectors, criterion)
-            actual = fault_detection_matrix(
-                network, composites, vectors,
-                criterion=criterion, engine="bitpacked",
-            )
+            with api.Session(engine="bitpacked") as session:
+                actual = session.fault_matrix(
+                    network, composites, vectors, criterion=criterion
+                ).matrix
             assert np.array_equal(actual, expected), criterion
 
     def test_dominance_pruning_only_drops_duplicate_behaviour(self):

@@ -27,7 +27,7 @@ from repro._registry import fault_model_names
 from repro.constructions import batcher_sorting_network
 from repro.core.evaluation import all_binary_words_array
 from repro.faults import SimulationStats, enumerate_model_faults
-from repro.faults.simulation import fault_detection_matrix
+from repro.faults.simulation import _fault_detection_matrix_impl
 from repro.observe import (
     Metrics,
     Trace,
@@ -242,14 +242,15 @@ def test_verify_trace_nests_the_property_phase():
 )
 def test_trace_counters_match_serial_and_warm_cache(network, data):
     """For every registered model: the counters a session trace exports
-    equal the serial free-function stats, cold and warm-cache alike."""
+    equal the stats of an independent serial run, cold and warm-cache
+    alike."""
     name, faults = data.draw(fault_universes(network), label="universe")
     if not faults:
         return
     criterion = data.draw(criteria, label="criterion")
     vectors = all_binary_words_array(network.n_lines)
     serial_stats = SimulationStats()
-    serial = fault_detection_matrix(
+    serial = _fault_detection_matrix_impl(
         network, faults, vectors, criterion=criterion,
         engine="bitpacked", stats=serial_stats,
     )
@@ -272,7 +273,7 @@ def test_trace_counters_match_on_a_real_shard_pool():
             faults = enumerate_model_faults(network, name)
             sharded = s.fault_matrix(network, faults, vectors)
             serial_stats = SimulationStats()
-            serial = fault_detection_matrix(
+            serial = _fault_detection_matrix_impl(
                 network, faults, vectors, engine="bitpacked",
                 config=ExecutionConfig(max_workers=1, chunk_size=16),
                 stats=serial_stats,

@@ -13,7 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
+from strategies import session_matrix, session_verdict
 
+from repro.api import Session
 from repro.constructions import batcher_sorting_network
 from repro.core import ComparatorNetwork
 from repro.core.bitpacked import (
@@ -32,6 +34,7 @@ from repro.core.evaluation import (
 )
 from repro.exceptions import ExecutionConfigError
 from repro.faults import enumerate_single_faults, fault_detection_matrix
+from repro.faults.simulation import _fault_detection_matrix_impl
 from repro.parallel import (
     ExecutionConfig,
     chunk_spans,
@@ -44,9 +47,10 @@ from repro.parallel import (
     streamed_is_sorter,
     streamed_sorting_failure_rank,
 )
-from repro.properties import is_merger, is_selector, is_sorter
-from repro.properties.sorter import find_sorting_counterexample
-from repro.testsets import network_passes_test_set, sorting_binary_test_set
+from repro.properties import is_merger
+from repro.properties.sorter import _is_sorter_impl, find_sorting_counterexample
+from repro.testsets import sorting_binary_test_set
+from repro.testsets.validation import _network_passes_test_set_impl
 
 
 # ----------------------------------------------------------------------
@@ -189,16 +193,17 @@ def test_packed_selection_check_matches_reference(network, data):
 )
 def test_streamed_sorter_matches_single_shot(network, chunk):
     config = ExecutionConfig(max_workers=1, chunk_size=chunk)
-    expected = is_sorter(network, strategy="binary", engine="bitpacked")
+    expected = session_verdict(network, strategy="binary", engine="bitpacked")
     assert streamed_is_sorter(network, config=config) == expected
     assert (
-        is_sorter(network, strategy="binary", engine="bitpacked", config=config)
+        session_verdict(
+            network, strategy="binary", engine="bitpacked", chunk_size=chunk
+        )
         == expected
     )
-    assert (
-        is_sorter(network, strategy="testset", engine="bitpacked", config=config)
-        == is_sorter(network, strategy="testset", engine="bitpacked")
-    )
+    assert session_verdict(
+        network, strategy="testset", engine="bitpacked", chunk_size=chunk
+    ) == session_verdict(network, strategy="testset", engine="bitpacked")
 
 
 @given(networks(), odd_chunks)
@@ -224,14 +229,14 @@ def test_streamed_counterexample_is_first_in_rank_order(network, chunk):
 )
 def test_streamed_selector_matches_single_shot(network, chunk, data):
     k = data.draw(st.integers(1, network.n_lines))
-    config = ExecutionConfig(max_workers=1, chunk_size=chunk)
     for strategy in ("binary", "testset"):
-        expected = is_selector(
-            network, k, strategy=strategy, engine="bitpacked"
+        expected = session_verdict(
+            network, "selector", k=k, strategy=strategy, engine="bitpacked"
         )
         assert (
-            is_selector(
-                network, k, strategy=strategy, engine="bitpacked", config=config
+            session_verdict(
+                network, "selector", k=k, strategy=strategy,
+                engine="bitpacked", chunk_size=chunk,
             )
             == expected
         )
@@ -258,13 +263,10 @@ def test_streamed_failure_rank_points_at_first_unsorted_output():
 def test_chunked_test_set_application_matches(network, chunk):
     config = ExecutionConfig(max_workers=1, chunk_size=chunk)
     words = sorting_binary_test_set(network.n_lines)
-    expected = network_passes_test_set(network, words, engine="bitpacked")
-    assert (
-        network_passes_test_set(
-            network, words, engine="bitpacked", config=config
-        )
-        == expected
-    )
+    with Session(engine="bitpacked") as session:
+        expected = session.passes_test_set(network, words).passed
+    with Session(engine="bitpacked", chunk_size=chunk) as session:
+        assert session.passes_test_set(network, words).passed == expected
     assert chunked_words_all_sorted(
         network, [], engine="bitpacked", config=config
     )
@@ -274,14 +276,13 @@ def test_chunked_test_set_application_matches(network, chunk):
 def test_chunked_merger_matches(n):
     from repro.constructions import batcher_merging_network
 
-    config = ExecutionConfig(max_workers=1, chunk_size=3)
     good = batcher_merging_network(n)
-    assert is_merger(good, strategy="binary", config=config)
+    assert session_verdict(good, "merger", strategy="binary", chunk_size=3)
     if good.size > 0:
         bad = good.without_comparator(0)
-        assert is_merger(bad, strategy="binary", config=config) == is_merger(
-            bad, strategy="binary"
-        )
+        assert session_verdict(
+            bad, "merger", strategy="binary", chunk_size=3
+        ) == is_merger(bad, strategy="binary")
 
 
 # ----------------------------------------------------------------------
@@ -297,12 +298,13 @@ def test_fault_rows_independent_of_chunking(network, chunk):
     """Serial slices of the fault axis compose to the full matrix."""
     faults = enumerate_single_faults(network)
     vectors = sorting_binary_test_set(network.n_lines)
-    full = fault_detection_matrix(network, faults, vectors, engine="bitpacked")
-    stitched = np.zeros_like(full)
-    for start, stop in chunk_spans(len(faults), max(1, chunk % 7)):
-        stitched[start:stop] = fault_detection_matrix(
-            network, faults[start:stop], vectors, engine="bitpacked"
-        )
+    with Session(engine="bitpacked") as session:
+        full = session.fault_matrix(network, faults, vectors).matrix
+        stitched = np.zeros_like(full)
+        for start, stop in chunk_spans(len(faults), max(1, chunk % 7)):
+            stitched[start:stop] = session.fault_matrix(
+                network, faults[start:stop], vectors
+            ).matrix
     assert np.array_equal(stitched, full)
 
 
@@ -312,10 +314,8 @@ def test_sharded_matrix_is_bit_identical(engine, criterion):
     network = batcher_sorting_network(8)
     faults = enumerate_single_faults(network)
     vectors = [tuple(int(v) for v in w) for w in sorting_binary_test_set(8)]
-    serial = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine=engine
-    )
-    sharded = fault_detection_matrix(
+    serial = session_matrix(network, faults, vectors, criterion, engine=engine)
+    sharded = _fault_detection_matrix_impl(
         network,
         faults,
         vectors,
@@ -335,20 +335,17 @@ def test_extended_universe_and_array_vectors_match():
     from repro.core.evaluation import unsorted_binary_words_array
 
     array = unsorted_binary_words_array(7)
-    reference = fault_detection_matrix(network, faults, tuples, engine="vectorized")
+    reference = fault_detection_matrix(network, faults, tuples)
     assert np.array_equal(
-        fault_detection_matrix(network, faults, tuples, engine="bitpacked"),
-        reference,
+        session_matrix(network, faults, tuples, engine="bitpacked"), reference
     )
     assert np.array_equal(
-        fault_detection_matrix(network, faults, array, engine="bitpacked"),
-        reference,
+        session_matrix(network, faults, array, engine="bitpacked"), reference
     )
     assert np.array_equal(
-        fault_detection_matrix(network, faults, array, engine="vectorized"),
-        reference,
+        fault_detection_matrix(network, faults, array), reference
     )
-    sharded = fault_detection_matrix(
+    sharded = _fault_detection_matrix_impl(
         network,
         faults,
         array,
@@ -363,19 +360,19 @@ def test_sharded_matrix_empty_edges():
     faults = enumerate_single_faults(network)
     config = ExecutionConfig(max_workers=2)
     # Empty test-vector batch: no pool is spun up, shape is preserved.
-    empty_vectors = fault_detection_matrix(
+    empty_vectors = _fault_detection_matrix_impl(
         network, faults, [], engine="bitpacked", config=config
     )
     assert empty_vectors.shape == (len(faults), 0)
     # Empty / singleton fault axis: served by the serial path.
     vectors = sorting_binary_test_set(4)
-    assert fault_detection_matrix(
+    assert _fault_detection_matrix_impl(
         network, [], vectors, engine="bitpacked", config=config
     ).shape == (0, len(vectors))
-    single = fault_detection_matrix(
+    single = _fault_detection_matrix_impl(
         network, faults[:1], vectors, engine="bitpacked", config=config
     )
-    reference = fault_detection_matrix(
+    reference = session_matrix(
         network, faults[:1], vectors, engine="bitpacked"
     )
     assert np.array_equal(single, reference)
@@ -395,7 +392,9 @@ def test_sharded_matrix_empty_edges():
 def test_parallel_streamed_sorter_and_counterexample():
     config = ExecutionConfig(max_workers=2, chunk_size=64)
     good = batcher_sorting_network(9)
-    assert is_sorter(good, strategy="binary", engine="bitpacked", config=config)
+    assert _is_sorter_impl(
+        good, strategy="binary", engine="bitpacked", config=config
+    )
     bad = good.without_comparator(7)
     assert (
         find_sorting_counterexample(bad, engine="bitpacked", config=config)
@@ -407,10 +406,10 @@ def test_parallel_chunked_words():
     config = ExecutionConfig(max_workers=2, chunk_size=50)
     network = batcher_sorting_network(8)
     words = sorting_binary_test_set(8)
-    assert network_passes_test_set(
+    assert _network_passes_test_set_impl(
         network, words, engine="bitpacked", config=config
     )
-    assert not network_passes_test_set(
+    assert not _network_passes_test_set_impl(
         network.without_comparator(0), words, engine="bitpacked", config=config
     )
 

@@ -1,12 +1,12 @@
 """Scratch-plane arena: reuse semantics, bit-identity, stats accounting.
 
-The tentpole guarantee of the arena PR: the allocation-free pruned engine
-(`PlaneArena` + ``out=`` ufuncs) is bit-identical to both the unpruned
-serial engines and the preserved PR-3 allocating path (``arena=False``) —
-across repeated calls sharing one arena, mixed fault models, odd chunk
-sizes and the 2-D shard grid.  Also the regression tests for the
-`LineStuckFault` pruning-stats baseline off-by-one and the empty-error-dict
-detection row.
+The guarantee of the arena: the allocation-free pruned engine
+(`PlaneArena` + ``out=`` ufuncs) is bit-identical to the unpruned path and
+the vectorized engine — across repeated calls sharing one arena, mixed
+fault models, odd chunk sizes and the 2-D shard grid — and every pruned
+route (serial, streamed, sharded, cached) counts the same pruning work.
+Also the regression tests for the `LineStuckFault` pruning-stats baseline
+off-by-one and the empty-error-dict detection row.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from repro.api import Session
+from repro.cache import ResultCache
 from repro.constructions import batcher_sorting_network
 from repro.core import ComparatorNetwork
 from repro.core.evaluation import all_binary_words_array
@@ -28,8 +30,11 @@ from repro.faults import (
     StuckPassFault,
     StuckSwapFault,
     enumerate_single_faults,
-    fault_detection_any,
     fault_detection_matrix,
+)
+from repro.faults.simulation import (
+    _fault_detection_any_impl,
+    _fault_detection_matrix_impl,
 )
 from repro.parallel import ExecutionConfig
 
@@ -117,29 +122,29 @@ def test_shared_arena_is_cached_per_geometry():
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_shared_arena_reuse_bit_identical(network, criterion, chunk):
-    """Repeated calls sharing one arena, mixed fault models, odd chunks and
-    the allocating legacy path all reproduce the unpruned serial matrix."""
+    """Repeated calls sharing one arena, mixed fault models and odd chunks
+    reproduce the vectorized matrix, as does the unpruned path."""
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = all_binary_words_array(network.n_lines)
     reference = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine="vectorized"
+        network, faults, vectors, criterion=criterion
     )
     config = ExecutionConfig(max_workers=1, chunk_size=chunk)
     # Deliberately mis-sized: the first call must adapt it, later calls
     # (and the streamed tail chunk) must reuse it.
     arena = PlaneArena(1, 1)
     for _ in range(2):
-        pruned = fault_detection_matrix(
+        pruned = _fault_detection_matrix_impl(
             network, faults, vectors, criterion=criterion, engine="bitpacked",
             config=config, prune=True, arena=arena,
         )
         assert np.array_equal(pruned, reference)
-    legacy = fault_detection_matrix(
+    unpruned = _fault_detection_matrix_impl(
         network, faults, vectors, criterion=criterion, engine="bitpacked",
-        config=config, prune=True, arena=False,
+        config=config, prune=False, arena=arena,
     )
-    assert np.array_equal(legacy, reference)
-    detected = fault_detection_any(
+    assert np.array_equal(unpruned, reference)
+    detected = _fault_detection_any_impl(
         network, faults, CubeVectors(network.n_lines), criterion=criterion,
         engine="bitpacked", config=config, prune=True, arena=arena,
     )
@@ -152,42 +157,60 @@ def test_shared_arena_reuse_bit_identical(network, criterion, chunk):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_arena_and_alloc_paths_agree_on_stats(network, criterion):
-    """The arena and allocating paths count the exact same pruning work."""
+def test_pruned_routes_agree_on_stats(network, criterion):
+    """The serial, streamed and cached pruned routes count the exact same
+    pruning work (the sharded route: the grid test below)."""
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = all_binary_words_array(network.n_lines)
-    stats_arena = SimulationStats()
-    stats_alloc = SimulationStats()
-    arena_matrix = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine="bitpacked",
-        prune=True, stats=stats_arena,
-    )
-    alloc_matrix = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion, engine="bitpacked",
-        prune=True, stats=stats_alloc, arena=False,
-    )
-    assert np.array_equal(arena_matrix, alloc_matrix)
-    assert stats_arena.counts() == stats_alloc.counts()
+    cache = ResultCache()
+    routes = {
+        "serial": {},
+        # One chunk as wide as the batch: the streamed loop, same blocks.
+        "streamed": {"config": ExecutionConfig(chunk_size=len(vectors))},
+        "cached-cold": {"cache": cache},
+        "cached-warm": {"cache": cache},
+    }
+    matrices, counts = {}, {}
+    for name, knobs in routes.items():
+        stats = SimulationStats()
+        matrices[name] = _fault_detection_matrix_impl(
+            network, faults, vectors, criterion=criterion, engine="bitpacked",
+            prune=True, stats=stats, **knobs,
+        )
+        counts[name] = stats.counts()
+    assert cache.stats().verdict_hits == 1
+    for name in routes:
+        assert np.array_equal(matrices[name], matrices["serial"]), name
+        assert counts[name] == counts["serial"], name
 
 
-@pytest.mark.parametrize("arena", [None, False])
-def test_grid_sharded_matrix_with_and_without_arena(arena):
-    """The 2-D (faults × vector-chunks) process grid honours the arena knob
-    and stays bit-identical to the serial vectorised engine."""
+def test_grid_sharded_matrix_bit_identical():
+    """The 2-D (faults × vector-chunks) process grid stays bit-identical to
+    the serial vectorised engine and counts the serial streamed route's
+    pruning work."""
     network = batcher_sorting_network(7)
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     reference = fault_detection_matrix(
-        network, faults, all_binary_words_array(7), engine="vectorized"
+        network, faults, all_binary_words_array(7)
+    )
+    streamed_stats = SimulationStats()
+    streamed = _fault_detection_matrix_impl(
+        network, faults, CubeVectors(7), engine="bitpacked",
+        config=ExecutionConfig(max_workers=1, chunk_size=48), prune=True,
+        stats=streamed_stats,
     )
     config = ExecutionConfig(max_workers=2, chunk_size=48)
-    grid = fault_detection_matrix(
+    grid_stats = SimulationStats()
+    grid = _fault_detection_matrix_impl(
         network, faults, CubeVectors(7), engine="bitpacked", config=config,
-        prune=True, arena=arena,
+        prune=True, stats=grid_stats,
     )
+    assert np.array_equal(streamed, reference)
     assert np.array_equal(grid, reference)
-    detected = fault_detection_any(
+    assert grid_stats.counts() == streamed_stats.counts()
+    detected = _fault_detection_any_impl(
         network, faults, CubeVectors(7), engine="bitpacked", config=config,
-        prune=True, arena=arena,
+        prune=True,
     )
     assert np.array_equal(detected, reference.any(axis=1))
 
@@ -195,12 +218,13 @@ def test_grid_sharded_matrix_with_and_without_arena(arena):
 # ----------------------------------------------------------------------
 # Pruning-stats baseline regression (the LineStuckFault off-by-one)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("use_arena", [None, False])
-def test_stats_baseline_per_fault_model(use_arena):
+@pytest.mark.parametrize("chunk_size", [None, 64])
+def test_stats_baseline_per_fault_model(chunk_size):
     """`evaluated + pruned` equals the analytic no-pruning baseline for
-    every fault model — the LineStuckFault baseline used to be off by one
-    stage (`size - max(stage - 1, 0)` for a loop that can evaluate at most
-    `size - stage` stages), inflating `prune_ratio`."""
+    every fault model, single-shot and streamed — the LineStuckFault
+    baseline used to be off by one stage (`size - max(stage - 1, 0)` for a
+    loop that can evaluate at most `size - stage` stages), inflating
+    `prune_ratio`."""
     network = batcher_sorting_network(4)
     size = network.size
     vectors = all_binary_words_array(4)
@@ -213,29 +237,26 @@ def test_stats_baseline_per_fault_model(use_arena):
         (LineStuckFault(line=1, stage=3, value=0), (size - 3) * n_blocks),
         (LineStuckFault(line=1, stage=size, value=1), 0),
     ]
-    for fault, baseline in cases:
-        stats = SimulationStats()
-        fault_detection_matrix(
-            network, [fault], vectors, engine="bitpacked", prune=True,
-            stats=stats, arena=use_arena,
-        )
-        assert stats.total_stage_blocks == baseline, fault
-        assert (
-            stats.evaluated_stage_blocks + stats.pruned_stage_blocks == baseline
-        )
+    with Session(engine="bitpacked", chunk_size=chunk_size) as session:
+        for fault, baseline in cases:
+            stats = session.fault_matrix(network, [fault], vectors).stats
+            assert stats.total_stage_blocks == baseline, fault
+            assert (
+                stats.evaluated_stage_blocks + stats.pruned_stage_blocks
+                == baseline
+            )
 
 
-@pytest.mark.parametrize("use_arena", [None, False])
-def test_never_converging_fault_reports_zero_pruned(use_arena):
+@pytest.mark.parametrize("chunk_size", [None, 64])
+def test_never_converging_fault_reports_zero_pruned(chunk_size):
     """A stuck line that keeps every stage dirty evaluates the full suffix:
     nothing was pruned, so `pruned_stage_blocks` must be exactly 0."""
     network = ComparatorNetwork.from_pairs(2, [(0, 1), (0, 1), (0, 1)])
     fault = LineStuckFault(line=0, stage=1, value=1)
-    stats = SimulationStats()
-    fault_detection_matrix(
-        network, [fault], all_binary_words_array(2), engine="bitpacked",
-        prune=True, stats=stats, arena=use_arena,
-    )
+    with Session(engine="bitpacked", chunk_size=chunk_size) as session:
+        stats = session.fault_matrix(
+            network, [fault], all_binary_words_array(2)
+        ).stats
     assert stats.evaluated_stage_blocks == 2  # stages 1 and 2, one block
     assert stats.pruned_stage_blocks == 0
     assert stats.converged_faults == 0
@@ -244,14 +265,12 @@ def test_never_converging_fault_reports_zero_pruned(use_arena):
 # ----------------------------------------------------------------------
 # _row_from_errors on an empty error dict (defensive satellite)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("with_arena", [False, True])
-def test_row_from_errors_empty_dict(with_arena):
+def test_row_from_errors_empty_dict():
     from repro.faults.simulation import (
         PrefixStates,
         _detection_row,
         _pack_vectors,
         _row_from_errors,
-        _row_from_errors_alloc,
     )
 
     network = batcher_sorting_network(4)
@@ -259,23 +278,15 @@ def test_row_from_errors_empty_dict(with_arena):
     prefix = PrefixStates.build(network, packed)
     reference = prefix.reference()
     pad_mask = reference.pad_mask()
-    if with_arena:
-        arena = PlaneArena(4, packed.n_blocks)
+    arena = PlaneArena(4, packed.n_blocks)
 
-        def row_fn(criterion):
-            return _row_from_errors(reference, {}, criterion, pad_mask, arena)
-
-    else:
-
-        def row_fn(criterion):
-            return _row_from_errors_alloc(reference, {}, criterion, pad_mask)
-
-    row = row_fn("reference")
+    row = _row_from_errors(reference, {}, "reference", pad_mask, arena)
     assert row.shape == (packed.num_words,)
     assert not row.any()
     # Under "specification" an empty dict degenerates to the reference's
     # own violation row (all-false for a sorter).
-    spec_row = row_fn("specification")
+    spec_row = _row_from_errors(reference, {}, "specification", pad_mask, arena)
     assert np.array_equal(
-        spec_row, _detection_row(reference, reference, "specification")
+        spec_row,
+        _detection_row(reference, reference, "specification", arena=arena),
     )

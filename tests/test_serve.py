@@ -28,6 +28,7 @@ import os
 from pathlib import Path
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -49,6 +50,7 @@ from repro.serve import (
     serve,
 )
 from repro.serve.protocol import decode_message, encode_message
+from repro.serve.service import MAX_LINE_BYTES
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -441,6 +443,8 @@ def test_protocol_errors_do_not_drop_the_connection(tmp_path, sock_dir):
                     {"op": "no-such-op"},
                     {"op": "job", "job_id": "missing"},
                     {"op": "submit", "job": {"kind": "bogus"}},
+                    # A line over the reader's 64 KiB limit.
+                    {"op": "status", "pad": "x" * 70_000},
                 ):
                     try:
                         client.request(message)
@@ -450,11 +454,51 @@ def test_protocol_errors_do_not_drop_the_connection(tmp_path, sock_dir):
                 return errors, client.status()
 
         errors, status = await asyncio.to_thread(run)
-        assert len(errors) == 3
+        assert len(errors) == 4
         assert "unknown op" in errors[0]
         assert "unknown job id" in errors[1]
         assert "unknown job kind" in errors[2]
+        assert f"{MAX_LINE_BYTES}-byte limit" in errors[3]
+        assert MAX_LINE_BYTES == 65536
         assert status["metrics"]["jobs_accepted"] == 0
+        assert status["metrics"]["protocol_errors"] == 4
+        return None
+
+    run_with_server(scenario, tmp_path, sock_dir)
+
+
+def test_line_bound_is_exact_and_keeps_the_stream_in_sync(tmp_path, sock_dir):
+    """A line of exactly MAX_LINE_BYTES is served and one byte more is
+    not; a request sent behind an oversize line in the same write is
+    still answered."""
+
+    def status_line(size):
+        head, tail = b'{"op": "status", "pad": "', b'"}'
+        return head + b"x" * (size - len(head) - len(tail)) + tail
+
+    async def scenario(service, sock):
+        def run():
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.connect(sock)
+                replies = raw.makefile("rb")
+                answers = []
+                for size in (MAX_LINE_BYTES, MAX_LINE_BYTES + 1):
+                    raw.sendall(status_line(size) + b"\n")
+                    answers.append(decode_message(replies.readline()))
+                raw.sendall(
+                    status_line(3 * MAX_LINE_BYTES) + b"\n"
+                    + encode_message({"op": "status"})
+                )
+                answers.append(decode_message(replies.readline()))
+                answers.append(decode_message(replies.readline()))
+                replies.close()
+                return answers
+
+        exact, over, big, after = await asyncio.to_thread(run)
+        assert exact["ok"]
+        assert not over["ok"] and not big["ok"]
+        assert after["ok"]
+        assert after["metrics"]["protocol_errors"] == 2
         return None
 
     run_with_server(scenario, tmp_path, sock_dir)
@@ -606,11 +650,12 @@ def test_cli_serve_submit_status_round_trip(tmp_path, sock_dir, capsys):
 
         with ServeClient(socket_path=sock) as client:
             client.shutdown()
-        assert proc.wait(timeout=30) == 0
+        proc.communicate(timeout=30)
+        assert proc.returncode == 0
     finally:
         if proc.poll() is None:
             proc.kill()
-            proc.wait(timeout=30)
+            proc.communicate(timeout=30)
 
 
 def test_cli_submit_verify_job(tmp_path, sock_dir, capsys):
@@ -676,7 +721,7 @@ def test_crash_resume_replays_finished_jobs_bit_identically(
             assert original["state"] == "done"
     finally:
         proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
+        proc.communicate(timeout=30)
     os.unlink(sock)
 
     proc = start_server(sock, jobs)
@@ -697,7 +742,7 @@ def test_crash_resume_replays_finished_jobs_bit_identically(
             status["simulation"][name] == 0 for name in SIMULATION_COUNTERS
         )
     finally:
-        proc.wait(timeout=30)
+        proc.communicate(timeout=30)
 
 
 def test_crash_resume_requeues_interrupted_jobs(tmp_path, sock_dir):
@@ -718,7 +763,7 @@ def test_crash_resume_requeues_interrupted_jobs(tmp_path, sock_dir):
                 pytest.fail("job never reached running")
     finally:
         proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
+        proc.communicate(timeout=30)
     os.unlink(sock)
 
     # The persisted state survived as non-terminal.
@@ -739,4 +784,4 @@ def test_crash_resume_requeues_interrupted_jobs(tmp_path, sock_dir):
         assert status["metrics"]["jobs_executed"] == 1
         assert status["simulation"]["faults"] > 0
     finally:
-        proc.wait(timeout=30)
+        proc.communicate(timeout=30)

@@ -1,16 +1,15 @@
-"""Session facade: bit-identity with the legacy kwarg paths + resource reuse.
+"""Session facade: bit-identity across engines + resource reuse.
 
-The load-bearing guarantee of the facade PR: every workload run through
-:class:`repro.api.Session` returns results **bit-identical** to the legacy
-free functions with the corresponding kwargs, across random networks, all
-engines, both criteria and streamed configurations (hypothesis-driven).
-A few deterministic tests pin the resource behaviour — persistent pool
-reuse across calls, the Session-owned arena, env-var construction.
+The load-bearing guarantee of the facade: every workload run through
+:class:`repro.api.Session` returns results **bit-identical** to a
+``Session(engine="scalar")`` (the oracle), across random networks, all
+engines, pruning on and off, both criteria and streamed configurations
+(hypothesis-driven).  A few deterministic tests pin the resource
+behaviour — persistent pool reuse across calls, the Session-owned arena,
+env-var construction.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,13 +20,9 @@ from repro.api import Session
 from repro.constructions import batcher_sorting_network
 from repro.core import ComparatorNetwork
 from repro.exceptions import ExecutionConfigError, TestSetError
-from repro.faults import (
-    coverage_report,
-    enumerate_single_faults,
-    fault_detection_matrix,
-)
-from repro.properties import is_sorter
-from repro.testsets import network_passes_test_set, sorting_binary_test_set
+from repro.faults import enumerate_single_faults
+from repro.faults.simulation import _fault_detection_matrix_impl
+from repro.testsets import sorting_binary_test_set
 
 
 @st.composite
@@ -46,96 +41,88 @@ engines = st.sampled_from(["scalar", "vectorized", "bitpacked"])
 criteria = st.sampled_from(["specification", "reference"])
 
 
-def _legacy(call, *args, **kwargs):
-    """Run a legacy free function, swallowing its DeprecationWarning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return call(*args, **kwargs)
-
-
 # ----------------------------------------------------------------------
-# Hypothesis equivalence: Session vs the legacy kwarg paths
+# Hypothesis equivalence: every engine vs the scalar Session
 # ----------------------------------------------------------------------
 @given(networks(), engines, st.sampled_from(["binary", "testset"]))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_verify_matches_legacy_is_sorter(network, engine, strategy):
-    legacy = _legacy(is_sorter, network, strategy=strategy, engine=engine)
+def test_verify_matches_scalar_session(network, engine, strategy):
+    with Session(engine="scalar") as oracle:
+        expected = oracle.verify(network, "sorter", strategy=strategy).verdict
     with Session(engine=engine) as session:
         result = session.verify(network, "sorter", strategy=strategy)
-    assert result.verdict == legacy
-    assert bool(result) == legacy
+    assert result.verdict == expected
+    assert bool(result) == expected
     assert result.execution.engine_effective == engine
 
 
 @given(networks(), engines)
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_passes_test_set_matches_legacy(network, engine):
+def test_passes_test_set_matches_scalar_session(network, engine):
     words = sorting_binary_test_set(network.n_lines)
-    legacy = _legacy(network_passes_test_set, network, words, engine=engine)
+    with Session(engine="scalar") as oracle:
+        expected = oracle.passes_test_set(network, words).passed
     with Session(engine=engine) as session:
         result = session.passes_test_set(network, words)
-    assert result.passed == legacy
+    assert result.passed == expected
     assert result.vectors_used == len(words)
 
 
 @given(networks(), engines, criteria, st.booleans())
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_fault_matrix_matches_legacy(network, engine, criterion, prune):
+def test_fault_matrix_matches_scalar_session(network, engine, criterion, prune):
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = sorting_binary_test_set(network.n_lines)
     if not vectors:
         return
-    legacy = _legacy(
-        fault_detection_matrix, network, faults, vectors,
-        criterion=criterion, engine=engine, prune=prune,
-    )
+    with Session(engine="scalar") as oracle:
+        expected = oracle.fault_matrix(
+            network, faults, vectors, criterion=criterion
+        ).matrix
     with Session(engine=engine, prune=prune) as session:
         result = session.fault_matrix(network, faults, vectors, criterion=criterion)
-    assert np.array_equal(result.matrix, legacy)
+    assert np.array_equal(result.matrix, expected)
     assert result.num_faults == len(faults)
     assert result.num_vectors == len(vectors)
 
 
 @given(networks(), criteria, st.sampled_from([1, 7, 64, 100]))
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_streamed_coverage_matches_legacy(network, criterion, chunk):
-    """Chunked (streamed) Session runs agree with the legacy streamed path."""
-    from repro.parallel import ExecutionConfig
-
+def test_streamed_coverage_matches_scalar_session(network, criterion, chunk):
+    """Chunked (streamed) bit-packed runs agree with the scalar oracle."""
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = sorting_binary_test_set(network.n_lines)
     if not vectors:
         return
-    legacy = _legacy(
-        coverage_report, network, faults, vectors,
-        criterion=criterion, engine="bitpacked",
-        config=ExecutionConfig(chunk_size=chunk),
-    )
+    with Session(engine="scalar") as oracle:
+        expected = oracle.fault_coverage(
+            network, faults, vectors, criterion=criterion
+        )
     with Session(engine="bitpacked", chunk_size=chunk) as session:
         result = session.fault_coverage(
             network, faults, vectors, criterion=criterion
         )
-    assert result.coverage == legacy.coverage
-    assert result.detected_faults == legacy.detected_faults
-    assert result.by_kind == legacy.by_kind
-    assert result.vectors_used == legacy.vectors_used
+    assert result.coverage == expected.coverage
+    assert result.detected_faults == expected.detected_faults
+    assert result.by_kind == expected.by_kind
+    assert result.vectors_used == expected.vectors_used
 
 
 @given(networks())
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_arena_policies_agree(network):
-    """Session-owned arena, explicit arena and arena=False are bit-identical."""
+def test_owned_and_shared_arenas_agree(network):
+    """The Session-owned arena and this thread's shared arena are
+    bit-identical."""
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = sorting_binary_test_set(network.n_lines)
     if not vectors:
         return
-    matrices = []
-    for arena in (None, False):
-        with Session(engine="bitpacked", arena=arena) as session:
-            matrices.append(
-                session.fault_matrix(network, faults, vectors).matrix
-            )
-    assert np.array_equal(matrices[0], matrices[1])
+    with Session(engine="bitpacked") as session:
+        owned = session.fault_matrix(network, faults, vectors).matrix
+    shared = _fault_detection_matrix_impl(
+        network, faults, vectors, engine="bitpacked"
+    )
+    assert np.array_equal(owned, shared)
 
 
 # ----------------------------------------------------------------------
@@ -159,9 +146,11 @@ class TestSessionResources:
     def test_parallel_session_reuses_one_pool(self, batcher8):
         faults = enumerate_single_faults(batcher8)
         vectors = sorting_binary_test_set(8)
-        serial = _legacy(
-            fault_detection_matrix, batcher8, faults, vectors, engine="bitpacked"
-        )
+        with Session(engine="bitpacked") as serial_session:
+            serial = serial_session.fault_matrix(batcher8, faults, vectors).matrix
+            reference = serial_session.fault_matrix(
+                batcher8, faults, vectors, criterion="reference"
+            ).matrix
         with Session(engine="bitpacked", workers=2) as session:
             first = session.fault_matrix(batcher8, faults, vectors)
             pool = session._pool
@@ -172,10 +161,6 @@ class TestSessionResources:
             assert session._pool is pool
         assert not pool.active  # close() shut it down
         assert np.array_equal(first.matrix, serial)
-        reference = _legacy(
-            fault_detection_matrix, batcher8, faults, vectors,
-            criterion="reference", engine="bitpacked",
-        )
         assert np.array_equal(second.matrix, reference)
 
     def test_parallel_verify_through_shared_pool(self, batcher8):
@@ -214,13 +199,11 @@ class TestSessionConstruction:
         monkeypatch.setenv("REPRO_WORKERS", "3")
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "4096")
         monkeypatch.setenv("REPRO_PRUNE", "0")
-        monkeypatch.setenv("REPRO_ARENA", "false")
         session = Session.default()
         assert session.engine == "bitpacked"
         assert session.workers == 3
         assert session.chunk_size == 4096
         assert session.prune is False
-        assert session.arena is False
 
     def test_default_without_env_is_plain(self, monkeypatch):
         for name in (
@@ -228,7 +211,6 @@ class TestSessionConstruction:
             "REPRO_WORKERS",
             "REPRO_CHUNK_SIZE",
             "REPRO_PRUNE",
-            "REPRO_ARENA",
         ):
             monkeypatch.delenv(name, raising=False)
         session = Session.default()
@@ -236,7 +218,6 @@ class TestSessionConstruction:
         assert session.workers == 1
         assert session.chunk_size is None
         assert session.prune is True
-        assert session.arena is None
 
     def test_invalid_knobs_raise(self):
         with pytest.raises(ExecutionConfigError):
@@ -268,18 +249,18 @@ class TestSessionConstruction:
             assert combined[name].by_kind == singles[name].by_kind
 
 
-def test_verify_selector_and_merger_match_legacy():
+def test_verify_selector_and_merger_match_scalar_session():
     from repro.constructions import batcher_merging_network, pruned_selection_network
-    from repro.properties import is_merger, is_selector
 
     selector = pruned_selection_network(6, 2)
     merger = batcher_merging_network(6)
     with Session(engine="bitpacked") as session:
         sel = session.verify(selector, "selector", k=2)
         mer = session.verify(merger, "merger")
-    assert sel.verdict == _legacy(is_selector, selector, 2, engine="bitpacked")
+    with Session(engine="scalar") as oracle:
+        assert sel.verdict == oracle.verify(selector, "selector", k=2).verdict
+        assert mer.verdict == oracle.verify(merger, "merger").verdict
     assert sel.k == 2
-    assert mer.verdict == _legacy(is_merger, merger, engine="bitpacked")
     assert mer.k is None
 
 
@@ -288,9 +269,8 @@ def test_sharded_session_matches_serial_medium():
     device = batcher_sorting_network(10)
     faults = enumerate_single_faults(device, line_stuck_at_input_only=False)
     vectors = np.asarray(sorting_binary_test_set(10), dtype=np.int8)
-    serial = _legacy(
-        fault_detection_matrix, device, faults, vectors, engine="bitpacked"
-    )
+    with Session(engine="bitpacked") as serial_session:
+        serial = serial_session.fault_matrix(device, faults, vectors).matrix
     with Session(engine="bitpacked", workers=2) as session:
         first = session.fault_matrix(device, faults, vectors)
         second = session.fault_matrix(device, faults, vectors)
