@@ -5,20 +5,30 @@ Layout (under the store root, typically ``jobs/``)::
     jobs/
       000001-61e3f2a40c9b/
         request.json   # verbatim submit payload + content key + kind
-        status.json    # {"state", "detail", "sequence"} — the state machine
+        status.json    # {"state", "detail"} — the state machine
         result.json    # the result's to_json() text, written once on success
         trace.json     # the job-level span tree (serve.job wrapping the run)
 
-Writes are atomic (temp file + :func:`os.replace` in the job directory),
-so a SIGKILL never leaves a half-written JSON behind — at worst a job is
-still marked ``queued``/``running`` and is re-queued on restart.
-``result.json`` is the replay currency: a finished job is answered by
-returning the stored text *verbatim*, which is what makes replayed
-results bit-identical to the first client's.
+Every file is compact JSON (no indentation, so :func:`json.dumps` runs
+its C encoder).  Writes are atomic (temp file + :func:`os.replace` in the
+job directory), so a SIGKILL never leaves a half-written JSON behind — at
+worst a job is still marked ``queued``/``running`` and is re-queued on
+restart.  ``result.json`` is the replay currency: a finished job is
+answered by returning the stored text *verbatim*, which is what makes
+replayed results bit-identical to the first client's.
 
 Job ids are ``{sequence:06d}-{content_key[:12]}``: the sequence makes
 ids unique and sortable in submission order, the key fragment makes the
-directory name say *what* the job computes.
+directory name say *what* the job computes.  The store scans its root
+once, when constructed, for the highest sequence on disk; after that
+:meth:`JobStore.create` mints ids from a counter and never lists the
+directory, so creating a job costs the same at 10 jobs as at 10,000.
+
+Resuming reads every job back (:meth:`JobStore.iter_jobs`), but only
+``queued`` / ``running`` jobs are re-validated into a
+:class:`~repro.serve.protocol.JobRequest` — they will run again.  A
+terminal job is answered from its stored files, so its record carries
+the kind and content key alone.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from pathlib import Path
 from typing import Any
 
 from ..exceptions import ServiceError
-from .protocol import JOB_STATES, JobRequest
+from .protocol import JOB_STATES, TERMINAL_STATES, JobRequest
 
 __all__ = ["JobRecord", "JobStore"]
 
@@ -41,6 +51,13 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _json_bytes(payload: dict[str, Any]) -> bytes:
+    """Compact, key-sorted UTF-8 JSON (the C encoder's fast path)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    )
+
+
 class JobRecord:
     """One job as read back from disk (resume / inspection view).
 
@@ -48,8 +65,11 @@ class JobRecord:
     ----------
     job_id : str
         The directory name.
-    request : JobRequest
-        The re-validated submit payload.
+    kind : str
+        The job kind recorded at submit time.
+    request : JobRequest or None
+        The re-validated submit payload of a ``queued`` / ``running``
+        job; ``None`` for a terminal job, which never runs again.
     content_key : str
         The dedup key recorded at submit time.
     state : str
@@ -60,17 +80,19 @@ class JobRecord:
         Failure message / cancellation reason, when present.
     """
 
-    __slots__ = ("job_id", "request", "content_key", "state", "detail")
+    __slots__ = ("job_id", "kind", "request", "content_key", "state", "detail")
 
     def __init__(
         self,
         job_id: str,
-        request: JobRequest,
+        kind: str,
+        request: JobRequest | None,
         content_key: str,
         state: str,
         detail: str | None,
     ) -> None:
         self.job_id = job_id
+        self.kind = kind
         self.request = request
         self.content_key = content_key
         self.state = state
@@ -83,12 +105,24 @@ class JobStore:
     Parameters
     ----------
     root : path-like
-        The jobs directory; created (with parents) if missing.
+        The jobs directory; created (with parents) if missing.  Its
+        highest job sequence is read once, here.
+
+    Notes
+    -----
+    :meth:`create` increments a plain counter: only one thread (the
+    service's event loop) may create jobs.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        highest = 0
+        for entry in self.root.iterdir():
+            head, _, _ = entry.name.partition("-")
+            if head.isdigit():
+                highest = max(highest, int(head))
+        self._next_sequence = highest + 1
 
     # -- paths ---------------------------------------------------------
     def job_dir(self, job_id: str) -> Path:
@@ -107,17 +141,12 @@ class JobStore:
         return self.root / job_id
 
     # -- creation ------------------------------------------------------
-    def next_sequence(self) -> int:
-        """One above the highest sequence number on disk (1 when empty)."""
-        highest = 0
-        for entry in self.root.iterdir():
-            head, _, _ = entry.name.partition("-")
-            if head.isdigit():
-                highest = max(highest, int(head))
-        return highest + 1
-
     def create(self, request: JobRequest, content_key: str) -> str:
         """Persist a new job in state ``queued`` and return its id.
+
+        The id's sequence comes from the store's counter, without
+        listing the directory; an existing directory of that name (a
+        second writer on the same root) raises :class:`FileExistsError`.
 
         Parameters
         ----------
@@ -131,20 +160,19 @@ class JobStore:
         str
             The minted job id (``{seq:06d}-{key[:12]}``).
         """
-        job_id = f"{self.next_sequence():06d}-{content_key[:12]}"
+        job_id = f"{self._next_sequence:06d}-{content_key[:12]}"
+        self._next_sequence += 1
         directory = self.job_dir(job_id)
         directory.mkdir()
         _atomic_write(
             directory / "request.json",
-            json.dumps(
+            _json_bytes(
                 {
                     "content_key": content_key,
                     "kind": request.kind,
                     "payload": request.to_dict(),
-                },
-                sort_keys=True,
-                indent=2,
-            ).encode("utf-8"),
+                }
+            ),
         )
         self.write_status(job_id, "queued")
         return job_id
@@ -169,10 +197,7 @@ class JobStore:
         payload: dict[str, Any] = {"state": state}
         if detail is not None:
             payload["detail"] = detail
-        _atomic_write(
-            self.job_dir(job_id) / "status.json",
-            json.dumps(payload, sort_keys=True, indent=2).encode("utf-8"),
-        )
+        _atomic_write(self.job_dir(job_id) / "status.json", _json_bytes(payload))
 
     def read_status(self, job_id: str) -> dict[str, Any]:
         """The persisted status object of one job.
@@ -248,7 +273,8 @@ class JobStore:
         Returns
         -------
         JobRecord
-            The re-validated record.
+            The record; only a ``queued`` / ``running`` job's payload is
+            re-validated into :attr:`JobRecord.request`.
 
         Raises
         ------
@@ -258,18 +284,24 @@ class JobStore:
         path = self.job_dir(job_id) / "request.json"
         if not path.is_file():
             raise ServiceError(f"job {job_id!r} has no request.json")
+        status = self.read_status(job_id)
+        state = str(status.get("state", "queued"))
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-            request = JobRequest.from_dict(data["payload"])
+            kind = str(data["kind"])
             content_key = str(data["content_key"])
+            request = (
+                None if state in TERMINAL_STATES
+                else JobRequest.from_dict(data["payload"])
+            )
         except (KeyError, ValueError) as exc:
             raise ServiceError(f"job {job_id!r} is corrupt: {exc}") from exc
-        status = self.read_status(job_id)
         return JobRecord(
             job_id=job_id,
+            kind=kind,
             request=request,
             content_key=content_key,
-            state=str(status.get("state", "queued")),
+            state=state,
             detail=status.get("detail"),
         )
 

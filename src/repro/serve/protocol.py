@@ -11,8 +11,10 @@ Requests carry an ``"op"``; the interesting one is ``submit``, whose
     A :func:`repro.core.serialization.network_to_dict` payload.
 ``vectors``
     Either ``{"cube": n}`` (the exhaustive 0/1 cube,
-    :class:`repro.faults.CubeVectors`) or ``{"words": [[...], ...]}``
-    (an explicit test set).  Required by every kind except ``verify``.
+    :class:`repro.faults.CubeVectors`, ``n`` the network's line count) or
+    ``{"words": [[...], ...]}`` (an explicit test set: a non-empty list of
+    integer rows, each as wide as the network).  Required by every kind
+    except ``verify``.
 ``faults``
     Either ``{"single": true}`` / ``{"single": {"kinds": [...]}}``
     (:func:`repro.faults.enumerate_single_faults`), ``{"model": name}``
@@ -22,10 +24,22 @@ Requests carry an ``"op"``; the interesting one is ``submit``, whose
 ``prop`` / ``strategy`` / ``k`` / ``criterion``
     Forwarded to the matching Session method.
 
+:meth:`JobRequest.from_dict` validates and decodes a payload once: the
+network, the vectors (explicit words become one read-only 2-D integer
+array) and the fault universe are decoded, and the workload token is
+built, at submit time.  Malformed input — an unknown kind, a missing
+field, ragged or wrongly sized words, non-integer entries — raises
+:class:`~repro.exceptions.ServiceError` there, before anything is
+persisted.
+
 Deduplication hinges on :meth:`JobRequest.content_key`: a BLAKE2b digest
 over the *structured* identity tokens of :mod:`repro.cache.keys`
-(network token, vector token, fault tokens) plus the workload parameters
-and the server's execution identity ``(engine, workers, chunk_size,
+(:func:`~repro.cache.keys.network_token`, then
+:func:`~repro.cache.keys.cube_token` for a cube or
+:func:`~repro.cache.keys.array_token` — a digest of the word array's
+bytes, shape and dtype — for explicit words, then
+:func:`~repro.cache.keys.faults_token`) plus the workload parameters and
+the server's execution identity ``(engine, workers, chunk_size,
 prune)``.  Two submissions collide exactly when the service would run
 the same computation under the same configuration — formatting of the
 JSON never matters, the engine does.
@@ -33,12 +47,14 @@ JSON never matters, the engine does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import hashlib
 import json
 from typing import Any
 
-from ..cache.keys import cube_token, faults_token, network_token, words_token
+import numpy as np
+
+from ..cache.keys import array_token, cube_token, faults_token, network_token
 from ..core.network import ComparatorNetwork
 from ..core.serialization import network_from_dict
 from ..exceptions import ServiceError
@@ -75,8 +91,8 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: States a job never leaves.
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
-#: Job kinds that need test vectors / a fault universe.
-_VECTOR_KINDS = ("test-set", "fault-matrix", "fault-coverage", "diagnose")
+#: Job kinds that need a fault universe (every kind but ``verify`` needs
+#: test vectors).
 _FAULT_KINDS = ("fault-matrix", "fault-coverage", "diagnose")
 
 
@@ -130,11 +146,75 @@ def decode_message(line: bytes | str) -> dict[str, Any]:
     return payload
 
 
-def _require(payload: dict[str, Any], field: str, kind: str) -> Any:
-    value = payload.get(field)
+def _require(payload: dict[str, Any], name: str, kind: str) -> Any:
+    value = payload.get(name)
     if value is None:
-        raise ServiceError(f"job kind {kind!r} requires a {field!r} field")
+        raise ServiceError(f"job kind {kind!r} requires a {name!r} field")
     return value
+
+
+def _decode_vectors(spec: Any, n_lines: int) -> CubeVectors | np.ndarray:
+    """The vector spec as a cube or a read-only ``(words, n_lines)`` array."""
+    if not isinstance(spec, dict):
+        raise ServiceError("'vectors' must be an object")
+    if "cube" in spec:
+        if spec["cube"] != n_lines:
+            raise ServiceError(
+                f"'vectors.cube' must equal the network's {n_lines} lines, "
+                f"got {spec['cube']!r}"
+            )
+        return CubeVectors(n_lines)
+    if "words" in spec:
+        words = spec["words"]
+        if not isinstance(words, list) or not words:
+            raise ServiceError("'vectors.words' must be a non-empty list")
+        try:
+            array = np.array(words)
+        except ValueError as exc:
+            raise ServiceError(
+                f"'vectors.words' must be equal-length rows of integers: {exc}"
+            ) from exc
+        if array.ndim != 2 or array.shape[1] != n_lines:
+            raise ServiceError(
+                f"'vectors.words' must be a list of {n_lines}-entry rows, "
+                f"got shape {array.shape}"
+            )
+        # JSON true / false read as 1 / 0, as Python's int() does; floats,
+        # strings, nulls and integers beyond int64 are refused.
+        if array.dtype.kind not in "bi":
+            raise ServiceError(
+                f"'vectors.words' entries must be integers, got {array.dtype}"
+            )
+        array = array.astype(np.int64, copy=False)
+        array.flags.writeable = False
+        return array
+    raise ServiceError("'vectors' needs a 'cube' or 'words' member")
+
+
+def _decode_faults(spec: Any, network: ComparatorNetwork) -> tuple[Fault, ...]:
+    """The fault spec as an explicit, enumerated or modelled universe."""
+    from ..api.serialize import fault_from_dict
+
+    if not isinstance(spec, dict):
+        raise ServiceError("'faults' must be an object")
+    if "list" in spec:
+        entries = spec["list"]
+        if not isinstance(entries, list) or not entries:
+            raise ServiceError("'faults.list' must be a non-empty list")
+        return tuple(fault_from_dict(entry) for entry in entries)
+    if "model" in spec:
+        return tuple(enumerate_model_faults(network, str(spec["model"])))
+    if "single" in spec:
+        options = spec["single"]
+        if options is True:
+            return tuple(enumerate_single_faults(network))
+        if isinstance(options, dict):
+            kinds = tuple(str(k) for k in options.get("kinds", ()))
+            if kinds:
+                return tuple(enumerate_single_faults(network, kinds=kinds))
+            return tuple(enumerate_single_faults(network))
+        raise ServiceError("'faults.single' must be true or an object")
+    raise ServiceError("'faults' needs a 'list', 'model' or 'single' member")
 
 
 @dataclass(frozen=True)
@@ -142,9 +222,10 @@ class JobRequest:
     """One validated, immutable job submission (module docstring).
 
     Build with :meth:`from_dict` (wire payloads) or :meth:`build`
-    (in-process convenience); the raw payload survives verbatim in
-    :attr:`payload` so the job store can persist exactly what was
-    submitted.
+    (in-process convenience), which decode the payload once; the raw
+    payload survives verbatim in :attr:`payload` so the job store can
+    persist exactly what was submitted, and the accessors return the
+    decoded values.
 
     Attributes
     ----------
@@ -156,10 +237,14 @@ class JobRequest:
 
     kind: str
     payload: dict[str, Any]
+    _network: ComparatorNetwork = field(repr=False, compare=False)
+    _vectors: CubeVectors | np.ndarray | None = field(repr=False, compare=False)
+    _faults: tuple[Fault, ...] | None = field(repr=False, compare=False)
+    _token: tuple = field(repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> JobRequest:
-        """Validate a wire payload into a :class:`JobRequest`.
+        """Validate and decode a wire payload into a :class:`JobRequest`.
 
         Parameters
         ----------
@@ -169,8 +254,8 @@ class JobRequest:
         Returns
         -------
         JobRequest
-            The validated request (decoding is re-done lazily by the
-            accessors, so the instance stays cheap to persist).
+            The validated request, holding its decoded network, vectors,
+            fault universe and workload token.
 
         Raises
         ------
@@ -182,21 +267,39 @@ class JobRequest:
             raise ServiceError(
                 f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
             )
-        request = cls(kind=kind, payload=dict(payload))
-        # Force every decode now so bad payloads fail at submit time,
-        # not inside an executor thread.
-        request.network()
-        if kind in _VECTOR_KINDS:
-            vectors = request.vectors()
-            if kind == "test-set" and isinstance(vectors, CubeVectors):
-                raise ServiceError(
-                    "test-set jobs need explicit 'words' vectors (the "
-                    "exhaustive cube belongs to verify / fault kinds)"
-                )
+        data = payload.get("network")
+        if not isinstance(data, dict):
+            raise ServiceError("job payload lacks a 'network' object")
+        network = network_from_dict(data)
+        token: tuple = ("job", kind, network_token(network))
+        vectors = None
+        if kind == "verify":
+            token += (
+                str(payload.get("prop", "sorter")),
+                str(payload.get("strategy", "testset")),
+                int(payload.get("k", 1)),
+            )
+        else:
+            vectors = _decode_vectors(
+                _require(payload, "vectors", kind), network.n_lines
+            )
+            if isinstance(vectors, CubeVectors):
+                if kind == "test-set":
+                    raise ServiceError(
+                        "test-set jobs need explicit 'words' vectors (the "
+                        "exhaustive cube belongs to verify / fault kinds)"
+                    )
+                token += (cube_token(vectors.n),)
+            else:
+                token += (array_token(vectors),)
+        faults = None
         if kind in _FAULT_KINDS:
-            request.faults()
-        request.content_key()
-        return request
+            faults = _decode_faults(_require(payload, "faults", kind), network)
+            token += (
+                faults_token(faults),
+                str(payload.get("criterion", "specification")),
+            )
+        return cls(kind, dict(payload), network, vectors, faults, token)
 
     @classmethod
     def build(
@@ -244,83 +347,53 @@ class JobRequest:
 
     # -- decoded views -------------------------------------------------
     def network(self) -> ComparatorNetwork:
-        """The device under test, decoded from the payload.
+        """The device under test, decoded at submit time.
 
         Returns
         -------
         ComparatorNetwork
-            The deserialised network.
+            The deserialised (immutable) network.
         """
-        data = self.payload.get("network")
-        if not isinstance(data, dict):
-            raise ServiceError("job payload lacks a 'network' object")
-        return network_from_dict(data)
+        return self._network
 
-    def vectors(self) -> CubeVectors | list[list[int]]:
-        """The test vectors: an exhaustive cube or an explicit word list.
+    def vectors(self) -> CubeVectors | np.ndarray:
+        """The test vectors: an exhaustive cube or an explicit word array.
 
         Returns
         -------
-        CubeVectors or list of list of int
+        CubeVectors or numpy.ndarray
             ``{"cube": n}`` decodes to :class:`~repro.faults.CubeVectors`,
-            ``{"words": [...]}`` to the words themselves.
-        """
-        spec = _require(self.payload, "vectors", self.kind)
-        if not isinstance(spec, dict):
-            raise ServiceError("'vectors' must be an object")
-        if "cube" in spec:
-            return CubeVectors(int(spec["cube"]))
-        if "words" in spec:
-            words = spec["words"]
-            if not isinstance(words, list) or not words:
-                raise ServiceError("'vectors.words' must be a non-empty list")
-            return [[int(bit) for bit in word] for word in words]
-        raise ServiceError("'vectors' needs a 'cube' or 'words' member")
+            ``{"words": [...]}`` to one read-only ``int64`` array of shape
+            ``(len(words), n_lines)`` — every Session workload method
+            accepts either.
 
-    def faults(self) -> list[Fault]:
-        """The fault universe, decoded / enumerated from the payload.
+        Raises
+        ------
+        repro.exceptions.ServiceError
+            For a ``verify`` job, which carries no vectors.
+        """
+        if self._vectors is None:
+            raise ServiceError(f"job kind {self.kind!r} carries no vectors")
+        return self._vectors
+
+    def faults(self) -> tuple[Fault, ...]:
+        """The fault universe, decoded / enumerated at submit time.
 
         Returns
         -------
-        list of Fault
+        tuple of Fault
             Explicit faults (``{"list": ...}``), a registered model's
             canonical universe (``{"model": name}``), or the single-fault
             enumeration (``{"single": ...}``).
+
+        Raises
+        ------
+        repro.exceptions.ServiceError
+            For a kind that carries no fault universe.
         """
-        from ..api.serialize import fault_from_dict
-
-        spec = _require(self.payload, "faults", self.kind)
-        if not isinstance(spec, dict):
-            raise ServiceError("'faults' must be an object")
-        if "list" in spec:
-            entries = spec["list"]
-            if not isinstance(entries, list) or not entries:
-                raise ServiceError("'faults.list' must be a non-empty list")
-            return [fault_from_dict(entry) for entry in entries]
-        if "model" in spec:
-            return enumerate_model_faults(self.network(), str(spec["model"]))
-        if "single" in spec:
-            options = spec["single"]
-            if options is True:
-                return enumerate_single_faults(self.network())
-            if isinstance(options, dict):
-                kinds = tuple(str(k) for k in options.get("kinds", ()))
-                if kinds:
-                    return enumerate_single_faults(self.network(), kinds=kinds)
-                return enumerate_single_faults(self.network())
-            raise ServiceError("'faults.single' must be true or an object")
-        raise ServiceError(
-            "'faults' needs a 'list', 'model' or 'single' member"
-        )
-
-    def _vectors_token(self) -> tuple:
-        vectors = self.vectors()
-        if isinstance(vectors, CubeVectors):
-            return cube_token(vectors.n)
-        network = self.network()
-        return words_token(
-            [tuple(word) for word in vectors], network.n_lines
-        )
+        if self._faults is None:
+            raise ServiceError(f"job kind {self.kind!r} carries no faults")
+        return self._faults
 
     def workload_token(self) -> tuple:
         """The structured identity of the computation (execution aside).
@@ -331,21 +404,7 @@ class JobRequest:
             Workload kind, the :mod:`repro.cache.keys` tokens of the
             network / vectors / faults, and the workload parameters.
         """
-        token: tuple = ("job", self.kind, network_token(self.network()))
-        if self.kind == "verify":
-            token += (
-                str(self.payload.get("prop", "sorter")),
-                str(self.payload.get("strategy", "testset")),
-                int(self.payload.get("k", 1)),
-            )
-        else:
-            token += (self._vectors_token(),)
-        if self.kind in _FAULT_KINDS:
-            token += (
-                faults_token(self.faults()),
-                str(self.payload.get("criterion", "specification")),
-            )
-        return token
+        return self._token
 
     def content_key(
         self, execution_identity: tuple[Any, ...] = ()
@@ -364,7 +423,7 @@ class JobRequest:
         str
             A 32-hex-character digest.
         """
-        token = self.workload_token() + ("exec",) + tuple(execution_identity)
+        token = self._token + ("exec",) + tuple(execution_identity)
         digest = hashlib.blake2b(
             repr(token).encode("utf-8"), digest_size=16
         )

@@ -17,6 +17,13 @@
   (their ``result.json`` text is returned verbatim — bit-identical),
   interrupted ones are re-queued.
 
+A job holds its decoded :class:`~repro.serve.protocol.JobRequest` only
+while it can still run.  Once it is ``done``, ``failed`` or
+``cancelled`` it keeps its id, kind, state, detail and content key and
+drops the request and its task, so the job table grows by a few short
+strings per job, not by payloads; a finished job is answered from the
+store.
+
 Server-level counters (``jobs_accepted`` / ``jobs_deduped`` /
 ``jobs_executed`` / ``jobs_completed`` / ``jobs_failed`` /
 ``jobs_cancelled`` / ``jobs_resumed`` / ``jobs_replayed`` /
@@ -78,23 +85,28 @@ SERVER_COUNTERS = (
 
 
 class _Job:
-    """In-memory state of one job (the persisted twin lives in the store)."""
+    """In-memory state of one job (the persisted twin lives in the store).
+
+    ``request`` and ``task`` are ``None`` once the job is terminal.
+    """
 
     __slots__ = (
-        "job_id", "request", "content_key", "state", "detail",
+        "job_id", "kind", "request", "content_key", "state", "detail",
         "task", "done", "from_disk",
     )
 
     def __init__(
         self,
         job_id: str,
-        request: JobRequest,
+        kind: str,
+        request: JobRequest | None,
         content_key: str,
         state: str = "queued",
         detail: str | None = None,
         from_disk: bool = False,
     ) -> None:
         self.job_id = job_id
+        self.kind = kind
         self.request = request
         self.content_key = content_key
         self.state = state
@@ -170,9 +182,10 @@ class VerificationService:
         """Spin up the session queue / executor and resume stored jobs.
 
         Terminal jobs on disk are indexed into the dedup map (``done``
-        ones) so future identical submissions replay them; ``queued`` /
-        ``running`` jobs — the ones a crash interrupted — are re-queued
-        and counted under ``jobs_resumed``.
+        ones) so future identical submissions replay them; the store
+        hands them over without a request, as :meth:`_terminalise` leaves
+        a finished job.  ``queued`` / ``running`` jobs — the ones a crash
+        interrupted — are re-queued and counted under ``jobs_resumed``.
         """
         self._session_queue = asyncio.Queue()
         for session in self.sessions:
@@ -184,6 +197,7 @@ class VerificationService:
         for record in self.store.iter_jobs():
             job = _Job(
                 job_id=record.job_id,
+                kind=record.kind,
                 request=record.request,
                 content_key=record.content_key,
                 state=record.state,
@@ -254,7 +268,7 @@ class VerificationService:
                 self.metrics.increment("jobs_deduped")
                 return existing_id, True
         job_id = self.store.create(request, key)
-        job = _Job(job_id, request, key)
+        job = _Job(job_id, request.kind, request, key)
         self._jobs[job_id] = job
         self._by_key[key] = job_id
         job.task = asyncio.create_task(self._run(job))
@@ -323,7 +337,7 @@ class VerificationService:
         job = self._get(job_id)
         payload: dict[str, Any] = {
             "job_id": job.job_id,
-            "kind": job.request.kind,
+            "kind": job.kind,
             "state": job.state,
             "content_key": job.content_key,
         }
@@ -387,6 +401,8 @@ class VerificationService:
     async def _run(self, job: _Job) -> None:
         """The lifecycle task of one job (queued → running → terminal)."""
         assert self._session_queue is not None and self._executor is not None
+        request = job.request
+        assert request is not None  # dropped only once the job is terminal
         try:
             session = await self._session_queue.get()
         except asyncio.CancelledError:
@@ -395,7 +411,7 @@ class VerificationService:
         loop = asyncio.get_running_loop()
         self._set_state(job, "running")
         future = loop.run_in_executor(
-            self._executor, self._execute, session, job.request
+            self._executor, self._execute, session, request
         )
         queue = self._session_queue
 
@@ -405,7 +421,7 @@ class VerificationService:
                 fut.exception()  # consume, silencing never-retrieved warnings
 
         future.add_done_callback(_release)
-        timeout = job.request.payload.get("timeout", self.timeout)
+        timeout = request.payload.get("timeout", self.timeout)
         try:
             if timeout is not None:
                 result = await asyncio.wait_for(
@@ -430,10 +446,10 @@ class VerificationService:
         stats = getattr(result, "stats", None)
         if stats is not None:
             self.simulation.merge_packed(stats.counts())
-        self.store.write_result_text(job.job_id, result.to_json(indent=2))
+        self.store.write_result_text(job.job_id, result.to_json())
         trace = self._job_trace(job, result)
         if trace is not None:
-            self.store.write_trace_text(job.job_id, trace.to_json())
+            self.store.write_trace_text(job.job_id, trace.to_json(indent=None))
         self.metrics.increment("jobs_completed")
         self._terminalise(job, "done")
 
@@ -468,7 +484,7 @@ class VerificationService:
         with trace.span(
             "serve.job",
             job_id=job.job_id,
-            kind=job.request.kind,
+            kind=job.kind,
             content_key=job.content_key,
         ) as span:
             pass
@@ -494,6 +510,8 @@ class VerificationService:
         self, job: _Job, state: str, detail: str | None = None
     ) -> None:
         self._set_state(job, state, detail)
+        job.request = None
+        job.task = None
         job.done.set()
 
     def _on_cancelled(self, job: _Job) -> None:

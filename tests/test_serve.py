@@ -169,6 +169,26 @@ def test_job_request_validation():
         JobRequest.build(
             "fault-coverage", NETWORK, vectors={"cube": 8}, faults={"x": 1}
         )
+    # Explicit words are refused at submit, not in the executor: ragged
+    # rows, the wrong width, non-integer entries, a cube of another size.
+    good = [0, 1] * 4
+    for words, match in (
+        ([good, good[:7]], "equal-length"),
+        ([good[:7], good[:7]], "8-entry rows"),
+        ([good + [0], good + [1]], "8-entry rows"),
+        ([good, [[0]] * 8], "equal-length"),
+        ([[1.5] + good[1:]], "integers"),
+        ([["1"] + good[1:]], "integers"),
+        ([[None] + good[1:]], "integers"),
+        ([[2**64] + good[1:]], "integers"),
+    ):
+        with pytest.raises(ServiceError, match=match):
+            JobRequest.build("test-set", NETWORK, vectors={"words": words})
+    with pytest.raises(ServiceError, match="8 lines"):
+        JobRequest.build(
+            "fault-coverage", NETWORK, vectors={"cube": 9},
+            faults={"single": True},
+        )
 
 
 def test_every_job_kind_is_buildable():
@@ -185,6 +205,45 @@ def test_every_job_kind_is_buildable():
         request = JobRequest.build(kind, NETWORK, **extra)
         assert request.kind == kind
         assert len(request.content_key()) == 32
+
+
+def test_explicit_words_decode_once_into_a_read_only_array():
+    words = [[0, 1] * 4, [1, 0] * 4, [True, False] * 4]
+    request = JobRequest.build("test-set", NETWORK, vectors={"words": words})
+    vectors = request.vectors()
+    assert vectors.shape == (3, 8) and vectors.dtype.name == "int64"
+    assert vectors.tolist() == [[0, 1] * 4, [1, 0] * 4, [1, 0] * 4]
+    assert request.vectors() is vectors  # decoded once, not per call
+    with pytest.raises(ValueError):
+        vectors[0, 0] = 1
+    # The payload is kept verbatim for the job store.
+    assert request.to_dict()["vectors"] == {"words": words}
+    coverage = JobRequest.build(
+        "fault-coverage", NETWORK, vectors={"cube": 8},
+        faults={"single": True},
+    )
+    assert isinstance(coverage.faults(), tuple)
+    assert coverage.faults() is coverage.faults()
+    with pytest.raises(ServiceError):
+        JobRequest.build("verify", NETWORK).vectors()
+    with pytest.raises(ServiceError):
+        request.faults()
+
+
+def test_content_key_tracks_every_bit_and_the_order_of_words():
+    words = [[0, 1] * 4, [1, 1, 0, 0] * 2, [0, 0, 0, 1] * 2]
+
+    def key(rows):
+        return JobRequest.build(
+            "test-set", NETWORK, vectors={"words": rows}
+        ).content_key(("bitpacked", 1, None, True))
+
+    assert key(words) == key([list(row) for row in words])
+    flipped = [list(row) for row in words]
+    flipped[2][5] ^= 1
+    assert key(flipped) != key(words)
+    assert key(words[::-1]) != key(words)
+    assert key(words[:2]) != key(words)
 
 
 def test_content_key_hashes_structure_not_formatting():
@@ -263,6 +322,82 @@ def test_jobstore_skips_corrupt_directories(tmp_path):
         store.load("000099-deadbeef0000")
     with pytest.raises(ServiceError):
         store.write_status(job_id, "no-such-state")
+
+
+def test_jobstore_mints_ids_without_listing_the_directory(
+    tmp_path, monkeypatch
+):
+    store = JobStore(tmp_path / "jobs")
+    request = JobRequest.from_dict(coverage_job())
+
+    def no_listing(self):
+        raise AssertionError(f"JobStore.create listed {self}")
+
+    monkeypatch.setattr(Path, "iterdir", no_listing)
+    ids = [store.create(request, f"{i:032x}") for i in range(1, 4)]
+    assert [job_id[:6] for job_id in ids] == ["000001", "000002", "000003"]
+
+
+def test_new_jobstore_continues_past_the_highest_id(tmp_path):
+    root = tmp_path / "jobs"
+    first = JobStore(root)
+    request = JobRequest.from_dict(coverage_job())
+    first.create(request, "ab" * 16)
+    # Non-digit names and a corrupt job (no request.json) on disk.
+    (root / "notes").mkdir()
+    (root / "x-000500").mkdir()
+    (root / "000300.tmp").write_text("")
+    (root / "000012-deadbeef0000").mkdir()
+    second = JobStore(root)
+    assert second.create(request, "cd" * 16) == "000013-" + "cd" * 6
+    assert second.create(request, "ef" * 16).startswith("000014-")
+    # A stale store minting an id another store already took fails loudly.
+    stale = JobStore(root)
+    assert second.create(request, "ef" * 16).startswith("000015-")
+    with pytest.raises(FileExistsError):
+        stale.create(request, "ef" * 16)
+
+
+def test_resume_validates_only_jobs_that_will_run(tmp_path, monkeypatch):
+    store = JobStore(tmp_path / "jobs")
+    identity = ("bitpacked", 1, None, True)
+    states = ("done", "failed", "cancelled", "queued")
+    ids = {}
+    for state, n in zip(states, (8, 9, 10, 11)):
+        network = batcher_sorting_network(n)
+        request = JobRequest.build("verify", network, strategy="binary")
+        ids[state] = store.create(request, request.content_key(identity))
+        if state != "queued":
+            store.write_status(ids[state], state)
+    calls = []
+    original = JobRequest.from_dict
+
+    def counting(cls, payload):
+        calls.append(payload["kind"])
+        return original(payload)
+
+    monkeypatch.setattr(JobRequest, "from_dict", classmethod(counting))
+    records = {record.job_id: record for record in store.iter_jobs()}
+    assert len(calls) == 1
+    for state, job_id in ids.items():
+        record = records[job_id]
+        assert record.state == state and record.kind == "verify"
+        assert (record.request is None) == (state != "queued")
+
+    async def resume():
+        service = VerificationService(tmp_path / "jobs", engine="bitpacked")
+        await service.start()
+        try:
+            assert len(calls) == 2  # the queued job alone, once more
+            assert await service.wait(ids["queued"]) == "done"
+            for job_id in ids.values():
+                job = service._jobs[job_id]
+                assert job.request is None and job.task is None
+                assert service.job_payload(job_id)["kind"] == "verify"
+        finally:
+            await service.close()
+
+    asyncio.run(resume())
 
 
 def test_jobstore_missing_result_reads_none(tmp_path):
@@ -502,6 +637,153 @@ def test_line_bound_is_exact_and_keeps_the_stream_in_sync(tmp_path, sock_dir):
         return None
 
     run_with_server(scenario, tmp_path, sock_dir)
+
+
+def test_malformed_words_are_refused_at_submit(tmp_path, sock_dir):
+    good = [0, 1] * 4
+    bad_words = (
+        [good, good[:5]],  # ragged
+        [good[:5], good[:5]],  # wrong width
+        [[1.5] + good[1:]],  # not an integer
+        [["1"] + good[1:]],
+    )
+
+    async def scenario(service, sock):
+        def run():
+            with ServeClient(socket_path=sock) as client:
+                errors = []
+                for words in bad_words:
+                    job = {
+                        "kind": "test-set",
+                        "network": coverage_job()["network"],
+                        "vectors": {"words": words},
+                    }
+                    with pytest.raises(ServiceError) as refused:
+                        client.submit(job, wait=True)
+                    errors.append(str(refused.value))
+                return errors, client.status()
+
+        errors, status = await asyncio.to_thread(run)
+        assert len(errors) == len(bad_words)
+        assert all("vectors.words" in error for error in errors)
+        assert status["metrics"]["protocol_errors"] == len(bad_words)
+        assert status["metrics"]["jobs_accepted"] == 0
+        assert list(service.store.root.iterdir()) == []
+        return None
+
+    run_with_server(scenario, tmp_path, sock_dir)
+
+
+def test_finished_jobs_drop_their_requests_and_still_answer(
+    tmp_path, sock_dir
+):
+    failing = JobRequest.build("verify", NETWORK).to_dict()
+    failing["strategy"] = "no-such-strategy"
+
+    async def scenario(service, sock):
+        release = threading.Event()
+        original = service._execute
+
+        def gated(session, request):
+            release.wait(30)
+            return original(session, request)
+
+        service._execute = gated
+
+        def run():
+            with ServeClient(socket_path=sock) as client:
+                done = client.submit(coverage_job(), wait=False)
+                cancelled = client.submit(slow_job(), wait=False)
+                client.cancel(cancelled["job_id"])
+                release.set()
+                client.result(done["job_id"], wait=True)
+                failed = client.submit(failing, wait=True)
+                ids = [r["job_id"] for r in (done, cancelled, failed)]
+                views = [client.job(job_id) for job_id in ids]
+                results = [client.result(job_id, wait=False) for job_id in ids]
+                again = client.submit(coverage_job(), wait=True)
+                return ids, views, results, client.jobs(), again
+
+        ids, views, results, jobs, again = await asyncio.to_thread(run)
+        assert [view["state"] for view in views] == [
+            "done", "cancelled", "failed",
+        ]
+        assert [view["kind"] for view in views] == [
+            "fault-coverage", "fault-coverage", "verify",
+        ]
+        for job_id in ids:
+            job = service._jobs[job_id]
+            assert job.request is None and job.task is None
+        assert [job["job_id"] for job in jobs] == sorted(ids)
+        assert results[0]["result_json"]
+        assert "result_json" not in results[1]
+        assert "no-such-strategy" in results[2]["detail"]
+        assert again["deduped"] is True and again["job_id"] == ids[0]
+        assert again["result_json"] == results[0]["result_json"]
+        return None
+
+    run_with_server(scenario, tmp_path, sock_dir, pool_size=1)
+
+
+def test_graceful_close_cancels_only_live_jobs_and_keeps_them_resumable(
+    tmp_path,
+):
+    """Finished jobs hold no task, so close() cancels exactly the live
+    ones; those keep their persisted state and re-run on the next start."""
+
+    def verify_job(n):
+        return JobRequest.build(
+            "verify", batcher_sorting_network(n), strategy="binary"
+        ).to_dict()
+
+    async def first_life():
+        service = VerificationService(
+            tmp_path / "jobs", engine="bitpacked", pool_size=1
+        )
+        await service.start()
+        finished, _ = service.submit(verify_job(8))
+        assert await service.wait(finished) == "done"
+        release = threading.Event()
+        original = service._execute
+
+        def gated(session, request):
+            release.wait(30)
+            return original(session, request)
+
+        service._execute = gated
+        running, _ = service.submit(verify_job(9))
+        queued, _ = service.submit(verify_job(10))
+
+        async def until_running():
+            while service._jobs[running].state != "running":
+                await asyncio.sleep(0.01)
+
+        await asyncio.wait_for(until_running(), 30)
+        live = [job.task for job in service._jobs.values() if job.task]
+        assert len(live) == 2
+        await service.close()
+        release.set()
+        await asyncio.to_thread(service._executor.shutdown, True)
+        assert all(task.cancelled() for task in live)
+        return finished, running, queued
+
+    finished, running, queued = asyncio.run(first_life())
+    store = JobStore(tmp_path / "jobs")
+    assert [store.read_status(job_id)["state"] for job_id in (
+        finished, running, queued
+    )] == ["done", "running", "queued"]
+
+    async def second_life():
+        service = VerificationService(tmp_path / "jobs", engine="bitpacked")
+        await service.start()
+        try:
+            assert service.metrics.get("jobs_resumed") == 2
+            for job_id in (running, queued):
+                assert await asyncio.wait_for(service.wait(job_id), 60) == "done"
+        finally:
+            await service.close()
+
+    asyncio.run(second_life())
 
 
 def test_in_process_resume_replays_and_requeues(tmp_path, sock_dir):
