@@ -18,10 +18,12 @@ Six workloads, all cross-checked for bit-identical results before timing:
   set 0 to skip, e.g. on single-core machines).
 * **Dominated-state pruning** — the same fault universe run through the
   streamed coverage path (the any-reduction, vector chunks of
-  ``2**16`` words) with and without pruning.  The detected-fault vectors
-  must be identical, the streamed cube matrix must equal the explicit-cube
-  matrix at a small cross-check size, and the pruned run must beat the
-  unpruned run by ``--min-prune-speedup`` (second CI gate).
+  ``2**16`` words) with and without pruning; the pruned side also drops
+  detected faults and simulates each line stuck-at twin class once.  The
+  detected-fault vectors must be identical, the streamed cube matrix must
+  equal the explicit-cube matrix at a small cross-check size, and the
+  pruned run must beat the unpruned run by ``--min-prune-speedup``
+  (second CI gate).
 * **Incremental re-verification** — the mutate-one-comparator retest
   loop (default ``n = 16``): verify an incumbent Batcher sorter, then
   for each of a dozen single-comparator mutants verify the candidate and

@@ -59,8 +59,12 @@ def enumerate_single_faults(
     line_stuck_at_input_only:
         When ``True`` (default) line stuck-at faults are only placed at the
         network inputs (stage 0); otherwise one fault is generated per
-        (line, value, stage) triple, which grows quadratically and is rarely
-        needed.
+        (line, value, stage) triple, ``2·n·(size + 1)`` line faults.  Most
+        of them are twins — the same faulty device, because no comparator
+        touches the line between their stages — and the pruned bit-packed
+        coverage kernel simulates each twin class once: ``2·(2·size + n)``
+        line-fault simulations per vector chunk, next to the ``3·size``
+        comparator faults.
     """
     unknown = set(kinds) - set(FAULT_KINDS)
     if unknown:

@@ -48,6 +48,18 @@ inherits the fault-free detection row.  The skipped work is reported
 through :class:`SimulationStats` and the result is bit-identical to the
 unpruned path by construction (see ``tests/test_fault_streaming.py``).
 
+The coverage (any-reduction) kernel saves whole fault simulations on top
+of that, in two ways.  *Fault dropping*: a fault detected by an earlier
+vector chunk is skipped in later chunks.  *Twin sharing*: a line stuck-at
+fault placed at stage ``s`` is the same faulty device as one placed at
+``s'`` whenever no comparator touches the line between the two stages,
+so faults with the same ``(line, value, last writer of the line)`` form
+one class and only its first undecided member runs the kernel; the
+others take its verdict and replay its counters.  The stage-extended
+single-fault universe (``3·size + 2n(size + 1)`` faults) then costs
+``3·size + 2(2·size + n)`` kernel runs per chunk.  The matrix path
+(:func:`fault_detection_matrix`) still simulates every fault.
+
 The pruned hot loop runs allocation-free on a scratch-plane arena
 (:class:`repro.core.scratch.PlaneArena`): every error plane lives in a
 reusable slot pool written through ``out=`` ufuncs, one arena serving all
@@ -196,6 +208,14 @@ class SimulationStats:
     and :meth:`counts` / :meth:`merge_counts` are the registry's
     ``pack()`` / ``merge_packed()`` wire format — the single aggregation
     path across worker processes and cache replays.
+
+    The counters describe the *per-fault* pruned simulation, whatever
+    route produced the verdicts: a line stuck-at twin that took its
+    class representative's verdict, and a cached chunk verdict, replay
+    exactly the counts their own simulation would have added.  So
+    ``faults`` and ``evaluated_stage_blocks`` (and the rest) do not depend
+    on the route — serial, streamed, sharded or cached — only on the
+    chunking, and not on how many kernel runs the twin sharing saved.
 
     Attributes
     ----------
@@ -1474,9 +1494,14 @@ def _fault_any(
     pruner runs, verdicts are taken straight from the packed violation
     masks (no boolean row is ever expanded), and faults already detected by
     an earlier chunk are *dropped* — skipped entirely, since another
-    detection cannot change the OR.  ``prune=False`` reproduces the plain
-    row-building loop.  Either way ``detected`` ends up identical.  The
-    *arena* follows :func:`_fault_rows`.
+    detection cannot change the OR.  Line stuck-at *twins* (same line,
+    value and last writer, :func:`_line_stuck_class`) are simulated once
+    per call: the first member still to be decided runs the kernel, the
+    others take its verdict and replay the counters their own run would
+    have added, so :class:`SimulationStats` does not depend on the sharing.
+    ``prune=False`` reproduces the plain row-building loop.  Either way
+    ``detected`` ends up identical.  The *arena* follows
+    :func:`_fault_rows`.
     """
     if not prune:
         rows = np.zeros((len(faults), prefix.num_words), dtype=bool)
@@ -1485,11 +1510,9 @@ def _fault_any(
         return detected
     if stats is None:
         stats = SimulationStats()
+    n_blocks = prefix.input_planes.shape[1]
     pool = _resolve_arena(
-        arena,
-        network.n_lines,
-        prefix.input_planes.shape[1],
-        prefix.input_planes.dtype,
+        arena, network.n_lines, n_blocks, prefix.input_planes.dtype
     )
     reference = prefix.reference()
     pad_mask = reference.pad_mask()
@@ -1501,22 +1524,78 @@ def _fault_any(
             for j in range(reference.n_lines - 1)
         ]
     ref_detect = any(ref_pair_any)
-    for row, fault in enumerate(faults):
-        if detected[row]:
-            stats.dropped_faults += 1
-            continue
-        result = _pruned_fault_errors(network, fault, prefix, stats, pool)
-        if result is None:
-            detected[row] = ref_detect
-        elif isinstance(result, PackedBatch):
-            detected[row] = bool(
-                _detection_row(result, reference, criterion, arena=pool).any()
-            )
-        else:
-            detected[row] = _errors_detect(
-                reference, result, criterion, pad_mask, ref_pair_any, arena=pool
-            )
+    size = network.size
+    last_writer = prefix.writer_tables()[0]
+    # class key -> (verdict, evaluated stage-blocks, converged 0/1) of the
+    # member that ran the kernel; twins accumulate their replayed counters
+    # locally and are flushed once, also when a later fault raises.
+    classes: dict[tuple[int, int, int], tuple[bool, int, int]] = {}
+    twins = twin_converged = twin_evaluated = twin_pruned = 0
+    try:
+        for row, fault in enumerate(faults):
+            if detected[row]:
+                stats.dropped_faults += 1
+                continue
+            key = _line_stuck_class(fault, last_writer)
+            if key is not None:
+                known = classes.get(key)
+                if known is not None:
+                    detected[row], evaluated, converged = known
+                    twins += 1
+                    twin_converged += converged
+                    twin_evaluated += evaluated
+                    twin_pruned += (size - fault.stage) * n_blocks - evaluated
+                    continue
+                evaluated_before = stats.evaluated_stage_blocks
+                converged_before = stats.converged_faults
+            result = _pruned_fault_errors(network, fault, prefix, stats, pool)
+            if result is None:
+                verdict = ref_detect
+            elif isinstance(result, PackedBatch):
+                verdict = bool(
+                    _detection_row(result, reference, criterion, arena=pool).any()
+                )
+            else:
+                verdict = _errors_detect(
+                    reference, result, criterion, pad_mask, ref_pair_any,
+                    arena=pool,
+                )
+            detected[row] = verdict
+            if key is not None:
+                classes[key] = (
+                    verdict,
+                    stats.evaluated_stage_blocks - evaluated_before,
+                    stats.converged_faults - converged_before,
+                )
+    finally:
+        if twins:
+            stats.faults += twins
+            stats.converged_faults += twin_converged
+            stats.evaluated_stage_blocks += twin_evaluated
+            stats.pruned_stage_blocks += twin_pruned
     return detected
+
+
+def _line_stuck_class(
+    fault: Fault, last_writer: list[list[int]]
+) -> tuple[int, int, int] | None:
+    """The twin-class key of a line stuck-at fault, or ``None``.
+
+    A fault at stage ``s`` forces its line from the state after ``s``
+    comparators onward, and a comparator that does not touch the line
+    neither reads nor writes it — so two stages with the same last writer
+    of the line (``last_writer[s][line]``, ``-1`` before the first) give
+    the same faulty state from the later stage on, hence the same verdict
+    under both criteria and the same evaluated stage-blocks in the pruned
+    kernel.  Other fault models, and stuck lines whose line or stage is
+    out of range (which must still reach the kernel and raise), get no key.
+    """
+    if not isinstance(fault, LineStuckFault):
+        return None
+    line, stage = fault.line, fault.stage
+    if not (0 <= stage < len(last_writer) and 0 <= line < len(last_writer[stage])):
+        return None
+    return (line, fault.value, last_writer[stage][line])
 
 
 # ----------------------------------------------------------------------

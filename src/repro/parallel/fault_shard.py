@@ -12,7 +12,10 @@ re-evaluates only its suffix.  Two work shapes live here:
   each worker a ``[start, stop)`` slice of the fault list; the worker
   rebuilds the (tiny) last-writer table locally and fills
   ``matrix[start:stop]`` in place, so no bulk data is ever pickled per
-  task — only the small span tuples.
+  task — only the small span tuples.  The any-reduction (coverage) never
+  allocates the matrix: the shared output is a ``(num_faults,)`` verdict
+  vector and each worker reduces its slice through the same coverage
+  kernel as the serial path (fault dropping, line stuck-at twin sharing).
 
 * **2-D (faults × vector-chunks) grid** (streamed vector axis).  When the
   vector axis is larger than one chunk — an explicit batch above
@@ -153,7 +156,8 @@ def _init_bitpacked_worker(
     num_words: int,
     input_spec,
     deltas_spec,
-    matrix_spec,
+    out_spec,
+    reduce: str,
 ) -> None:
     from ..faults.simulation import PrefixStates
 
@@ -161,6 +165,7 @@ def _init_bitpacked_worker(
     _WORKER["criterion"] = criterion
     _WORKER["network"] = network
     _WORKER["prune"] = prune
+    _WORKER["reduce"] = reduce
     input_shared = attach_shared_array(input_spec)
     deltas_shared = attach_shared_array(deltas_spec)
     # Keep the handles alive: the PrefixStates views borrow their buffers.
@@ -169,7 +174,7 @@ def _init_bitpacked_worker(
     _WORKER["prefix"] = PrefixStates(
         network, input_shared.array, deltas_shared.array, num_words
     )
-    _WORKER["matrix"] = attach_shared_array(matrix_spec)
+    _WORKER["out"] = attach_shared_array(out_spec)
 
 
 def _worker_arena(network: ComparatorNetwork, prefix):
@@ -210,20 +215,25 @@ def _merge_shipped(stats, all_counts) -> None:
 
 
 def _run_bitpacked_span(span: tuple[int, int]) -> tuple[int, ...]:
-    from ..faults.simulation import SimulationStats, _fault_rows
+    """Fill the span's rows of the shared matrix, or — any-reduction —
+    its slice of the shared ``(num_faults,)`` verdict vector, which the
+    worker reduces itself through the coverage kernel (twin sharing and
+    all); shared segments start zero-filled, i.e. all-undetected."""
+    from ..faults.simulation import SimulationStats, _fault_any, _fault_rows
 
     start, stop = span
     network: ComparatorNetwork = _WORKER["network"]  # type: ignore[assignment]
     faults: list[Fault] = _WORKER["faults"]  # type: ignore[assignment]
-    matrix: SharedArray = _WORKER["matrix"]  # type: ignore[assignment]
+    out: SharedArray = _WORKER["out"]  # type: ignore[assignment]
     prefix = _WORKER["prefix"]
     stats = SimulationStats()
-    _fault_rows(
+    kernel = _fault_rows if _WORKER["reduce"] == "matrix" else _fault_any
+    kernel(
         network,
         faults[start:stop],
         prefix,  # type: ignore[arg-type]
         str(_WORKER["criterion"]),
-        matrix.array[start:stop],
+        out.array[start:stop],
         prune=bool(_WORKER["prune"]),
         stats=stats,
         arena=_worker_arena(network, prefix),
@@ -478,7 +488,13 @@ def sharded_fault_detection_matrix(
     workers = min(workers, len(spans))
     if stats is not None:
         stats.planned_grid = (len(spans), 1)
-    matrix_shared = create_shared_array((len(fault_list), num_vectors), np.bool_)
+    # Bit-packed workers reduce their own fault slices into a (F,) verdict
+    # vector; the generic engines fill matrix rows, reduced here.
+    worker_reduces = engine == "bitpacked" and reduce == "any"
+    out_shared = create_shared_array(
+        (len(fault_list),) if worker_reduces else (len(fault_list), num_vectors),
+        np.bool_,
+    )
     try:
         if engine == "bitpacked":
             packed_input = None
@@ -515,7 +531,8 @@ def sharded_fault_detection_matrix(
                         packed_input.num_words,
                         input_shared.spec,
                         deltas_shared.spec,
-                        matrix_shared.spec,
+                        out_shared.spec,
+                        reduce,
                     ),
                     _run_bitpacked_span,
                     spans,
@@ -535,15 +552,17 @@ def sharded_fault_detection_matrix(
                     vectors,
                     criterion,
                     engine,
-                    matrix_shared.spec,
+                    out_shared.spec,
                 ),
                 _run_generic_span,
                 spans,
             )
-        matrix = matrix_shared.array
-        return matrix.copy() if reduce == "matrix" else matrix.any(axis=1)
+        out = out_shared.array
+        if reduce == "any" and not worker_reduces:
+            return out.any(axis=1)
+        return out.copy()
     finally:
-        matrix_shared.unlink()
+        out_shared.unlink()
 
 
 def _grid_detection(

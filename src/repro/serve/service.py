@@ -217,7 +217,7 @@ class VerificationService:
                 job.state = "queued"
                 self.store.write_status(job.job_id, "queued")
                 self._by_key.setdefault(job.content_key, job.job_id)
-                job.task = asyncio.create_task(self._run(job))
+                self._spawn(job)
 
     async def close(self) -> None:
         """Stop gracefully: cancel live tasks *without* terminalising them.
@@ -271,7 +271,7 @@ class VerificationService:
         job = _Job(job_id, request.kind, request, key)
         self._jobs[job_id] = job
         self._by_key[key] = job_id
-        job.task = asyncio.create_task(self._run(job))
+        self._spawn(job)
         return job_id, False
 
     def cancel(self, job_id: str) -> str:
@@ -398,16 +398,23 @@ class VerificationService:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _spawn(self, job: _Job) -> None:
+        """Start the lifecycle task of *job*.
+
+        Cancellation is bookkept by the task's done-callback, not inside
+        :meth:`_run`: a task cancelled before its first step never enters
+        its coroutine, and the callback sees that case too.
+        """
+        task = asyncio.create_task(self._run(job))
+        task.add_done_callback(lambda done: self._on_task_done(job, done))
+        job.task = task
+
     async def _run(self, job: _Job) -> None:
         """The lifecycle task of one job (queued → running → terminal)."""
         assert self._session_queue is not None and self._executor is not None
         request = job.request
         assert request is not None  # dropped only once the job is terminal
-        try:
-            session = await self._session_queue.get()
-        except asyncio.CancelledError:
-            self._on_cancelled(job)
-            raise
+        session = await self._session_queue.get()
         loop = asyncio.get_running_loop()
         self._set_state(job, "running")
         future = loop.run_in_executor(
@@ -435,9 +442,6 @@ class VerificationService:
                 job, "failed", f"timed out after {float(timeout):g}s"
             )
             return
-        except asyncio.CancelledError:
-            self._on_cancelled(job)
-            raise
         except Exception as exc:
             self.metrics.increment("jobs_failed")
             self._terminalise(job, "failed", f"{type(exc).__name__}: {exc}")
@@ -513,6 +517,13 @@ class VerificationService:
         job.request = None
         job.task = None
         job.done.set()
+
+    def _on_task_done(self, job: _Job, task: asyncio.Task[None]) -> None:
+        """Done-callback of a job's task: a cancelled task whose job is
+        not terminal yet — cancelled while queued, running, or before its
+        coroutine first ran — terminalises through :meth:`_on_cancelled`."""
+        if task.cancelled() and job.state not in TERMINAL_STATES:
+            self._on_cancelled(job)
 
     def _on_cancelled(self, job: _Job) -> None:
         """Cancellation bookkeeping — skipped during graceful shutdown,

@@ -22,13 +22,14 @@ from repro.core import ComparatorNetwork
 from repro.core.bitpacked import rank_to_word
 from repro.core.evaluation import all_binary_words_array
 from repro.core.network import Comparator
-from repro.faults import enumerate_model_faults
+from repro.faults import enumerate_model_faults, enumerate_single_faults
 from repro.testsets import near_sorter
 
 __all__ = [
     "chunk_boundary_cases",
     "networks",
     "cube_subsets",
+    "extended_universes",
     "fault_universes",
     "fault_models",
     "mutate_one",
@@ -88,6 +89,21 @@ def fault_universes(draw, network: ComparatorNetwork, max_faults: int = 32):
         start = draw(st.integers(0, len(universe) - max_faults))
         universe = universe[start : start + max_faults]
     return name, universe
+
+
+@st.composite
+def extended_universes(draw, network: ComparatorNetwork, max_repeats: int = 8):
+    """The stage-extended single-fault universe of ``network``, shuffled,
+    with up to ``max_repeats`` of its faults drawn again.
+
+    Line stuck-at faults are placed at every stage, so most of them are
+    twins (same line, value and last writer); the drawn order interleaves
+    each twin class with other faults and shard boundaries, and repeats
+    add exact duplicates.
+    """
+    universe = enumerate_single_faults(network, line_stuck_at_input_only=False)
+    repeats = draw(st.lists(st.sampled_from(universe), max_size=max_repeats))
+    return draw(st.permutations(universe + repeats))
 
 
 def session_matrix(

@@ -10,26 +10,40 @@ tests exercise the real process pools.
 
 from __future__ import annotations
 
+from collections import Counter
+import re
+
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
-from strategies import criteria, networks, odd_chunks, session_matrix
+from strategies import (
+    criteria,
+    extended_universes,
+    networks,
+    odd_chunks,
+    session_matrix,
+)
 
 from repro.api import Session
+from repro.cache import ResultCache
 from repro.constructions import batcher_sorting_network
 from repro.core.evaluation import all_binary_words_array, unsorted_binary_words_array
 from repro.exceptions import FaultModelError
 from repro.faults import (
     CubeVectors,
+    LineStuckFault,
     SimulationStats,
     enumerate_single_faults,
     fault_detection_matrix,
 )
+import repro.faults.simulation as simulation
 from repro.faults.simulation import (
     _fault_detection_any_impl,
     _fault_detection_matrix_impl,
 )
-from repro.parallel import ExecutionConfig, grid_tiles
+from repro.parallel import ExecutionConfig, WorkerPool, grid_tiles
+import repro.parallel.fault_shard as fault_shard
 
 
 # ----------------------------------------------------------------------
@@ -262,3 +276,184 @@ def test_coverage_report_on_cube_matches_explicit():
     assert streamed.detected_faults == explicit.detected_faults
     assert streamed.by_kind == explicit.by_kind
     assert streamed.vectors_used == 64
+
+
+# ----------------------------------------------------------------------
+# Line stuck-at twins: one kernel run per class, invisible on every route
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def shard_pool():
+    """One persistent two-process pool for the sharded coverage route."""
+    pool = WorkerPool(2)
+    yield pool
+    pool.close()
+
+
+def _any_route(
+    network, faults, vectors, criterion, *, engine="bitpacked", prune=True,
+    config=None, cache=None,
+):
+    """``(verdicts, counters)`` of one any-reduction (coverage) route."""
+    stats = SimulationStats()
+    detected = _fault_detection_any_impl(
+        network, faults, vectors, criterion=criterion, engine=engine,
+        config=config, prune=prune, stats=stats, cache=cache,
+    )
+    return detected, stats.counts()
+
+
+def _one_fault_counts(network, faults, vectors, criterion, config=None):
+    """The counters summed over one call per fault of the list."""
+    total = SimulationStats()
+    for fault, times in Counter(faults).items():
+        _, counts = _any_route(network, [fault], vectors, criterion, config=config)
+        for _ in range(times):
+            total.merge_counts(counts)
+    return total.counts()
+
+
+def _report(report):
+    return (report.detected_faults, report.coverage, dict(report.by_kind))
+
+
+@given(networks(max_lines=6, max_size=10), criteria, odd_chunks, st.data())
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_twin_sharing_is_invisible_on_every_coverage_route(
+    shard_pool, network, criterion, chunk, data
+):
+    """Shuffled stage-extended universes with repeats: the bit-packed
+    coverage equals the per-fault unpruned and vectorized oracles on the
+    serial, sharded, cached and streamed routes, and every route reports
+    the counters of one call per fault under its own chunking."""
+    faults = data.draw(extended_universes(network), label="universe")
+    vectors = unsorted_binary_words_array(network.n_lines)
+    expected, _ = _any_route(network, faults, vectors, criterion, prune=False)
+    vectorized, _ = _any_route(
+        network, faults, vectors, criterion, engine="vectorized"
+    )
+    assert np.array_equal(vectorized, expected)
+    store = ResultCache()
+    single_chunk = {
+        "serial": _any_route(network, faults, vectors, criterion),
+        "sharded": _any_route(
+            network, faults, vectors, criterion,
+            config=ExecutionConfig(max_workers=2, pool=shard_pool),
+        ),
+        "cached": _any_route(network, faults, vectors, criterion, cache=store),
+        "cached-warm": _any_route(
+            network, faults, vectors, criterion, cache=store
+        ),
+    }
+    one_fault = _one_fault_counts(network, faults, vectors, criterion)
+    for route, (detected, counts) in single_chunk.items():
+        assert np.array_equal(detected, expected), route
+        assert counts == one_fault, route
+    streamed = ExecutionConfig(max_workers=1, chunk_size=chunk)
+    detected, counts = _any_route(
+        network, faults, vectors, criterion, config=streamed
+    )
+    assert np.array_equal(detected, expected)
+    assert counts == _one_fault_counts(
+        network, faults, vectors, criterion, config=streamed
+    )
+    reports = []
+    for knobs in (
+        {"engine": "bitpacked"},
+        {"engine": "bitpacked", "prune": False},
+        {"engine": "vectorized"},
+    ):
+        with Session(**knobs) as session:
+            reports.append(_report(session.fault_coverage(
+                network, faults, vectors, criterion=criterion
+            )))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_twin_classes_run_the_kernel_once(monkeypatch):
+    """The optimisation pin: one chunk of Batcher(8)'s stage-extended
+    universe runs the pruned kernel once per comparator fault and once per
+    line stuck-at class, 3·size + 2(2·size + n) times instead of once per
+    fault, while the counters still report every fault."""
+    network = batcher_sorting_network(8)
+    size, n = network.size, network.n_lines
+    faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
+    assert len(faults) == 3 * size + 2 * n * (size + 1)
+    kernel = simulation._pruned_fault_errors
+    calls = []
+
+    def counting(network, fault, *args):
+        calls.append(fault)
+        return kernel(network, fault, *args)
+
+    monkeypatch.setattr(simulation, "_pruned_fault_errors", counting)
+    stats = SimulationStats()
+    _fault_detection_any_impl(
+        network, faults, unsorted_binary_words_array(n), engine="bitpacked",
+        stats=stats,
+    )
+    assert stats.planned_grid == (1, 1)
+    assert len(calls) == 3 * size + 2 * (2 * size + n)
+    assert stats.faults == len(faults)
+    assert stats.dropped_faults == 0
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (LineStuckFault(8, 1, 3), "line 8 out of range for 8 lines"),
+        (LineStuckFault(-1, 0, 0), "line -1 out of range for 8 lines"),
+        (
+            LineStuckFault(2, 0, 20),
+            "stage 20 out of range for a network of size 19",
+        ),
+        (
+            LineStuckFault(2, 1, -1),
+            "stage -1 out of range for a network of size 19",
+        ),
+    ],
+)
+def test_out_of_range_line_faults_still_raise(bad, message):
+    """A stuck line outside the device gets no twin class: it reaches the
+    kernel and raises there, also between valid twins of its line."""
+    network = batcher_sorting_network(8)
+    assert network.size == 19
+    faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
+    faults.insert(len(faults) - 5, bad)
+    with pytest.raises(FaultModelError, match=re.escape(message)):
+        _fault_detection_any_impl(
+            network, faults, unsorted_binary_words_array(8),
+            engine="bitpacked",
+        )
+
+
+def test_sharded_coverage_shares_a_verdict_vector_not_a_matrix(monkeypatch):
+    """The fault-axis shard of a coverage run publishes a (F,) verdict
+    vector that the workers reduce into; the matrix route still publishes
+    the F × V matrix."""
+    network = batcher_sorting_network(8)
+    faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
+    vectors = unsorted_binary_words_array(8)
+    create = fault_shard.create_shared_array
+    shapes = []
+
+    def recording(shape, dtype):
+        shapes.append((tuple(shape), np.dtype(dtype)))
+        return create(shape, dtype)
+
+    monkeypatch.setattr(fault_shard, "create_shared_array", recording)
+    with Session(engine="bitpacked", workers=2) as session:
+        sharded = session.fault_coverage(network, faults, vectors)
+        verdict_shapes = [s for s, dtype in shapes if dtype == np.bool_]
+        del shapes[:]
+        session.fault_matrix(network, faults, vectors)
+        matrix_shapes = [s for s, dtype in shapes if dtype == np.bool_]
+    assert verdict_shapes == [(len(faults),)]
+    assert matrix_shapes == [(len(faults), len(vectors))]
+    with Session(engine="bitpacked") as session:
+        serial = session.fault_coverage(network, faults, vectors)
+    assert _report(sharded) == _report(serial)
+    assert sharded.stats.counts() == serial.stats.counts()

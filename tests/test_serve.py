@@ -569,6 +569,46 @@ def test_cancel_queued_job(tmp_path, sock_dir):
     run_with_server(scenario, tmp_path, sock_dir, pool_size=1)
 
 
+def test_cancel_before_the_job_first_runs_terminalises_it(tmp_path, sock_dir):
+    """``submit`` and ``cancel`` in one write: the server handles both
+    lines without yielding, so the job's task is cancelled before its
+    coroutine ever starts — the job must still end ``cancelled``."""
+    job = coverage_job()
+
+    async def scenario(service, sock):
+        key = JobRequest.from_dict(job).content_key(service.execution_identity)
+        job_id = f"{service.store._next_sequence:06d}-{key[:12]}"
+
+        def run():
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(30)
+                raw.connect(sock)
+                replies = raw.makefile("rb")
+                raw.sendall(
+                    encode_message({"op": "submit", "job": job})
+                    + encode_message({"op": "cancel", "job_id": job_id})
+                )
+                submitted = decode_message(replies.readline())
+                cancelled = decode_message(replies.readline())
+                replies.close()
+            with ServeClient(socket_path=sock, timeout=30) as client:
+                final = client.result(job_id, wait=True)
+                return submitted, cancelled, final, client.job(job_id), client.status()
+
+        submitted, cancelled, final, state, status = await asyncio.to_thread(run)
+        assert submitted["job_id"] == job_id and submitted["state"] == "queued"
+        assert cancelled["state"] == "cancelled"
+        assert final["state"] == "cancelled"
+        assert "result_json" not in final
+        assert state["state"] == "cancelled"
+        assert status["metrics"]["jobs_cancelled"] == 1
+        assert status["metrics"]["jobs_executed"] == 0
+        assert service.store.read_status(job_id)["state"] == "cancelled"
+        return None
+
+    run_with_server(scenario, tmp_path, sock_dir)
+
+
 def test_protocol_errors_do_not_drop_the_connection(tmp_path, sock_dir):
     async def scenario(service, sock):
         def run():
