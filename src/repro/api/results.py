@@ -19,8 +19,10 @@ numbers.
 Every result type (and :class:`ExecutionInfo` itself) doubles as a wire
 format: ``to_json()`` / ``from_json()`` round-trip the full payload —
 packed detection matrix, simulation counters, cache delta, span trace —
-bit-identically through :mod:`repro.api.serialize`.  The
-:mod:`repro.serve` service ships exactly these payloads over its socket.
+bit-identically through the field-driven codec of :mod:`repro.api.serialize`,
+which reads the fields declared here; a malformed payload raises
+:class:`~repro.exceptions.SerializationError`.  The :mod:`repro.serve`
+service ships exactly these payloads over its socket.
 """
 
 from __future__ import annotations
@@ -105,12 +107,14 @@ class _WireFormat:
         Raises
         ------
         repro.exceptions.SerializationError
-            If the payload's ``"type"`` tag decodes to a different
-            result class (or is unknown).
+            If the payload is malformed or its ``"type"`` tag decodes to
+            a different result class (or is unknown).
         """
         from .serialize import result_from_dict
 
-        result = result_from_dict(dict(payload))
+        result = result_from_dict(
+            dict(payload) if isinstance(payload, Mapping) else payload
+        )
         if not isinstance(result, cls):
             raise SerializationError(
                 f"payload decodes to {type(result).__name__}, "
@@ -131,8 +135,17 @@ class _WireFormat:
         -------
         _WireFormat
             An instance of *this* class (see :meth:`from_dict`).
+
+        Raises
+        ------
+        repro.exceptions.SerializationError
+            If *text* is not JSON or not a payload of this class.
         """
-        return cls.from_dict(json.loads(text))
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:  # json.JSONDecodeError
+            raise SerializationError(f"result text is not JSON: {exc}") from exc
+        return cls.from_dict(payload)
 
 
 @dataclass(frozen=True)

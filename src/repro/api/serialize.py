@@ -1,75 +1,202 @@
 """JSON wire format for the typed result objects of :mod:`repro.api`.
 
-Every :class:`~repro.api.results` dataclass round-trips through plain
-JSON-ready dicts: ``result_to_dict`` tags the payload with a ``"type"``
-discriminator and ``result_from_dict`` rebuilds the exact dataclass —
-including the packed detection matrix (boolean rows bit-packed with
-:func:`numpy.packbits` and base64-encoded), the
-:class:`~repro.faults.SimulationStats` counters, the per-call
-:class:`~repro.cache.CacheStats` delta, the
-:class:`~repro.observe.Trace` span tree and — for diagnosis results —
-the full :class:`~repro.faults.FaultDictionary` with its fault-model
-instances.
+One field-driven codec serves the six result classes, their nested
+records and every registered fault model.  A type's encoder and decoder
+are derived from its dataclass fields and declared types once, then
+cached.  Leaf types: JSON scalars for ``bool`` / ``int`` / ``float`` /
+``str``; base64 text for ``bytes``; :func:`matrix_to_dict` for
+``numpy.ndarray``; ``{"counters", "planned_grid"}`` for
+:class:`~repro.faults.SimulationStats`; ``to_dict()`` for
+:class:`~repro.observe.Trace`; :func:`fault_to_dict` for a
+:class:`~repro.faults.models.Fault`, its class resolved through the
+fault-model registry.  ``X | None``, ``tuple[X, ...]``, ``tuple[X, Y]``
+and ``Mapping[str, X]`` compose them, and any other dataclass is an
+object with one member per field.  The result classes add a ``"type"``
+tag: ``execution``, ``verification``, ``test-set``, ``fault-matrix``,
+``coverage`` or ``diagnosis``.
 
-Fault models serialise structurally (class name from the fault-model
-registry plus the dataclass fields, recursing through composites such as
-``MultiFault``/``IntermittentFault``), mirroring
-:func:`repro.cache.keys.fault_token` — so the wire form is independent
-of ``repr`` formatting and any registered model round-trips without a
-hard-coded class list.
-
-This module is what makes the result types a *wire protocol*: the
-:mod:`repro.serve` service ships exactly these payloads over its
-newline-delimited-JSON socket, and the round trip is bit-stable (pinned
-by ``tests/test_result_serialization.py``).
+Decoding checks each value against its field's declared type (a JSON
+boolean in an integer field reads as 1 / 0; a float field takes any
+number), and an object must hold exactly its fields, those with a
+default optional.  Every decoder raises
+:class:`~repro.exceptions.SerializationError` and nothing else, naming
+the field: for malformed members, bad base64, bits that do not fill
+their shape and a fault model's own
+:class:`~repro.exceptions.FaultModelError` alike.  :mod:`repro.serve`
+relies on this to refuse a bad client fault list at submit.  The bytes
+are pinned by committed golden payloads (``tests/test_wire_golden.py``).
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any
+from collections.abc import Callable, Mapping
+import dataclasses
+import functools
+import math
+import types
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .._registry import get_fault_model
-from ..cache.store import CacheStats
 from ..exceptions import FaultModelError, SerializationError
-from ..faults.diagnosis import DiagnosticResolution, FaultDictionary
 from ..faults.models import Fault
-from ..faults.simulation import SIMULATION_COUNTERS, SimulationStats
+from ..faults.simulation import SimulationStats
 from ..observe import Trace
+from . import results
 
 __all__ = [
     "fault_to_dict",
     "fault_from_dict",
     "matrix_to_dict",
     "matrix_from_dict",
-    "stats_to_dict",
-    "stats_from_dict",
-    "execution_to_dict",
-    "execution_from_dict",
     "result_to_dict",
     "result_from_dict",
 ]
 
+_Fn = Callable[[Any], Any]
+#: An encoder (``None``: the value is JSON-ready as it is) and a decoder.
+_Codec = tuple[_Fn | None, _Fn]
 
-# ----------------------------------------------------------------------
-# Fault models
-# ----------------------------------------------------------------------
-def _fault_field_to_wire(value: Any) -> Any:
-    if isinstance(value, Fault):
-        return fault_to_dict(value)
-    if isinstance(value, tuple):
-        return [_fault_field_to_wire(item) for item in value]
+_TAGS: dict[type, str] = {
+    results.ExecutionInfo: "execution",
+    results.VerificationResult: "verification",
+    results.TestSetResult: "test-set",
+    results.FaultMatrixResult: "fault-matrix",
+    results.CoverageReport: "coverage",
+    results.DiagnosisResult: "diagnosis",
+}
+_BY_TAG = {tag: cls for cls, tag in _TAGS.items()}
+_FAULT_KEYS = frozenset({"model", "fields"})
+
+
+def _refuse(expected: str, value: Any) -> SerializationError:
+    return SerializationError(f"expected {expected}, got {type(value).__name__}")
+
+
+def _members(value: Any, keys: frozenset[str]) -> dict[str, Any]:
+    if type(value) is not dict or value.keys() != keys:
+        raise SerializationError(f"expected an object of {sorted(keys)}")
     return value
 
 
-def _fault_field_from_wire(value: Any) -> Any:
-    if isinstance(value, dict) and "model" in value:
-        return fault_from_dict(value)
-    if isinstance(value, list):
-        return tuple(_fault_field_from_wire(item) for item in value)
-    return value
+def _scalar(kind: type, *coerced: type) -> _Fn:
+    def decode(value: Any) -> Any:
+        if type(value) is kind:
+            return value
+        if type(value) in coerced:
+            return kind(value)
+        raise _refuse(kind.__name__, value)
+
+    return decode
+
+
+_str = _scalar(str)
+
+
+def _bytes_from_wire(value: Any) -> bytes:
+    try:
+        return base64.b64decode(_str(value), validate=True)
+    except ValueError as exc:  # binascii.Error, non-ASCII text
+        raise SerializationError(f"bad base64: {exc}") from exc
+
+
+def _trace_from_wire(value: Any) -> Trace:
+    try:
+        return Trace.from_dict(value)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad trace: {exc!r}") from exc
+
+
+@functools.lru_cache(maxsize=None)
+def _codec(hint: Any) -> _Codec:
+    """The (encode, decode) pair of one declared type."""
+    if hint in _LEAVES:
+        return _LEAVES[hint]
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        enc, dec = _codec(args[0] if args[1] is type(None) else args[1])
+        maybe = None if enc is None else lambda v: None if v is None else enc(v)
+        return maybe, lambda v: None if v is None else dec(v)
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis  # tuple[X, ...]; else tuple[X, Y, ...]
+        encs, decs = zip(*map(_codec, args[:1] if variadic else args))
+
+        def items(v: Any) -> tuple:
+            if type(v) is not list or not (variadic or len(v) == len(decs)):
+                raise _refuse("a list" if variadic else f"a list of {len(decs)}", v)
+            if variadic:
+                return tuple(map(decs[0], v))
+            return tuple([d(x) for d, x in zip(decs, v)])
+
+        if all(e is None for e in encs):
+            return list, items
+        if variadic:
+            return (lambda v: [encs[0](x) for x in v]), items
+        return (lambda v: [x if e is None else e(x) for e, x in zip(encs, v)]), items
+    if origin is Mapping and args[0] is str:
+        enc, dec = _codec(args[1])
+
+        def mapping(v: Any) -> dict[str, Any]:
+            if type(v) is not dict:
+                raise _refuse("an object", v)
+            return {_str(k): dec(x) for k, x in v.items()}
+
+        if enc is None:
+            return dict, mapping
+        return (lambda v: {k: enc(x) for k, x in v.items()}), mapping
+    if isinstance(hint, type) and issubclass(hint, Fault):
+        return fault_to_dict, fault_from_dict
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        return _dataclass_codec(hint)
+    raise SerializationError(f"no wire form for the type {hint!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _dataclass_codec(cls: Any) -> tuple[_Fn, _Fn]:
+    """Field-by-field codec of a dataclass, tagged if it is a result."""
+    name, tag = cls.__name__, _TAGS.get(cls)
+    hints = get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    encoders = [(f.name, _codec(hints[f.name])[0]) for f in fields]
+    decoders = [(f.name, _codec(hints[f.name])[1]) for f in fields]
+    required = {
+        f.name
+        for f in fields
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    }
+    tagged: frozenset[str] = frozenset() if tag is None else frozenset({"type"})
+
+    def encode(obj: Any) -> dict[str, Any]:
+        out: dict[str, Any] = {} if tag is None else {"type": tag}
+        for field, enc in encoders:
+            value = getattr(obj, field)
+            out[field] = value if enc is None else enc(value)
+        return out
+
+    def decode(payload: Any) -> Any:
+        if type(payload) is not dict:
+            raise _refuse(f"a {name} object", payload)
+        kwargs: dict[str, Any] = {}
+        for field, dec in decoders:
+            try:
+                kwargs[field] = dec(payload[field])
+            except KeyError:
+                if field in required:
+                    raise SerializationError(f"{name} lacks {field!r}") from None
+            except (OverflowError, SerializationError) as exc:  # huge int to float
+                raise SerializationError(f"{name}.{field}: {exc}") from exc
+        if len(payload) != len(kwargs) + len(tagged) or payload.get("type") != tag:
+            got, want = sorted(map(str, payload)), sorted([*kwargs, *tagged])
+            raise SerializationError(f"{name} has members {got}, not {want}")
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:  # FaultModelError included
+            raise SerializationError(f"{name}: {exc}") from exc
+
+    return encode, decode
 
 
 def fault_to_dict(fault: Fault) -> dict[str, Any]:
@@ -89,23 +216,17 @@ def fault_to_dict(fault: Fault) -> dict[str, Any]:
     dict
         ``{"model": class_name, "fields": {...}}``.
     """
-    import dataclasses
-
-    return {
-        "model": type(fault).__name__,
-        "fields": {
-            field.name: _fault_field_to_wire(getattr(fault, field.name))
-            for field in dataclasses.fields(fault)
-        },
-    }
+    fields = _dataclass_codec(type(fault))[0](fault)
+    return {"model": type(fault).__name__, "fields": fields}
 
 
-def fault_from_dict(payload: dict[str, Any]) -> Fault:
+def fault_from_dict(payload: Any) -> Fault:
     """Rebuild a fault-model instance from :func:`fault_to_dict` output.
 
     The class is resolved through the fault-model registry
     (:func:`repro.api.registry.get_fault_model`), so plug-in models
-    round-trip exactly like the built-ins.
+    round-trip like the built-ins.  Each field is checked against its
+    declared type before the model validates the instance.
 
     Parameters
     ----------
@@ -116,24 +237,21 @@ def fault_from_dict(payload: dict[str, Any]) -> Fault:
     -------
     Fault
         An instance equal to the one that produced *payload*.
+
+    Raises
+    ------
+    repro.exceptions.SerializationError
+        On an unknown model or a missing, unknown, ill-typed or rejected
+        field.
     """
+    model = _members(payload, _FAULT_KEYS)["model"]
     try:
-        cls = get_fault_model(str(payload["model"]))
+        cls = get_fault_model(_str(model))
     except FaultModelError as exc:
-        raise SerializationError(
-            f"unknown fault model {payload.get('model')!r} — not in the "
-            "fault-model registry"
-        ) from exc
-    fields = {
-        str(name): _fault_field_from_wire(value)
-        for name, value in dict(payload.get("fields") or {}).items()
-    }
-    return cls(**fields)
+        raise SerializationError(f"unknown fault model {model!r}") from exc
+    return _dataclass_codec(cls)[1](payload["fields"])
 
 
-# ----------------------------------------------------------------------
-# Boolean matrices (detection matrices, signatures)
-# ----------------------------------------------------------------------
 def matrix_to_dict(matrix: np.ndarray) -> dict[str, Any]:
     """A boolean 2-D array as shape + bit-packed base64 payload.
 
@@ -156,7 +274,7 @@ def matrix_to_dict(matrix: np.ndarray) -> dict[str, Any]:
     }
 
 
-def matrix_from_dict(payload: dict[str, Any]) -> np.ndarray:
+def matrix_from_dict(payload: Any) -> np.ndarray:
     """Rebuild the boolean array from :func:`matrix_to_dict` output.
 
     Parameters
@@ -168,184 +286,53 @@ def matrix_from_dict(payload: dict[str, Any]) -> np.ndarray:
     -------
     numpy.ndarray
         Boolean array bit-identical to the one that was packed.
+
+    Raises
+    ------
+    repro.exceptions.SerializationError
+        On a malformed payload or bits that do not fill the shape.
     """
-    shape = tuple(int(dim) for dim in payload["shape"])
-    count = 1
-    for dim in shape:
-        count *= dim
-    raw = np.frombuffer(base64.b64decode(payload["bits"]), dtype=np.uint8)
-    bits = np.unpackbits(raw, count=count)
-    return bits.reshape(shape).astype(bool)
+    shape = _SHAPE(_members(payload, frozenset({"shape", "bits"}))["shape"])
+    raw = _bytes_from_wire(payload["bits"])
+    count = math.prod(shape)
+    if min(shape, default=0) < 0 or len(raw) != (count + 7) // 8:
+        raise SerializationError(f"{len(raw)} bytes do not fill shape {list(shape)}")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
+    try:
+        return bits.reshape(shape).astype(bool)
+    except ValueError as exc:  # e.g. more dimensions than numpy supports
+        raise SerializationError(f"bad matrix shape: {exc}") from exc
 
 
-# ----------------------------------------------------------------------
-# Counters and execution metadata
-# ----------------------------------------------------------------------
-def stats_to_dict(stats: SimulationStats) -> dict[str, Any]:
-    """Simulation counters + planned grid as a JSON-ready dict.
-
-    Parameters
-    ----------
-    stats : SimulationStats
-        The counters of one run.
-
-    Returns
-    -------
-    dict
-        ``{"counters": {...}, "planned_grid": [f, c] | None}``.
-    """
-    grid = stats.planned_grid
-    return {
-        "counters": stats.metrics.as_dict(),
-        "planned_grid": None if grid is None else [int(grid[0]), int(grid[1])],
-    }
+def _stats_to_wire(stats: SimulationStats) -> dict[str, Any]:
+    grid = None if stats.planned_grid is None else list(stats.planned_grid)
+    return {"counters": stats.metrics.as_dict(), "planned_grid": grid}
 
 
-def stats_from_dict(payload: dict[str, Any]) -> SimulationStats:
-    """Rebuild :class:`~repro.faults.SimulationStats` from the wire form.
-
-    Parameters
-    ----------
-    payload : dict
-        A :func:`stats_to_dict` dict.
-
-    Returns
-    -------
-    SimulationStats
-        Counters and planned grid equal to the serialised instance.
-    """
-    counters = dict(payload.get("counters") or {})
-    grid = payload.get("planned_grid")
-    return SimulationStats(
-        planned_grid=None if grid is None else (int(grid[0]), int(grid[1])),
-        **{name: int(counters.get(name, 0)) for name in SIMULATION_COUNTERS},
-    )
+def _stats_from_wire(payload: Any) -> SimulationStats:
+    _members(payload, frozenset({"counters", "planned_grid"}))
+    counters, grid = _COUNTERS(payload["counters"]), _GRID(payload["planned_grid"])
+    try:
+        return SimulationStats(planned_grid=grid, **counters)
+    except (TypeError, ValueError) as exc:  # e.g. an unknown counter
+        raise SerializationError(f"bad simulation counters: {exc}") from exc
 
 
-def execution_to_dict(info: Any) -> dict[str, Any]:
-    """An :class:`~repro.api.ExecutionInfo` as a JSON-ready dict.
-
-    Parameters
-    ----------
-    info : ExecutionInfo
-        The execution metadata of one Session call.
-
-    Returns
-    -------
-    dict
-        All fields, with the grid as a list, the cache delta as a flat
-        dict and the trace as its :meth:`~repro.observe.Trace.to_dict`
-        form.
-    """
-    grid = info.grid_shape
-    return {
-        "type": "execution",
-        "engine_requested": info.engine_requested,
-        "engine_effective": info.engine_effective,
-        "workers": info.workers,
-        "chunk_words": info.chunk_words,
-        "grid_shape": None if grid is None else [int(grid[0]), int(grid[1])],
-        "seconds": info.seconds,
-        "cache": None if info.cache is None else info.cache.as_dict(),
-        "trace": None if info.trace is None else info.trace.to_dict(),
-    }
+_LEAVES: dict[Any, _Codec] = {
+    bool: (None, _scalar(bool)),
+    int: (None, _scalar(int, bool)),
+    float: (None, _scalar(float, int, bool)),
+    str: (None, _str),
+    bytes: (lambda b: base64.b64encode(b).decode("ascii"), _bytes_from_wire),
+    np.ndarray: (matrix_to_dict, matrix_from_dict),
+    SimulationStats: (_stats_to_wire, _stats_from_wire),
+    Trace: (Trace.to_dict, _trace_from_wire),
+}
+_SHAPE = _codec(tuple[int, ...])[1]
+_GRID = _codec(tuple[int, int] | None)[1]
+_COUNTERS = _codec(Mapping[str, int])[1]
 
 
-def execution_from_dict(payload: dict[str, Any]) -> Any:
-    """Rebuild an :class:`~repro.api.ExecutionInfo` from the wire form.
-
-    Parameters
-    ----------
-    payload : dict
-        An :func:`execution_to_dict` dict.
-
-    Returns
-    -------
-    ExecutionInfo
-        Field-for-field equal to the serialised instance (the trace
-        round-trips through :meth:`repro.observe.Trace.from_dict`).
-    """
-    from .results import ExecutionInfo
-
-    grid = payload.get("grid_shape")
-    cache = payload.get("cache")
-    trace = payload.get("trace")
-    chunk = payload.get("chunk_words")
-    return ExecutionInfo(
-        engine_requested=str(payload["engine_requested"]),
-        engine_effective=str(payload["engine_effective"]),
-        workers=int(payload["workers"]),
-        chunk_words=None if chunk is None else int(chunk),
-        grid_shape=None if grid is None else (int(grid[0]), int(grid[1])),
-        seconds=float(payload["seconds"]),
-        cache=None if cache is None else CacheStats(
-            **{str(k): int(v) for k, v in cache.items()}
-        ),
-        trace=None if trace is None else Trace.from_dict(trace),
-    )
-
-
-def _resolution_to_dict(resolution: DiagnosticResolution) -> dict[str, Any]:
-    return {
-        "num_faults": resolution.num_faults,
-        "num_classes": resolution.num_classes,
-        "singleton_classes": resolution.singleton_classes,
-        "max_class_size": resolution.max_class_size,
-        "undetected_faults": resolution.undetected_faults,
-        "resolution": resolution.resolution,
-    }
-
-
-def _resolution_from_dict(payload: dict[str, Any]) -> DiagnosticResolution:
-    return DiagnosticResolution(
-        num_faults=int(payload["num_faults"]),
-        num_classes=int(payload["num_classes"]),
-        singleton_classes=int(payload["singleton_classes"]),
-        max_class_size=int(payload["max_class_size"]),
-        undetected_faults=int(payload["undetected_faults"]),
-        resolution=float(payload["resolution"]),
-    )
-
-
-def _dictionary_to_dict(dictionary: FaultDictionary) -> dict[str, Any]:
-    return {
-        "signatures": [
-            base64.b64encode(signature).decode("ascii")
-            for signature in dictionary.signatures
-        ],
-        "classes": [
-            [fault_to_dict(fault) for fault in members]
-            for members in dictionary.classes
-        ],
-        "num_vectors": dictionary.num_vectors,
-        "criterion": dictionary.criterion,
-    }
-
-
-def _dictionary_from_dict(payload: dict[str, Any]) -> FaultDictionary:
-    return FaultDictionary(
-        signatures=tuple(
-            base64.b64decode(signature) for signature in payload["signatures"]
-        ),
-        classes=tuple(
-            tuple(fault_from_dict(fault) for fault in members)
-            for members in payload["classes"]
-        ),
-        num_vectors=int(payload["num_vectors"]),
-        criterion=str(payload["criterion"]),
-    )
-
-
-def _by_kind_from_wire(payload: dict[str, Any]) -> dict[str, tuple[int, int]]:
-    return {
-        str(kind): (int(pair[0]), int(pair[1]))
-        for kind, pair in payload.items()
-    }
-
-
-# ----------------------------------------------------------------------
-# Result dispatch
-# ----------------------------------------------------------------------
 def result_to_dict(result: Any) -> dict[str, Any]:
     """Any :mod:`repro.api` result object as a tagged JSON-ready dict.
 
@@ -360,85 +347,12 @@ def result_to_dict(result: Any) -> dict[str, Any]:
         A payload whose ``"type"`` tag selects the reconstruction path
         of :func:`result_from_dict`.
     """
-    from .results import (
-        CoverageReport,
-        DiagnosisResult,
-        ExecutionInfo,
-        FaultMatrixResult,
-        TestSetResult,
-        VerificationResult,
-    )
-
-    if isinstance(result, ExecutionInfo):
-        return execution_to_dict(result)
-    if isinstance(result, VerificationResult):
-        return {
-            "type": "verification",
-            "verdict": result.verdict,
-            "property_name": result.property_name,
-            "strategy": result.strategy,
-            "k": result.k,
-            "n_lines": result.n_lines,
-            "execution": execution_to_dict(result.execution),
-        }
-    if isinstance(result, TestSetResult):
-        return {
-            "type": "test-set",
-            "passed": result.passed,
-            "vectors_used": result.vectors_used,
-            "n_lines": result.n_lines,
-            "execution": execution_to_dict(result.execution),
-        }
-    if isinstance(result, FaultMatrixResult):
-        return {
-            "type": "fault-matrix",
-            "matrix": matrix_to_dict(result.matrix),
-            "criterion": result.criterion,
-            "num_faults": result.num_faults,
-            "num_vectors": result.num_vectors,
-            "stats": stats_to_dict(result.stats),
-            "execution": execution_to_dict(result.execution),
-        }
-    if isinstance(result, CoverageReport):
-        return {
-            "type": "coverage",
-            "total_faults": result.total_faults,
-            "detected_faults": result.detected_faults,
-            "coverage": result.coverage,
-            "by_kind": {
-                kind: [int(found), int(total)]
-                for kind, (found, total) in result.by_kind.items()
-            },
-            "vectors_used": result.vectors_used,
-            "criterion": result.criterion,
-            "stats": stats_to_dict(result.stats),
-            "execution": execution_to_dict(result.execution),
-            "resolution": (
-                None
-                if result.resolution is None
-                else _resolution_to_dict(result.resolution)
-            ),
-        }
-    if isinstance(result, DiagnosisResult):
-        return {
-            "type": "diagnosis",
-            "dictionary": _dictionary_to_dict(result.dictionary),
-            "resolution": _resolution_to_dict(result.resolution),
-            "test_order": list(result.test_order),
-            "coverage": result_to_dict(result.coverage),
-            "criterion": result.criterion,
-            "num_faults": result.num_faults,
-            "num_vectors": result.num_vectors,
-            "stats": stats_to_dict(result.stats),
-            "execution": execution_to_dict(result.execution),
-        }
-    raise SerializationError(
-        f"cannot serialise {type(result).__name__!r} — not a repro.api "
-        "result type"
-    )
+    if type(result) not in _TAGS:
+        raise SerializationError(f"{type(result).__name__!r} is not a result type")
+    return _dataclass_codec(type(result))[0](result)
 
 
-def result_from_dict(payload: dict[str, Any]) -> Any:
+def result_from_dict(payload: Any) -> Any:
     """Rebuild a result object from :func:`result_to_dict` output.
 
     Parameters
@@ -450,71 +364,15 @@ def result_from_dict(payload: dict[str, Any]) -> Any:
     -------
     ExecutionInfo or result dataclass
         An instance whose re-serialisation equals *payload* exactly.
-    """
-    from .results import (
-        CoverageReport,
-        DiagnosisResult,
-        FaultMatrixResult,
-        TestSetResult,
-        VerificationResult,
-    )
 
-    tag = payload.get("type")
-    if tag == "execution":
-        return execution_from_dict(payload)
-    if tag == "verification":
-        k = payload.get("k")
-        return VerificationResult(
-            verdict=bool(payload["verdict"]),
-            property_name=str(payload["property_name"]),
-            strategy=str(payload["strategy"]),
-            k=None if k is None else int(k),
-            n_lines=int(payload["n_lines"]),
-            execution=execution_from_dict(payload["execution"]),
-        )
-    if tag == "test-set":
-        return TestSetResult(
-            passed=bool(payload["passed"]),
-            vectors_used=int(payload["vectors_used"]),
-            n_lines=int(payload["n_lines"]),
-            execution=execution_from_dict(payload["execution"]),
-        )
-    if tag == "fault-matrix":
-        return FaultMatrixResult(
-            matrix=matrix_from_dict(payload["matrix"]),
-            criterion=str(payload["criterion"]),
-            num_faults=int(payload["num_faults"]),
-            num_vectors=int(payload["num_vectors"]),
-            stats=stats_from_dict(payload["stats"]),
-            execution=execution_from_dict(payload["execution"]),
-        )
-    if tag == "coverage":
-        resolution = payload.get("resolution")
-        return CoverageReport(
-            total_faults=int(payload["total_faults"]),
-            detected_faults=int(payload["detected_faults"]),
-            coverage=float(payload["coverage"]),
-            by_kind=_by_kind_from_wire(payload["by_kind"]),
-            vectors_used=int(payload["vectors_used"]),
-            criterion=str(payload["criterion"]),
-            stats=stats_from_dict(payload["stats"]),
-            execution=execution_from_dict(payload["execution"]),
-            resolution=(
-                None if resolution is None else _resolution_from_dict(resolution)
-            ),
-        )
-    if tag == "diagnosis":
-        coverage = result_from_dict(payload["coverage"])
-        assert isinstance(coverage, CoverageReport)
-        return DiagnosisResult(
-            dictionary=_dictionary_from_dict(payload["dictionary"]),
-            resolution=_resolution_from_dict(payload["resolution"]),
-            test_order=tuple(int(idx) for idx in payload["test_order"]),
-            coverage=coverage,
-            criterion=str(payload["criterion"]),
-            num_faults=int(payload["num_faults"]),
-            num_vectors=int(payload["num_vectors"]),
-            stats=stats_from_dict(payload["stats"]),
-            execution=execution_from_dict(payload["execution"]),
-        )
-    raise SerializationError(f"unknown result payload type {tag!r}")
+    Raises
+    ------
+    repro.exceptions.SerializationError
+        On an unknown tag or a member that does not match its field's
+        declared type.
+    """
+    tag = payload.get("type") if type(payload) is dict else None
+    cls = _BY_TAG.get(tag) if type(tag) is str else None
+    if cls is None:
+        raise SerializationError(f"unknown result payload type {tag!r}")
+    return _dataclass_codec(cls)[1](payload)

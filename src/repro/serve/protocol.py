@@ -19,8 +19,9 @@ Requests carry an ``"op"``; the interesting one is ``submit``, whose
     Either ``{"single": true}`` / ``{"single": {"kinds": [...]}}``
     (:func:`repro.faults.enumerate_single_faults`), ``{"model": name}``
     (:func:`repro.faults.enumerate_model_faults`) or ``{"list": [...]}``
-    with explicit :func:`repro.api.serialize.fault_to_dict` payloads.
-    Required by the three fault kinds.
+    with explicit :func:`repro.api.serialize.fault_to_dict` payloads,
+    each checked against its model's declared field types.  Required by
+    the three fault kinds.
 ``prop`` / ``strategy`` / ``k`` / ``criterion``
     Forwarded to the matching Session method.
 
@@ -28,7 +29,7 @@ Requests carry an ``"op"``; the interesting one is ``submit``, whose
 network, the vectors (explicit words become one read-only 2-D integer
 array) and the fault universe are decoded, and the workload token is
 built, at submit time.  Malformed input — an unknown kind, a missing
-field, ragged or wrongly sized words, non-integer entries — raises
+field, ragged or wrongly sized words, non-integer entries, ill-typed faults — raises
 :class:`~repro.exceptions.ServiceError` there, before anything is
 persisted.
 
@@ -57,7 +58,7 @@ import numpy as np
 from ..cache.keys import array_token, cube_token, faults_token, network_token
 from ..core.network import ComparatorNetwork
 from ..core.serialization import network_from_dict
-from ..exceptions import ServiceError
+from ..exceptions import SerializationError, ServiceError
 from ..faults.injection import (
     enumerate_model_faults,
     enumerate_single_faults,
@@ -201,7 +202,13 @@ def _decode_faults(spec: Any, network: ComparatorNetwork) -> tuple[Fault, ...]:
         entries = spec["list"]
         if not isinstance(entries, list) or not entries:
             raise ServiceError("'faults.list' must be a non-empty list")
-        return tuple(fault_from_dict(entry) for entry in entries)
+        faults = []
+        for index, entry in enumerate(entries):
+            try:
+                faults.append(fault_from_dict(entry))
+            except SerializationError as exc:
+                raise ServiceError(f"'faults.list[{index}]': {exc}") from exc
+        return tuple(faults)
     if "model" in spec:
         return tuple(enumerate_model_faults(network, str(spec["model"])))
     if "single" in spec:

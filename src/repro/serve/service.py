@@ -280,7 +280,9 @@ class VerificationService:
         A running job's executor thread cannot be interrupted — the
         computation finishes in the background on its pooled session,
         but its result is discarded and the job terminalises as
-        ``cancelled``.
+        ``cancelled`` at once.  The session rejoins the pool only when
+        that discarded call returns, so no other job runs on it
+        meanwhile.
 
         Parameters
         ----------
@@ -430,12 +432,11 @@ class VerificationService:
         future.add_done_callback(_release)
         timeout = request.payload.get("timeout", self.timeout)
         try:
-            if timeout is not None:
-                result = await asyncio.wait_for(
-                    asyncio.shield(future), float(timeout)
-                )
-            else:
-                result = await future
+            # Shielded: cancelling the job or timing it out must not cancel
+            # the executor future, whose done-callback returns the session.
+            result = await asyncio.wait_for(
+                asyncio.shield(future), None if timeout is None else float(timeout)
+            )
         except asyncio.TimeoutError:
             self.metrics.increment("jobs_failed")
             self._terminalise(

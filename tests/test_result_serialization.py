@@ -13,8 +13,10 @@ shape too.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import itertools
+import json
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -396,3 +398,113 @@ def test_session_results_round_trip():
     matrix_result = results[2]
     rebuilt_matrix = FaultMatrixResult.from_json(matrix_result.to_json())
     assert np.array_equal(rebuilt_matrix.matrix, matrix_result.matrix)
+
+
+# ----------------------------------------------------------------------
+# The decoders' error contract: a value or SerializationError, nothing else
+# ----------------------------------------------------------------------
+RESULT_CLASSES = (
+    ExecutionInfo,
+    VerificationResult,
+    TestSetResult,
+    FaultMatrixResult,
+    CoverageReport,
+    DiagnosisResult,
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+valid_payloads = st.one_of(
+    st.one_of(
+        executions,
+        verifications,
+        test_set_results,
+        matrix_results,
+        coverage_reports,
+        diagnosis_results,
+    ).map(lambda result: result.to_dict()),
+    any_fault.map(fault_to_dict),
+    bool_matrices.map(matrix_to_dict),
+)
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid payload with one member deleted, retyped or added."""
+    payload = json.loads(json.dumps(draw(valid_payloads)))
+    containers = []
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            containers.append(node)
+            for child in node.values() if isinstance(node, dict) else node:
+                walk(child)
+
+    walk(payload)
+    node = draw(st.sampled_from(containers))
+    action = draw(st.sampled_from(("delete", "retype", "add")))
+    if action == "add" or not node:
+        if isinstance(node, dict):
+            node[draw(st.text(max_size=8))] = draw(json_values)
+        else:
+            node.append(draw(json_values))
+        return payload
+    slot = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else
+                                range(len(node))))
+    if action == "delete":
+        del node[slot]
+    else:
+        node[slot] = draw(json_values)
+    return payload
+
+
+def assert_value_or_refused(payload):
+    """Every decoder returns a value or raises SerializationError."""
+    decoders = [result_from_dict, fault_from_dict, matrix_from_dict]
+    decoders += [cls.from_dict for cls in RESULT_CLASSES]
+    for decode in decoders:
+        try:
+            decoded = decode(payload)
+        except SerializationError:
+            continue
+        if decode is matrix_from_dict:  # the bits fill the shape exactly
+            assert list(decoded.shape) == payload["shape"]
+            assert len(base64.b64decode(payload["bits"])) == (decoded.size + 7) // 8
+    text = json.dumps(payload)
+    for cls in RESULT_CLASSES:
+        try:
+            cls.from_json(text)
+        except SerializationError:
+            pass
+
+
+@settings(deadline=None)
+@given(json_values)
+def test_decoders_refuse_arbitrary_json_with_serialization_error(value):
+    assert_value_or_refused(value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_payloads())
+def test_decoders_refuse_mutated_payloads_with_serialization_error(payload):
+    assert_value_or_refused(payload)
+
+
+def test_matrix_bits_must_fill_the_shape():
+    with pytest.raises(SerializationError):
+        matrix_from_dict({"shape": [4, 4], "bits": ""})
+    with pytest.raises(SerializationError):  # one byte too many
+        matrix_from_dict({"shape": [1, 8], "bits": "AAA="})
+    with pytest.raises(SerializationError):
+        matrix_from_dict({"shape": [1, 8], "bits": "not base64!"})
+    assert matrix_from_dict({"shape": [1, 8], "bits": "gA=="})[0, 0]
+
+
+def test_from_json_refuses_text_that_is_not_json():
+    with pytest.raises(SerializationError):
+        VerificationResult.from_json("{not json")

@@ -714,6 +714,132 @@ def test_malformed_words_are_refused_at_submit(tmp_path, sock_dir):
     run_with_server(scenario, tmp_path, sock_dir)
 
 
+def test_ill_typed_fault_lists_are_refused_at_submit(tmp_path, sock_dir):
+    """Each explicit fault is checked against its model's field types at
+    submit: a bad entry is answered ``{"ok": false}`` before any job
+    directory exists, and the connection keeps serving."""
+
+    def stuck(**fields):
+        return {"model": "StuckPassFault", "fields": fields}
+
+    bad_entries = (
+        stuck(index="x"),
+        stuck(index=1.5),
+        stuck(index=[1, 2]),
+        stuck(index=1, bogus=2),  # an unknown field
+        stuck(),  # a missing field
+        "StuckPassFault(1)",  # not an object
+        {"model": "MultiFault", "fields": {"faults": [stuck(index="x")]}},
+        {"model": "LineStuckFault", "fields": {"line": 0, "value": 2}},
+    )
+
+    def job(entry):
+        return {
+            "kind": "fault-coverage",
+            "network": coverage_job()["network"],
+            "vectors": {"cube": NETWORK.n_lines},
+            "faults": {"list": [stuck(index=0), entry]},
+        }
+
+    async def scenario(service, sock):
+        def run():
+            with ServeClient(socket_path=sock) as client:
+                errors = []
+                for entry in bad_entries:
+                    with pytest.raises(ServiceError) as refused:
+                        client.submit(job(entry), wait=True)
+                    errors.append(str(refused.value))
+                status = client.status()
+                good = client.submit(job(stuck(index=3)), wait=True)
+                return errors, status, good, client.status()
+
+        errors, status, good, after = await asyncio.to_thread(run)
+        assert len(errors) == len(bad_entries)
+        assert all("faults.list[1]" in error for error in errors)
+        assert status["metrics"]["protocol_errors"] == len(bad_entries)
+        assert status["metrics"]["jobs_accepted"] == 0
+        assert good["state"] == "done"
+        assert ServeClient.decode_result(good).total_faults == 2
+        assert after["metrics"]["jobs_completed"] == 1
+        assert len(list(service.store.root.iterdir())) == 1
+        return None
+
+    run_with_server(scenario, tmp_path, sock_dir)
+
+
+def test_json_booleans_in_fault_fields_read_as_integers():
+    request = JobRequest.build(
+        "fault-coverage",
+        NETWORK,
+        vectors={"cube": NETWORK.n_lines},
+        faults={"list": [{"model": "StuckPassFault", "fields": {"index": True}}]},
+    )
+    (fault,) = request.faults()
+    assert fault.index == 1 and type(fault.index) is int
+
+
+def test_cancelled_running_job_keeps_its_session_until_the_call_returns(
+    tmp_path, sock_dir
+):
+    """Cancel a running job that has no timeout, then run two more jobs
+    on a two-session pool while the cancelled call is still computing:
+    no session ever runs two ``_execute`` calls at once."""
+    sorter = batcher_sorting_network(7)
+    broken = batcher_sorting_network(6).without_comparator(0)
+    jobs = [JobRequest.build("verify", net).to_dict() for net in (sorter, broken)]
+
+    async def scenario(service, sock):
+        lock = threading.Lock()
+        entered, release = threading.Event(), threading.Event()
+        active: dict[int, int] = {}
+        peak: dict[int, int] = {}
+        original = service._execute
+
+        def counted(session, request):
+            key = id(session)
+            with lock:
+                active[key] = active.get(key, 0) + 1
+                peak[key] = max(peak.get(key, 0), active[key])
+                first = not entered.is_set()
+                entered.set()
+            try:
+                if first:  # the job that gets cancelled
+                    release.wait(30)
+                return original(session, request)
+            finally:
+                with lock:
+                    active[key] -= 1
+
+        service._execute = counted
+
+        def run():
+            with ServeClient(socket_path=sock, timeout=60) as client:
+                gated = client.submit(coverage_job(), wait=False)
+                assert entered.wait(30)
+                cancelled = client.cancel(gated["job_id"])
+                ids = [client.submit(job, wait=False)["job_id"] for job in jobs]
+                return cancelled, [client.result(i, wait=True) for i in ids]
+
+        try:
+            cancelled, results = await asyncio.to_thread(run)
+        finally:
+            release.set()
+        assert cancelled["state"] == "cancelled"
+        assert [r["state"] for r in results] == ["done", "done"]
+        verdicts = [ServeClient.decode_result(r).verdict for r in results]
+        assert verdicts == [True, False]
+        assert max(peak.values()) == 1, peak
+        # The cancelled call's session rejoins the pool once it returns.
+        for _ in range(200):
+            if service._session_queue.qsize() == len(service.sessions):
+                break
+            await asyncio.sleep(0.05)
+        assert service._session_queue.qsize() == len(service.sessions)
+        return None
+
+    run_with_server(scenario, tmp_path, sock_dir, pool_size=2)
+
+
 def test_finished_jobs_drop_their_requests_and_still_answer(
     tmp_path, sock_dir
 ):
