@@ -1,22 +1,19 @@
-"""Engine and fault-model registries (implementation module).
+"""The engine names and the fault-model registry (implementation module).
 
-The public face of this module is :mod:`repro.api.registry`; the
-implementation lives here, below the rest of the package, so that
-:mod:`repro.core.evaluation` can consult the registry without importing
-the :mod:`repro.api` facade (which itself imports the property checkers
-and the fault simulator — a cycle otherwise).
+The public face of this module is :mod:`repro.api.registry`; it lives
+here, below the rest of the package, so that :mod:`repro.core.evaluation`
+can read the engine names without importing the :mod:`repro.api` facade
+(which itself imports the property checkers and the fault simulator — a
+cycle otherwise).
 
-Historically the evaluation engines were a hard-coded tuple
-(``EVALUATION_ENGINES = ("scalar", "vectorized", "bitpacked")``) and every
-validation site compared against it.  The registry replaces that tuple as
-the source of truth: the three built-in engines are pre-registered, and
-callers can plug in additional engines (:func:`register_engine`) that are
-then accepted by ``engine=`` everywhere — :func:`repro.core.evaluation.apply_network_to_batch`
-dispatches to the registered callable, and binary-only engines inherit the
-same automatic downgrade-to-``"vectorized"`` rule on non-binary batches
-that the bit-packed engine uses.  Fault models are registered the same way
-so tools can enumerate them (:func:`fault_model_names`) without hard-coding
-the class list.
+:data:`EVALUATION_ENGINES` is the one place the engine names are spelt
+out (``repro.devtools`` rule RPR002 flags any other tuple of them).  A
+workload call routes itself by value domain — 0/1 work runs
+``"bitpacked"``, everything else ``"vectorized"``
+(:func:`repro.core.evaluation.route_engine`) — so an engine name is only
+ever an explicit pin, for oracles and engine comparisons.  Fault models
+are registered by name so tools can enumerate them
+(:func:`fault_model_names`) without hard-coding the class list.
 
 Not thread-safe: registration is expected at import time / test setup,
 not concurrently with evaluation.
@@ -24,171 +21,22 @@ not concurrently with evaluation.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from .exceptions import EngineError, FaultModelError
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .core.network import ComparatorNetwork
+from .exceptions import FaultModelError
 
 __all__ = [
-    "EngineSpec",
-    "register_engine",
-    "unregister_engine",
-    "engine_names",
-    "get_engine",
+    "EVALUATION_ENGINES",
     "register_fault_model",
     "unregister_fault_model",
     "fault_model_names",
     "get_fault_model",
 ]
 
+#: The batch-evaluation engines: the scalar oracle, the vectorised
+#: kernel of arbitrary integer batches and the bit-packed kernel of 0/1
+#: batches (see :mod:`repro.core.evaluation`).
+EVALUATION_ENGINES = ("scalar", "vectorized", "bitpacked")
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """A registered batch-evaluation engine.
-
-    Attributes
-    ----------
-    name : str
-        The ``engine=`` string callers pass.
-    description : str
-        One-line human description (shown in error messages and ``--help``).
-    binary_only : bool
-        ``True`` when the engine only accepts 0/1 batches; non-binary
-        batches then downgrade to ``"vectorized"`` exactly as the built-in
-        bit-packed engine does (see
-        :func:`repro.core.evaluation.narrow_binary_batch`).
-    apply : callable or None
-        ``apply(network, batch) -> outputs`` for plug-in engines; ``None``
-        for the three built-ins, whose dispatch is special-cased inside
-        :func:`repro.core.evaluation.apply_network_to_batch`.
-    builtin : bool
-        ``True`` for the pre-registered engines (they cannot be
-        unregistered).
-    """
-
-    name: str
-    description: str = ""
-    binary_only: bool = False
-    apply: Callable[[ComparatorNetwork, np.ndarray], np.ndarray] | None = None
-    builtin: bool = False
-
-
-_ENGINES: dict[str, EngineSpec] = {}
 _FAULT_MODELS: dict[str, type] = {}
-
-
-def _seed_builtin_engines() -> None:
-    for spec in (
-        EngineSpec(
-            "scalar",
-            description="per-word Python loop (the slow reference)",
-            builtin=True,
-        ),
-        EngineSpec(
-            "vectorized",
-            description="numpy column engine, arbitrary integer values",
-            builtin=True,
-        ),
-        EngineSpec(
-            "bitpacked",
-            description="0/1 words packed 64-per-uint64 as bit planes",
-            binary_only=True,
-            builtin=True,
-        ),
-    ):
-        _ENGINES[spec.name] = spec
-
-
-_seed_builtin_engines()
-
-
-def register_engine(
-    name: str,
-    apply: Callable[[ComparatorNetwork, np.ndarray], np.ndarray],
-    *,
-    description: str = "",
-    binary_only: bool = False,
-    replace: bool = False,
-) -> EngineSpec:
-    """Register a plug-in batch-evaluation engine.
-
-    Parameters
-    ----------
-    name : str
-        Engine name; becomes valid everywhere ``engine=`` is accepted.
-    apply : callable
-        ``apply(network, batch) -> outputs`` evaluating a 2-D integer batch
-        (same contract as
-        :func:`repro.core.evaluation.apply_network_to_batch`).  Note that
-        plug-in engines receive the network exactly as passed — faulty
-        subnetwork ``apply_batch`` overrides are the engine's own
-        responsibility.
-    description : str, optional
-        One-line description for ``--help`` and error messages.
-    binary_only : bool, optional
-        Opt in to the automatic non-binary downgrade to ``"vectorized"``.
-    replace : bool, optional
-        Allow overwriting an existing non-builtin registration.
-
-    Returns
-    -------
-    EngineSpec
-        The stored specification.
-    """
-    existing = _ENGINES.get(name)
-    if existing is not None and (existing.builtin or not replace):
-        raise EngineError(
-            f"engine {name!r} is already registered"
-            + (" (builtin)" if existing.builtin else "; pass replace=True")
-        )
-    spec = EngineSpec(
-        name, description=description, binary_only=binary_only, apply=apply
-    )
-    _ENGINES[name] = spec
-    return spec
-
-
-def unregister_engine(name: str) -> None:
-    """Remove a plug-in engine (built-ins cannot be removed)."""
-    spec = _ENGINES.get(name)
-    if spec is None:
-        raise EngineError(f"engine {name!r} is not registered")
-    if spec.builtin:
-        raise EngineError(f"engine {name!r} is builtin and cannot be removed")
-    del _ENGINES[name]
-
-
-def engine_names() -> tuple[str, ...]:
-    """The registered engine names, built-ins first, in registration order."""
-    return tuple(_ENGINES)
-
-
-def builtin_engine_names() -> tuple[str, ...]:
-    """The pre-registered built-in engine names, in registration order.
-
-    This is the single source the legacy ``EVALUATION_ENGINES`` /
-    ``SIMULATION_ENGINES`` tuples derive from — no other module hard-codes
-    the engine names (enforced by ``repro.devtools`` rule RPR002).
-    """
-    return tuple(name for name, spec in _ENGINES.items() if spec.builtin)
-
-
-def get_engine(name: str) -> EngineSpec:
-    """Look an engine up by name, raising :class:`EngineError` when unknown."""
-    spec = _ENGINES.get(name)
-    if spec is None:
-        raise EngineError(
-            f"unknown evaluation engine {name!r}; "
-            f"choose one of {engine_names()} "
-            "(plug-in engines register through repro.api.registry)"
-        )
-    return spec
 
 
 def register_fault_model(

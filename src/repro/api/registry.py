@@ -1,65 +1,26 @@
-"""Public engine and fault-model registry.
-
-This is the supported face of the registry that replaced the hard-coded
-``EVALUATION_ENGINES`` tuple: the three built-in engines (``"scalar"``,
-``"vectorized"``, ``"bitpacked"``) are pre-registered, plug-in engines
-register at runtime and are then accepted by every ``engine=`` knob —
-``Session(engine=...)``, the property checkers, the fault simulator and
-the CLI (``--engine`` choices are generated from :func:`engine_names`).
-Binary-only plug-ins (``binary_only=True``) inherit the bit-packed
-engine's automatic downgrade-to-``"vectorized"`` rule on non-binary
-batches, surfaced through :class:`repro.exceptions.EngineDowngradeWarning`
-and the ``engine_effective`` field of the Session result objects.
-
-Example::
-
-    import numpy as np
-    from repro.api import registry
-    from repro.core.evaluation import apply_network_to_batch
-
-    def reversed_scan(network, batch):
-        out = np.array(batch, copy=True)
-        for comp in network.comparators:
-            lo = np.minimum(out[:, comp.low], out[:, comp.high])
-            hi = np.maximum(out[:, comp.low], out[:, comp.high])
-            if comp.reversed:
-                lo, hi = hi, lo
-            out[:, comp.low] = lo
-            out[:, comp.high] = hi
-        return out
-
-    registry.register_engine("my-engine", reversed_scan)
-    apply_network_to_batch(network, batch, engine="my-engine")
-
-The implementation lives in :mod:`repro._registry` (kept below the rest
-of the package so the core evaluation layer can consult it without
-importing the facade); this module re-exports it unchanged.
+"""Public fault-model registry.
 
 Fault models registered here (:func:`register_fault_model`) are
-discoverable by name; the simulator itself already accepts any
-:class:`repro.faults.models.Fault` subclass through its generic fallback.
+discoverable by name — the CLI's ``--fault-model`` choices and the
+result wire format resolve them through :func:`get_fault_model` — and
+the simulator itself accepts any :class:`repro.faults.models.Fault`
+subclass through its generic fallback.
+
+The implementation lives in :mod:`repro._registry` (kept below the rest
+of the package so the core layer can read the engine names without
+importing the facade); this module re-exports it unchanged.
 """
 
 from __future__ import annotations
 
 from .._registry import (
-    EngineSpec,
-    engine_names,
     fault_model_names,
-    get_engine,
     get_fault_model,
-    register_engine,
     register_fault_model,
-    unregister_engine,
     unregister_fault_model,
 )
 
 __all__ = [
-    "EngineSpec",
-    "register_engine",
-    "unregister_engine",
-    "engine_names",
-    "get_engine",
     "register_fault_model",
     "unregister_fault_model",
     "fault_model_names",

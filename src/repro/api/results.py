@@ -2,16 +2,16 @@
 
 Every workload method of the Session returns a frozen dataclass instead of
 a bare bool / float / ndarray, so callers get the execution metadata the
-plain free functions swallow: wall-clock, the *effective* engine
-after the automatic binary-only → vectorized downgrade
-(:func:`repro.core.evaluation.narrow_binary_batch`), the worker / chunk
+plain free functions swallow: wall-clock, the engine that ran (the pin, or
+the kernel of the call's value domain, see
+:func:`repro.core.evaluation.route_engine`), the worker / chunk
 configuration the call actually ran with, and — for the fault workloads —
 the planned (fault-shards × vector-chunks) work grid and the
 :class:`repro.faults.SimulationStats` pruning counters.
 
 The payload fields keep the exact values of the free functions (the
 result objects *wrap* them, bit-identically), so migrating is mechanical:
-``is_sorter(n)`` → ``Session(engine=e).verify(n).verdict``,
+``is_sorter(n)`` → ``Session().verify(n).verdict``,
 ``coverage_report(...)`` → ``session.fault_coverage(...)`` whose
 :class:`CoverageReport` carries the same ``coverage`` / ``by_kind``
 numbers.
@@ -154,13 +154,13 @@ class ExecutionInfo(_WireFormat):
 
     Attributes
     ----------
-    engine_requested : str
-        The engine the Session was configured with.
+    engine_requested : str or None
+        The Session's engine pin, or ``None`` when it routes each call
+        by value domain.
     engine_effective : str
-        The engine that actually ran — differs from the request when a
-        binary-only engine (e.g. ``"bitpacked"``) met non-binary data and
-        downgraded to ``"vectorized"`` (see
-        :func:`repro.core.evaluation.narrow_binary_batch`).
+        The engine that ran: the pin, or the kernel of the call's value
+        domain (``"bitpacked"`` for 0/1 work, ``"vectorized"`` otherwise;
+        see :func:`repro.core.evaluation.route_engine`).
     workers : int
         Resolved worker-process count (1 = in-process).
     chunk_words : int or None
@@ -180,13 +180,13 @@ class ExecutionInfo(_WireFormat):
     trace : repro.observe.Trace or None
         The call's span tree: one root span per workload with nested
         phase spans and the call's counter totals (simulation counters,
-        per-call cache deltas, engine downgrades) attached.  ``None``
+        per-call cache deltas) attached.  ``None``
         when span capture is disabled
         (:func:`repro.observe.set_observation_enabled`).  Export with
         ``trace.to_json()`` or the CLI's ``--trace`` flag.
     """
 
-    engine_requested: str
+    engine_requested: str | None
     engine_effective: str
     workers: int
     chunk_words: int | None
@@ -194,11 +194,6 @@ class ExecutionInfo(_WireFormat):
     seconds: float
     cache: CacheStats | None = None
     trace: Trace | None = None
-
-    @property
-    def engine_downgraded(self) -> bool:
-        """Did the call downgrade from the requested engine?"""
-        return self.engine_requested != self.engine_effective
 
 
 @dataclass(frozen=True)

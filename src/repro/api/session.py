@@ -11,7 +11,7 @@ The four paper workloads run through it::
 
     from repro.api import Session
 
-    session = Session(engine="bitpacked", workers=4)
+    session = Session(workers=4)
     session.verify(network, "sorter")             # VerificationResult
     session.passes_test_set(network, words)        # TestSetResult
     session.fault_matrix(network, faults, words)   # FaultMatrixResult
@@ -21,8 +21,18 @@ The four paper workloads run through it::
 
 Results are **bit-identical** to the plain free functions (the Session
 calls the same implementations with its configuration); the result objects
-add timings, the effective engine after binary-only downgrades, and the
-planned work grid.
+add timings, the engine that ran, and the planned work grid.
+
+With no ``engine`` pin, each call is routed by its value domain
+(:func:`repro.core.evaluation.route_engine`): 0/1 work — the ``binary``
+and ``testset`` strategies, 0/1 word lists and arrays,
+:class:`~repro.faults.CubeVectors` — runs bit-packed, everything else
+vectorised.  The engine is resolved once, where the call's domain is
+first known, passed down, and reported as
+:attr:`ExecutionInfo.engine_effective <repro.api.ExecutionInfo.engine_effective>`.
+A pin (``"scalar"``, ``"vectorized"``, ``"bitpacked"``) runs that engine
+or raises :class:`~repro.exceptions.EngineError`; it is for oracles and
+engine comparisons.
 """
 
 from __future__ import annotations
@@ -30,13 +40,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 import os
 
+import numpy as np
+
 from .._typing import WordLike
 from ..cache.store import CacheStats, ResultCache, resolve_cache
-from ..core.evaluation import (
-    check_engine,
-    engine_downgrade_count,
-    nonbinary_engine,
-)
+from ..core.evaluation import check_engine, route_engine, route_words
 from ..core.network import ComparatorNetwork
 from ..core.scratch import PlaneArena
 from ..exceptions import ExecutionConfigError, TestSetError
@@ -48,6 +56,7 @@ from ..faults.simulation import (
     CubeVectors,
     SimulationStats,
     _fault_detection_matrix_impl,
+    _route_vectors,
 )
 from ..parallel.config import ExecutionConfig
 from ..parallel.pool import WorkerPool
@@ -69,10 +78,6 @@ __all__ = ["Session", "PROPERTIES"]
 #: The verifiable network properties (first argument of :meth:`Session.verify`).
 PROPERTIES = ("sorter", "selector", "merger")
 
-#: Strategies whose inputs are permutations — they carry values above 1,
-#: so a binary-only engine predictably downgrades to ``"vectorized"``.
-_PERMUTATION_STRATEGIES = ("permutation", "permutation-testset")
-
 
 def _env_bool(name: str, default: bool) -> bool:
     value = os.environ.get(name)
@@ -91,9 +96,12 @@ class Session:
 
     Parameters
     ----------
-    engine : str, optional
-        Batch-evaluation engine for every call (any name known to
-        :mod:`repro.api.registry`; default ``"vectorized"``).
+    engine : str or None, optional
+        ``None`` (default) routes each call by its value domain: 0/1 work
+        runs ``"bitpacked"``, everything else ``"vectorized"``.  An engine
+        name (``"scalar"``, ``"vectorized"``, ``"bitpacked"``) pins every
+        call to it, for oracles and engine comparisons; a bit-packed pin
+        given non-0/1 input raises :class:`~repro.exceptions.EngineError`.
     workers : int, optional
         Worker-process count: ``1`` (default) runs in-process, ``0`` means
         one worker per CPU, anything above 1 shards the work axes across a
@@ -128,19 +136,19 @@ class Session:
     >>> bool(result)
     True
     >>> result.execution.engine_effective
-    'vectorized'
+    'bitpacked'
     """
 
     def __init__(
         self,
         *,
-        engine: str = "vectorized",
+        engine: str | None = None,
         workers: int = 1,
         chunk_size: int | None = None,
         prune: bool = True,
         cache: ResultCache | bool | int | None = None,
     ) -> None:
-        self.engine = check_engine(engine)
+        self.engine = None if engine is None else check_engine(engine)
         if workers < 0:
             raise ExecutionConfigError(
                 f"workers must be >= 0 (0 = one per CPU), got {workers}"
@@ -166,14 +174,15 @@ class Session:
     def default(cls) -> Session:
         """A Session configured from ``REPRO_*`` environment variables.
 
-        Recognised variables (all optional): ``REPRO_ENGINE`` (engine
-        name), ``REPRO_WORKERS`` (int, 0 = one per CPU), ``REPRO_CHUNK_SIZE``
-        (words per streamed chunk), ``REPRO_PRUNE`` (bool), ``REPRO_CACHE``
-        (bool; ``1`` enables a Session-owned result cache).
+        Recognised variables (all optional): ``REPRO_ENGINE`` (an engine
+        pin; unset routes by value domain), ``REPRO_WORKERS`` (int, 0 =
+        one per CPU), ``REPRO_CHUNK_SIZE`` (words per streamed chunk),
+        ``REPRO_PRUNE`` (bool), ``REPRO_CACHE`` (bool; ``1`` enables a
+        Session-owned result cache).
         """
         chunk = os.environ.get("REPRO_CHUNK_SIZE")
         return cls(
-            engine=os.environ.get("REPRO_ENGINE", "vectorized"),
+            engine=os.environ.get("REPRO_ENGINE"),
             workers=int(os.environ.get("REPRO_WORKERS", "1")),
             chunk_size=int(chunk) if chunk else None,
             prune=_env_bool("REPRO_PRUNE", True),
@@ -249,22 +258,22 @@ class Session:
     def _execution_info(
         self,
         config: ExecutionConfig | None,
-        engine_effective: str,
+        engine: str,
         grid_shape: tuple[int, int] | None,
         trace: Trace,
         cache_before: CacheStats | None = None,
         *,
-        downgrades: int = 0,
         stats: SimulationStats | None = None,
     ) -> ExecutionInfo:
         """Assemble the call's :class:`ExecutionInfo` from its trace.
 
-        Attaches the call's counter totals to the root span — simulation
-        counters (when *stats* ran), per-call cache deltas under a
-        ``cache.`` prefix, and the ``engine_downgrades`` delta — so the
-        exported trace carries exactly the numbers the legacy stats
-        classes report.  ``seconds`` is the root span's wall-clock; with
-        span capture disabled (:func:`repro.observe.set_observation_enabled`)
+        *engine* is the engine the call resolved and ran; it lands in the
+        root span's ``engine`` meta.  Attaches the call's counter totals
+        to the root span — simulation counters (when *stats* ran) and
+        per-call cache deltas under a ``cache.`` prefix — so the exported
+        trace carries exactly the numbers the legacy stats classes
+        report.  ``seconds`` is the root span's wall-clock; with span
+        capture disabled (:func:`repro.observe.set_observation_enabled`)
         the trace is empty, ``seconds`` reads 0.0 and ``trace`` is None.
         """
         cache_stats = None
@@ -272,7 +281,7 @@ class Session:
             cache_stats = self.cache.stats().delta(cache_before)
         root = trace.root
         if root is not None:
-            root.add_counters({"engine_downgrades": downgrades})
+            root.meta["engine"] = engine
             if stats is not None:
                 root.add_counters(stats.metrics.as_dict())
             if cache_stats is not None:
@@ -282,7 +291,7 @@ class Session:
                 })
         return ExecutionInfo(
             engine_requested=self.engine,
-            engine_effective=engine_effective,
+            engine_effective=engine,
             workers=self._resolved_workers(config),
             chunk_words=self._chunk_words(config),
             grid_shape=grid_shape,
@@ -327,39 +336,30 @@ class Session:
             raise TestSetError(
                 f"unknown property {prop!r}; choose one of {PROPERTIES}"
             )
+        engine = route_engine(self.engine, strategy)
         config = self._config()
-        before = engine_downgrade_count()
         cache_before = self._cache_before()
         trace = Trace()
         with trace.span(
-            "session.verify", engine=self.engine, property=prop,
-            strategy=strategy, n_lines=network.n_lines,
+            "session.verify", property=prop, strategy=strategy,
+            n_lines=network.n_lines,
         ):
             with trace.span(prop):
                 if prop == "sorter":
                     verdict = _is_sorter_impl(
-                        network, strategy=strategy, engine=self.engine,
+                        network, strategy=strategy, engine=engine,
                         config=config, cache=self.cache,
                     )
                 elif prop == "selector":
                     verdict = _is_selector_impl(
-                        network, k, strategy=strategy, engine=self.engine,
+                        network, k, strategy=strategy, engine=engine,
                         config=config,
                     )
                 else:
                     verdict = _is_merger_impl(
-                        network, strategy=strategy, engine=self.engine,
+                        network, strategy=strategy, engine=engine,
                         config=config,
                     )
-        effective = self.engine
-        if self.engine != "vectorized" and (
-            engine_downgrade_count() > before
-            or (
-                strategy in _PERMUTATION_STRATEGIES
-                and nonbinary_engine(self.engine) != self.engine
-            )
-        ):
-            effective = "vectorized"
         return VerificationResult(
             verdict=verdict,
             property_name=prop,
@@ -367,8 +367,7 @@ class Session:
             k=k if prop == "selector" else None,
             n_lines=network.n_lines,
             execution=self._execution_info(
-                config, effective, None, trace, cache_before,
-                downgrades=engine_downgrade_count() - before,
+                config, engine, None, trace, cache_before
             ),
         )
 
@@ -390,33 +389,30 @@ class Session:
         -------
         TestSetResult
             ``passed`` iff every observed output was sorted, plus
-            execution metadata (non-binary words on a binary-only engine
-            surface as ``engine_effective="vectorized"``).
+            execution metadata.
         """
-        words = list(test_words)
+        words = (
+            test_words if isinstance(test_words, np.ndarray) else list(test_words)
+        )
         config = self._config()
-        before = engine_downgrade_count()
         cache_before = self._cache_before()
         trace = Trace()
         with trace.span(
-            "session.passes_test_set", engine=self.engine,
-            n_lines=network.n_lines, vectors=len(words),
+            "session.passes_test_set", n_lines=network.n_lines,
+            vectors=len(words),
         ):
+            engine, routed = route_words(self.engine, words, network.n_lines)
             with trace.span("apply_test_set"):
                 passed = _network_passes_test_set_impl(
-                    network, words, engine=self.engine, config=config,
+                    network, routed, engine=engine, config=config,
                     cache=self.cache,
                 )
-        effective = self.engine
-        if self.engine != "vectorized" and engine_downgrade_count() > before:
-            effective = "vectorized"
         return TestSetResult(
             passed=passed,
             vectors_used=len(words),
             n_lines=network.n_lines,
             execution=self._execution_info(
-                config, effective, None, trace, cache_before,
-                downgrades=engine_downgrade_count() - before,
+                config, engine, None, trace, cache_before
             ),
         )
 
@@ -450,20 +446,21 @@ class Session:
         """
         config = self._config()
         stats = SimulationStats()
-        before = engine_downgrade_count()
         cache_before = self._cache_before()
         trace = Trace()
         with trace.span(
-            "session.fault_matrix", engine=self.engine,
-            criterion=criterion, n_lines=network.n_lines,
+            "session.fault_matrix", criterion=criterion, n_lines=network.n_lines
         ):
+            engine, test_vectors = _route_vectors(
+                self.engine, test_vectors, network.n_lines
+            )
             with trace.span("simulate"):
                 matrix = _fault_detection_matrix_impl(
                     network,
                     faults,
                     test_vectors,
                     criterion=criterion,
-                    engine=self.engine,
+                    engine=engine,
                     config=config,
                     prune=self.prune,
                     stats=stats,
@@ -477,8 +474,8 @@ class Session:
             num_vectors=matrix.shape[1],
             stats=stats,
             execution=self._execution_info(
-                config, self.engine, stats.planned_grid, trace, cache_before,
-                downgrades=engine_downgrade_count() - before, stats=stats,
+                config, engine, stats.planned_grid, trace, cache_before,
+                stats=stats,
             ),
         )
 
@@ -507,20 +504,21 @@ class Session:
         """
         config = self._config()
         stats = SimulationStats()
-        before = engine_downgrade_count()
         cache_before = self._cache_before()
         trace = Trace()
         with trace.span(
-            "session.fault_coverage", engine=self.engine,
-            criterion=criterion, n_lines=network.n_lines,
+            "session.fault_coverage", criterion=criterion, n_lines=network.n_lines
         ):
+            engine, test_vectors = _route_vectors(
+                self.engine, test_vectors, network.n_lines
+            )
             with trace.span("simulate"):
                 legacy = _coverage_report_impl(
                     network,
                     faults,
                     test_vectors,
                     criterion=criterion,
-                    engine=self.engine,
+                    engine=engine,
                     config=config,
                     prune=self.prune,
                     stats=stats,
@@ -536,8 +534,8 @@ class Session:
             criterion=criterion,
             stats=stats,
             execution=self._execution_info(
-                config, self.engine, stats.planned_grid, trace, cache_before,
-                downgrades=engine_downgrade_count() - before, stats=stats,
+                config, engine, stats.planned_grid, trace, cache_before,
+                stats=stats,
             ),
         )
 
@@ -573,20 +571,21 @@ class Session:
         """
         config = self._config()
         stats = SimulationStats()
-        before = engine_downgrade_count()
         cache_before = self._cache_before()
         trace = Trace()
         with trace.span(
-            "session.diagnose", engine=self.engine,
-            criterion=criterion, n_lines=network.n_lines,
+            "session.diagnose", criterion=criterion, n_lines=network.n_lines
         ):
+            engine, test_vectors = _route_vectors(
+                self.engine, test_vectors, network.n_lines
+            )
             with trace.span("matrix"):
                 matrix = _fault_detection_matrix_impl(
                     network,
                     faults,
                     test_vectors,
                     criterion=criterion,
-                    engine=self.engine,
+                    engine=engine,
                     config=config,
                     prune=self.prune,
                     stats=stats,
@@ -602,8 +601,8 @@ class Session:
             with trace.span("adaptive_order"):
                 test_order = tuple(adaptive_test_order(matrix))
         execution = self._execution_info(
-            config, self.engine, stats.planned_grid, trace, cache_before,
-            downgrades=engine_downgrade_count() - before, stats=stats,
+            config, engine, stats.planned_grid, trace, cache_before,
+            stats=stats,
         )
         detected = matrix.any(axis=1)
         by_kind: dict[str, tuple[int, int]] = {}

@@ -38,11 +38,13 @@ Subcommands
     Print a running server's counters, job states and configuration
     (or, with ``--job ID``, one job's status object) as JSON.
 
-``verify``, ``faults`` and ``experiments`` accept ``--engine`` to pick
-the batch-evaluation engine — the choices come from the engine registry
-(:mod:`repro.api.registry`; built-ins are ``scalar``, ``vectorized`` and
-``bitpacked``, the latter packing 0/1 batches 64 words per uint64, see
-:mod:`repro.core.bitpacked`).  The same three subcommands accept
+``verify``, ``faults`` and ``diagnose`` pick the evaluation engine by
+value domain: 0/1 work runs ``bitpacked`` (0/1 batches packed 64 words
+per uint64, see :mod:`repro.core.bitpacked`), permutation work
+``vectorized``, and each prints the engine that ran.  ``--engine`` pins
+``scalar``, ``vectorized`` or ``bitpacked`` instead, for oracles and
+engine comparisons; ``experiments --engine`` picks the engine its
+timing tables compare.  ``verify``, ``faults`` and ``diagnose`` accept
 ``--workers N`` (shard the work axis across ``N`` processes; ``0`` = one
 per CPU) and ``--chunk-size W`` (stream exhaustive workloads ``W`` words
 at a time in constant memory) — see :mod:`repro.parallel`.  The commands
@@ -54,12 +56,12 @@ Examples
 ::
 
     repro-networks verify --n 4 --network "[1,3][2,4][1,2][3,4]" --property sorter
-    repro-networks verify --n 16 --strategy binary --engine bitpacked --construct batcher
-    repro-networks verify --n 28 --strategy binary --engine bitpacked \
+    repro-networks verify --n 16 --strategy binary --construct batcher
+    repro-networks verify --n 28 --strategy binary \
         --construct batcher --workers 0 --chunk-size 1048576
     repro-networks testset --property sorting --n 4 --model binary
     repro-networks adversary --sigma 0110 --diagram
-    repro-networks faults --n 18 --engine bitpacked --workers 4
+    repro-networks faults --n 18 --workers 4
     repro-networks faults --n 8 --fault-model BridgingFault
     repro-networks diagnose --n 8 --fault-model MultiFault
     repro-networks experiments --fast
@@ -76,7 +78,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from ._registry import engine_names, fault_model_names
+from ._registry import EVALUATION_ENGINES, fault_model_names
 from .analysis.tables import format_rows
 from .core.network import ComparatorNetwork
 
@@ -126,6 +128,13 @@ def _fault_model_choices() -> tuple[str, ...]:
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--engine",
+        choices=EVALUATION_ENGINES,
+        default=None,
+        help="pin the evaluation engine, for oracles and engine comparisons "
+        "(default: 0/1 work runs bitpacked, permutation work vectorized)",
+    )
     parser.add_argument(
         "--workers",
         type=int,
@@ -191,14 +200,12 @@ def _serve_client(args: argparse.Namespace):
     )
 
 
-def _build_session(
-    args: argparse.Namespace, *, default_engine: str = "vectorized"
-) -> Session:
+def _build_session(args: argparse.Namespace) -> Session:
     """Build a :class:`repro.api.Session` from the CLI execution flags."""
     from .api import Session
 
     return Session(
-        engine=getattr(args, "engine", default_engine),
+        engine=args.engine,
         workers=args.workers if args.workers is not None else 1,
         chunk_size=args.chunk_size,
         prune=getattr(args, "prune", True),
@@ -234,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         default="testset",
         help="verification strategy (binary, testset, permutation, permutation-testset)",
-    )
-    verify.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default="vectorized",
-        help="batch evaluation engine (bitpacked = 64 words per machine word)",
     )
     _add_execution_arguments(verify)
 
@@ -289,16 +290,16 @@ test-vector strategies:
 
 examples:
   # Theorem 2.2 test set against batcher(18), fault axis sharded:
-  repro-networks faults --n 18 --engine bitpacked --workers 4
+  repro-networks faults --n 18 --workers 4
 
   # Exhaustive cube coverage at n=24 in bounded (~tens of MB/worker)
   # memory: vector chunks of 2**20 words regenerated per worker on a
   # 2-D (faults x vector-chunks) grid:
-  repro-networks faults --n 24 --strategy binary --engine bitpacked \\
+  repro-networks faults --n 24 --strategy binary \\
       --workers 0 --chunk-size 1048576
 
   # Same run without dominated-state pruning (for timing comparisons):
-  repro-networks faults --n 18 --engine bitpacked --no-prune
+  repro-networks faults --n 18 --no-prune
 """,
     )
     faults.add_argument("--n", type=int, required=True, help="number of lines")
@@ -334,12 +335,6 @@ examples:
         "2**n cube streamed in packed chunks (constant memory)",
     )
     faults.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default="bitpacked",
-        help="fault-simulation engine (bitpacked shares fault-free prefixes)",
-    )
-    faults.add_argument(
         "--no-prune",
         dest="prune",
         action="store_false",
@@ -369,12 +364,6 @@ examples:
         choices=_fault_model_choices(),
         default="single",
         help="fault universe to build the dictionary over",
-    )
-    diagnose.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default="bitpacked",
-        help="fault-simulation engine",
     )
     diagnose.add_argument(
         "--no-prune",
@@ -472,7 +461,7 @@ examples:
     )
     experiments.add_argument(
         "--engine",
-        choices=engine_names(),
+        choices=EVALUATION_ENGINES,
         default="vectorized",
         help="engine forwarded to the evaluation-heavy experiments",
     )
@@ -486,6 +475,8 @@ examples:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .core.evaluation import BINARY_STRATEGIES
+
     if args.construct is not None:
         network = _build_construction(args.construct, args.n, args.k)
     else:
@@ -497,23 +488,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # Anywhere else the config would be silently ignored — be honest
         # about the run being serial single-shot rather than printing a
         # worker count that never materialised.
+        binary = args.strategy in BINARY_STRATEGIES
         streams = (
             args.property == "merger"
-            or (
-                args.property == "sorter"
-                and args.strategy not in ("binary", "testset")
-            )
+            or (args.property == "sorter" and not binary)
             or (
                 args.property in ("sorter", "selector")
-                and args.strategy in ("binary", "testset")
-                and args.engine == "bitpacked"
+                and binary
+                and args.engine in (None, "bitpacked")
             )
         )
         if not streams:
+            pin = "" if args.engine is None else f" --engine {args.engine}"
             print(
                 "note: --workers/--chunk-size do not apply to "
-                f"--property {args.property} --strategy {args.strategy} "
-                f"--engine {args.engine}; running single-shot",
+                f"--property {args.property} --strategy {args.strategy}"
+                f"{pin}; running single-shot",
                 file=sys.stderr,
             )
             args.workers = None
@@ -524,7 +514,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     _write_trace(args, result.execution)
     print(
-        f"property={args.property} engine={args.engine} "
+        f"property={args.property} "
+        f"engine={result.execution.engine_effective} "
         f"workers={result.execution.workers} "
         f"verdict={'YES' if result.verdict else 'NO'}"
     )
@@ -602,10 +593,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     device = _build_construction(args.kind, args.n, 1)
     faults = _enumerate_universe(device, args.fault_model)
     if args.strategy == "binary":
-        if args.engine != "bitpacked" and args.n > 20:
+        if args.engine not in (None, "bitpacked") and args.n > 20:
             print(
-                "error: --strategy binary above n=20 requires "
-                "--engine bitpacked (the other engines materialise the cube)",
+                "error: --strategy binary above n=20 runs only on the "
+                f"bitpacked engine (the default); --engine {args.engine} "
+                "would materialise the cube",
                 file=sys.stderr,
             )
             return 2
@@ -619,7 +611,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     _write_trace(args, report.execution)
     stats = report.stats
     print(
-        f"device={args.kind}({args.n}) engine={args.engine} "
+        f"device={args.kind}({args.n}) "
+        f"engine={report.execution.engine_effective} "
         f"workers={report.execution.workers} criterion={args.criterion} "
         f"model={args.fault_model} strategy={args.strategy} prune={args.prune}"
     )
@@ -647,12 +640,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     device = _build_construction(args.kind, args.n, 1)
     faults = _enumerate_universe(device, args.fault_model)
     vectors = sorting_binary_test_set(args.n)
-    with _build_session(args, default_engine="bitpacked") as session:
+    with _build_session(args) as session:
         result = session.diagnose(device, faults, vectors, criterion=args.criterion)
     _write_trace(args, result.execution)
     res = result.resolution
     print(
-        f"device={args.kind}({args.n}) engine={args.engine} "
+        f"device={args.kind}({args.n}) "
+        f"engine={result.execution.engine_effective} "
         f"workers={result.execution.workers} criterion={args.criterion} "
         f"model={args.fault_model} prune={args.prune}"
     )

@@ -17,7 +17,8 @@ Evaluation helpers
     :func:`all_binary_words_array`, :func:`evaluate_on_all_binary_inputs`,
     :func:`outputs_on_words`, :func:`batch_is_sorted`.  Batch helpers accept
     an ``engine`` keyword selecting one of :data:`EVALUATION_ENGINES`
-    (``"scalar"``, ``"vectorized"``, ``"bitpacked"``).
+    (``"scalar"``, ``"vectorized"``, ``"bitpacked"``); :func:`route_engine`
+    is the rule by which workload calls pick one by value domain.
 Bit-packed engine
     :class:`PackedBatch`, :func:`pack_batch`, :func:`unpack_batch`,
     :func:`packed_all_binary_words`, :func:`apply_network_packed`,
@@ -53,6 +54,7 @@ from .evaluation import (
     min_word_dtype,
     narrow_binary_batch,
     outputs_on_words,
+    route_engine,
     unsorted_binary_words_array,
     words_to_array,
 )
@@ -98,6 +100,7 @@ __all__ = [
     "min_word_dtype",
     "narrow_binary_batch",
     "outputs_on_words",
+    "route_engine",
     "unsorted_binary_words_array",
     "words_to_array",
     "PackedBatch",

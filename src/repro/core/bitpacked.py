@@ -28,14 +28,15 @@ improvement over the per-column ``int8`` engine in
 numpy call now touches ``num_words / 64`` machine words instead of
 ``num_words`` bytes.
 
-The engine is exposed to callers through the ``engine="bitpacked"`` option
-threaded through :func:`repro.core.evaluation.apply_network_to_batch`, the
-property checkers, the fault-simulation engine and the CLI; the test suite
+Every workload call whose inputs are 0/1 runs on this engine unless it
+pins another (:func:`repro.core.evaluation.route_engine`); the test suite
 cross-checks it against the scalar and vectorised engines on random
 networks and batches.
 
 Only 0/1 data can be packed — packing non-binary values raises
-:class:`~repro.exceptions.NotBinaryError`.
+:class:`~repro.exceptions.NotBinaryError` (an
+:class:`~repro.exceptions.EngineError`); :func:`nonbinary_reason` is the
+test.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .scratch import PlaneArena, allocation_free
 __all__ = [
     "BLOCK_BITS",
     "PackedBatch",
+    "nonbinary_reason",
     "pack_batch",
     "pack_words",
     "unpack_batch",
@@ -137,6 +139,25 @@ class PackedBatch:
         return mask
 
 
+def nonbinary_reason(data: np.ndarray) -> str | None:
+    """Why *data* cannot be bit-packed, or ``None`` when it is all 0/1.
+
+    This is the packer's own test, and the one
+    :func:`repro.core.evaluation.route_engine` routes by: boolean and empty
+    arrays are 0/1; anything else must lie in ``[0, 1]`` and, unless its
+    dtype is an integer one, hold no fractional value (``data != 0`` in
+    :func:`pack_batch` would otherwise round ``0.25`` up to 1).
+    """
+    if data.dtype == np.bool_ or not data.size:
+        return None
+    low, high = data.min(), data.max()
+    if low < 0 or high > 1:
+        return f"values in [{low}, {high}]"
+    if data.dtype.kind not in "biu" and not bool(np.all(data % 1 == 0)):
+        return "fractional values"
+    return None
+
+
 def pack_batch(batch, *, n_lines: int | None = None) -> PackedBatch:
     """Pack a ``(num_words, n_lines)`` 0/1 array into bit planes.
 
@@ -164,21 +185,11 @@ def pack_batch(batch, *, n_lines: int | None = None) -> PackedBatch:
         raise InputLengthError(
             f"batch has {data.shape[1]} columns, expected {n_lines}"
         )
-    if data.dtype != np.bool_ and data.size:
-        low, high = data.min(), data.max()
-        if low < 0 or high > 1:
-            raise NotBinaryError(
-                "the bit-packed engine requires 0/1 data; batch contains "
-                f"values in [{low}, {high}]"
-            )
-        # Integer dtypes in [0, 1] are exactly {0, 1}; anything else (e.g.
-        # floats) must be checked for fractional values, which `data != 0`
-        # below would otherwise silently round up to 1.
-        if data.dtype.kind not in "biu" and not bool(np.all(data % 1 == 0)):
-            raise NotBinaryError(
-                "the bit-packed engine requires 0/1 data; batch contains "
-                "fractional values"
-            )
+    reason = nonbinary_reason(data)
+    if reason is not None:
+        raise NotBinaryError(
+            f"the bit-packed engine requires 0/1 data; batch contains {reason}"
+        )
     num_words, lines = data.shape
     n_blocks = _blocks_for(num_words)
     bits = np.zeros((lines, n_blocks * BLOCK_BITS), dtype=np.uint8)

@@ -1,47 +1,54 @@
-"""Vectorised network evaluation and the engine-selection layer.
+"""Vectorised network evaluation and the engine-routing rule.
 
 The experiments repeatedly evaluate a network on *every* word of
 ``{0,1}^n`` (or on large permutation batches).  Three interchangeable
-engines are provided, selected with the ``engine=`` keyword accepted by the
-batch-evaluation helpers here (and threaded through the property checkers,
-the fault simulator, the CLI and the benchmarks):
+engines (:data:`EVALUATION_ENGINES`) are provided:
 
 ``"scalar"``
     Per-word Python loop over :meth:`ComparatorNetwork.apply`.  Slow, but
-    trivially correct — it is the reference the other engines are
+    trivially correct — it is the oracle the other engines are
     cross-checked against.
-``"vectorized"`` (default)
+``"vectorized"``
     The batch is a 2-D numpy array of shape ``(num_words, n_lines)`` and
     each comparator is a pair of vectorised ``minimum``/``maximum``
-    operations over two columns.  Works for arbitrary integer values.
+    operations over two columns.  Works for arbitrary integer values: the
+    production kernel of permutation work.
 ``"bitpacked"``
     0/1 batches only: words are packed 64-per-machine-word as bit planes
     (one uint64 row per network line, see :mod:`repro.core.bitpacked`) and
     each comparator becomes one AND/OR pair, giving ~64× the throughput of
-    the vectorised engine on exhaustive binary workloads.  Requesting it on
-    non-binary data raises :class:`~repro.exceptions.NotBinaryError`.
+    the vectorised engine on exhaustive binary workloads: the production
+    kernel of 0/1 work.  Non-binary data raises
+    :class:`~repro.exceptions.NotBinaryError`.
 
-The engines are cross-checked by the test suite (including hypothesis
-property tests over random networks and batches) so any of them can be
-treated as the reference.
+The value domain picks the kernel: a workload call (a
+:class:`repro.api.Session` method or a workload free function) with no
+``engine`` pin runs 0/1 work bit-packed and everything else vectorised —
+:func:`route_engine` is that rule.  An explicit engine name is a pin for
+oracles, tests and engine comparisons; nothing is ever swapped behind
+it.  The evaluation primitives below (:func:`apply_network_to_batch`,
+:func:`outputs_on_words`, :func:`evaluate_on_all_binary_inputs`) return
+unpacked outputs and keep ``engine="vectorized"``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-import warnings
 
 import numpy as np
 
-from .._registry import builtin_engine_names, get_engine
-from .._typing import Batch
-from ..exceptions import EngineDowngradeWarning, InputLengthError
-from ..observe import global_metrics
+from .._registry import EVALUATION_ENGINES
+from .._typing import Batch, WordLike
+from ..exceptions import EngineError, InputLengthError
+from .bitpacked import nonbinary_reason
 from .network import ComparatorNetwork
 
 __all__ = [
     "EVALUATION_ENGINES",
+    "BINARY_STRATEGIES",
     "check_engine",
+    "route_engine",
+    "route_words",
     "apply_network_to_batch",
     "all_binary_words",
     "all_binary_words_array",
@@ -53,88 +60,73 @@ __all__ = [
     "array_to_words",
     "min_word_dtype",
     "narrow_binary_batch",
-    "nonbinary_engine",
-    "engine_downgrade_count",
-    "reset_engine_downgrade_warning",
 ]
 
-#: The *built-in* batch-evaluation engines (see the module docstring).
-#: Kept for backwards compatibility; the source of truth is the engine
-#: registry (:mod:`repro.api.registry`), which additionally lists plug-in
-#: engines registered at runtime — this tuple is derived from it, never
-#: hard-coded (devtools rule RPR002).
-EVALUATION_ENGINES = builtin_engine_names()
+#: The verification strategies (of the sorter / selector / merger
+#: checkers) that evaluate 0/1 words; ``"permutation"`` and
+#: ``"permutation-testset"`` evaluate permutations.
+BINARY_STRATEGIES = ("binary", "testset")
 
 
 def check_engine(engine: str) -> str:
-    """Validate an engine name, returning it (raises :class:`EngineError`).
-
-    Consults the engine registry (:mod:`repro.api.registry`), so plug-in
-    engines registered at runtime validate exactly like the built-ins.
-    """
-    return get_engine(engine).name
-
-
-def nonbinary_engine(engine: str) -> str:
-    """The engine to use on batches that cannot be 0/1 (no bit planes there).
-
-    Binary-only engines — the built-in ``"bitpacked"`` and any plug-in
-    registered with ``binary_only=True`` — fall back to ``"vectorized"``;
-    everything else passes through.  This is the static form of the
-    :func:`narrow_binary_batch` downgrade, used where the data is known
-    non-binary up front (permutation-model strategies).
-    """
-    return "vectorized" if get_engine(engine).binary_only else engine
-
-
-# Downgrade bookkeeping for narrow_binary_batch: a monotone per-process
-# observe counter (the repro.api Session snapshots it around a call to
-# report the effective engine and to surface the delta in the call's
-# trace) plus a one-time-warning latch.
-_DOWNGRADE_WARNED = False
-
-
-def engine_downgrade_count() -> int:
-    """Number of binary-only → vectorized engine downgrades this process.
-
-    Incremented by :func:`narrow_binary_batch` every time a non-binary
-    batch forces a binary-only engine (e.g. ``"bitpacked"``) down to
-    ``"vectorized"``.  The count lives in the process-wide
-    :func:`repro.observe.global_metrics` registry (counter
-    ``"engine_downgrades"``), so downgrades also show up in span traces;
-    the :mod:`repro.api` Session diffs this counter around a call to
-    fill the ``engine_effective`` field of its result objects.  Worker
-    processes of a sharded run count in their own processes; the
-    parent-side counter still moves for every path that narrows in the
-    parent (all current ones do).
-    """
-    return global_metrics().get("engine_downgrades")
-
-
-def reset_engine_downgrade_warning() -> None:
-    """Re-arm the one-time :class:`EngineDowngradeWarning`.
-
-    The warning fires once per process so exhaustive sweeps do not spam;
-    long-lived processes (or tests asserting on the warning) can re-arm it
-    here.
-    """
-    global _DOWNGRADE_WARNED
-    _DOWNGRADE_WARNED = False
-
-
-def _note_engine_downgrade(engine: str) -> None:
-    global _DOWNGRADE_WARNED
-    global_metrics().increment("engine_downgrades")
-    if not _DOWNGRADE_WARNED:
-        _DOWNGRADE_WARNED = True
-        warnings.warn(
-            f"engine {engine!r} only accepts 0/1 batches; this non-binary "
-            "batch runs on the 'vectorized' engine instead (reported once "
-            "per process; repro.api result objects carry the effective "
-            "engine per call)",
-            EngineDowngradeWarning,
-            stacklevel=4,
+    """Validate an engine name, returning it (raises :class:`EngineError`)."""
+    if engine not in EVALUATION_ENGINES:
+        raise EngineError(
+            f"unknown evaluation engine {engine!r}; "
+            f"choose one of {EVALUATION_ENGINES}"
         )
+    return engine
+
+
+def route_engine(engine: str | None, domain: str | bool | np.ndarray) -> str:
+    """The engine one workload call runs: its pin, or its domain's kernel.
+
+    Without a pin (``engine=None``) 0/1 work runs ``"bitpacked"`` and
+    everything else ``"vectorized"``.  *domain* is what the call
+    evaluates: a verification strategy name (:data:`BINARY_STRATEGIES`
+    are 0/1), ``True`` for the 0/1 cube, or the batch itself.  A batch is
+    only looked at without a pin, with the packer's own test
+    (:func:`repro.core.bitpacked.nonbinary_reason`): fractional floats
+    are not 0/1, an empty batch is.
+
+    A pin is returned as given, except that a bit-packed pin on any
+    strategy but the 0/1 ones raises :class:`EngineError` before any work.
+    A bit-packed pin on a non-binary batch is refused by the packer itself
+    (:class:`~repro.exceptions.NotBinaryError`, an :class:`EngineError`),
+    so a pinned call makes no extra pass over its input.
+    """
+    if isinstance(domain, str):
+        if engine == "bitpacked" and domain not in BINARY_STRATEGIES:
+            raise EngineError(
+                f"the bit-packed engine takes 0/1 input only; strategy "
+                f"{domain!r} is not one of {BINARY_STRATEGIES}"
+            )
+        domain = domain in BINARY_STRATEGIES
+    if engine is not None:
+        return check_engine(engine)
+    if not isinstance(domain, bool):
+        domain = nonbinary_reason(np.asarray(domain)) is None
+    return "bitpacked" if domain else "vectorized"
+
+
+def route_words(
+    engine: str | None, words: Iterable[WordLike], n_lines: int
+) -> tuple[str, Iterable[WordLike]]:
+    """``(engine, words)`` of one workload call on explicit words.
+
+    A pin leaves *words* as given.  Without one, anything but an array
+    becomes one ``int64`` array (the dtype every explicit-word path
+    builds), which :func:`route_engine` tests and the call then
+    evaluates, so the words are converted once.
+    """
+    if engine is not None:
+        return check_engine(engine), words
+    batch = (
+        words
+        if isinstance(words, np.ndarray)
+        else words_to_array(words, dtype=np.int64, n_lines=n_lines)
+    )
+    return route_engine(None, batch), batch
 
 
 def min_word_dtype(words: Iterable[Sequence[int]]):
@@ -157,31 +149,23 @@ def min_word_dtype(words: Iterable[Sequence[int]]):
     return np.int8 if lowest >= -128 and highest <= 1 else np.int64
 
 
-def narrow_binary_batch(batch: np.ndarray, engine: str = "vectorized"):
-    """Narrow a 0/1 integer batch to int8 and validate the engine choice.
+def narrow_binary_batch(batch: np.ndarray) -> np.ndarray:
+    """Narrow a 0/1 integer batch to ``int8``; anything else is returned as is.
 
-    Returns ``(batch, engine)``: batches whose values are all 0/1 are
-    downcast to ``int8`` (the cheap dtype every engine accepts — two numpy
-    reductions instead of a per-element Python scan); anything else keeps
-    its dtype and falls back from any *binary-only* engine (the built-in
-    ``"bitpacked"``, or a plug-in registered with ``binary_only=True``) to
-    ``"vectorized"`` (non-binary values cannot be bit-packed).  This is the
-    single binary-detection rule shared by the fault simulator, the
-    test-set validator and the chunked executor, so the engines cannot
-    drift apart.
-
-    The downgrade is no longer silent: it bumps
-    :func:`engine_downgrade_count` and emits a one-time
-    :class:`~repro.exceptions.EngineDowngradeWarning`; the
-    :mod:`repro.api` result objects report the effective engine per call.
+    ``int8`` is the cheap dtype every engine accepts, and the test is two
+    numpy reductions instead of a per-element Python scan.  Shared by the
+    fault simulator, the test-set validator and the chunked executor.
+    Float batches keep their dtype.
     """
-    binary = bool(batch.size) and 0 <= batch.min() and batch.max() <= 1
-    if binary and batch.dtype.kind in "biu" and batch.dtype != np.int8:
+    if (
+        batch.size
+        and batch.dtype.kind in "biu"
+        and batch.dtype != np.int8
+        and 0 <= batch.min()
+        and batch.max() <= 1
+    ):
         batch = batch.astype(np.int8)
-    if not binary and engine != "vectorized" and get_engine(engine).binary_only:
-        _note_engine_downgrade(engine)
-        engine = "vectorized"
-    return batch, engine
+    return batch
 
 
 def words_to_array(
@@ -203,7 +187,12 @@ def words_to_array(
         batches flow through :func:`apply_network_to_batch` cleanly.  For
         non-empty input the hint is validated against the actual width.
     """
-    array = np.asarray(list(words), dtype=dtype)
+    if isinstance(words, np.ndarray):  # a fresh array, as from a list
+        array = np.array(words, dtype=dtype)
+        if not len(array):
+            array = array.reshape(0)
+    else:
+        array = np.asarray(list(words), dtype=dtype)
     if array.ndim == 1:
         # A single word (or an empty iterable) — normalise the shape.
         if array.size:
@@ -283,12 +272,6 @@ def apply_network_to_batch(
         return _apply_scalar(network, data)
     if engine == "bitpacked":
         return _apply_bitpacked(network, data)
-    spec = get_engine(engine)
-    if spec.apply is not None:
-        # Plug-in engine from the registry (repro.api.registry): the
-        # registered callable owns the whole evaluation, including any
-        # faulty-subclass dispatch it wants to honour.
-        return spec.apply(network, data)
     # Faulty-network subclasses (repro.faults.models) override apply_batch to
     # model behaviour that a plain comparator sequence cannot express (e.g. a
     # stuck-swap stage).  Dispatch to the override so every caller — property
@@ -422,7 +405,7 @@ def outputs_on_words(
         # rows element by element in Python would dominate permutation-scale
         # workloads before evaluation even starts.
         batch = words_to_array(rows, dtype=np.int64, n_lines=network.n_lines)
-        batch, _ = narrow_binary_batch(batch)
+        batch = narrow_binary_batch(batch)
     else:
         batch = words_to_array(rows, dtype=dtype, n_lines=network.n_lines)
     return apply_network_to_batch(network, batch, copy=False, engine=engine)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from .._registry import builtin_engine_names
+from .._registry import EVALUATION_ENGINES
 from .findings import Finding
 from .rules import FileContext, Rule, register_rule
 
@@ -250,7 +250,7 @@ class EngineTupleRule(Rule):
     id = "RPR002"
     summary = (
         "no hard-coded engine-name tuples outside repro._registry — "
-        "derive from repro.api.registry.engine_names()"
+        "use repro._registry.EVALUATION_ENGINES"
     )
     scope = "src"
 
@@ -264,7 +264,7 @@ class EngineTupleRule(Rule):
             ctx.module is not None and ctx.module.startswith("repro.devtools")
         ):
             return
-        engine_names = set(builtin_engine_names())
+        engines = set(EVALUATION_ENGINES)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
                 continue
@@ -273,7 +273,7 @@ class EngineTupleRule(Rule):
                 for elt in node.elts
                 if isinstance(elt, ast.Constant)
                 and isinstance(elt.value, str)
-                and elt.value in engine_names
+                and elt.value in engines
             }
             if len(found) >= 2:
                 names = ", ".join(sorted(found))
@@ -281,8 +281,8 @@ class EngineTupleRule(Rule):
                     ctx,
                     node,
                     f"hard-coded engine names ({names}) — enumerate "
-                    "engines through repro.api.registry "
-                    "(engine_names()/builtin_engine_names()) instead",
+                    "engines through repro._registry.EVALUATION_ENGINES "
+                    "instead",
                 )
 
 

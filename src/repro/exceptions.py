@@ -23,7 +23,6 @@ __all__ = [
     "FaultModelError",
     "EngineError",
     "ExecutionConfigError",
-    "EngineDowngradeWarning",
 ]
 
 
@@ -54,10 +53,6 @@ class InputLengthError(NetworkError, ValueError):
 
 class NotAPermutationError(ReproError, ValueError):
     """A sequence expected to be a permutation of ``0..n-1`` is not one."""
-
-
-class NotBinaryError(ReproError, ValueError):
-    """A word expected to contain only 0/1 entries contains something else."""
 
 
 class SerializationError(ReproError, ValueError):
@@ -103,17 +98,14 @@ class EngineError(ReproError, ValueError):
     """
 
 
+class NotBinaryError(EngineError):
+    """A word expected to contain only 0/1 entries contains something else.
+
+    An :class:`EngineError`: the bit-packed engine raises it when its
+    packer meets non-binary data, which is how a bit-packed pin refuses a
+    permutation batch.
+    """
+
+
 class ExecutionConfigError(ReproError, ValueError):
     """An invalid execution configuration (worker count / chunk size)."""
-
-
-class EngineDowngradeWarning(UserWarning):
-    """A binary-only engine was silently downgraded to ``"vectorized"``.
-
-    Emitted (once per process, see
-    :func:`repro.core.evaluation.narrow_binary_batch`) when a batch with
-    values outside {0, 1} forces the requested bit-packed (or other
-    binary-only registered) engine down to the vectorised engine.  The
-    downgrade also surfaces as the ``engine_effective`` field of the
-    :mod:`repro.api` result objects.
-    """

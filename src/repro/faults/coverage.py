@@ -16,8 +16,10 @@ cube (:class:`repro.faults.simulation.CubeVectors`) can be used as a test
 set in constant memory; only :func:`greedy_test_selection` needs the full
 per-vector matrix.
 
-The free functions run the default engine in-process.  To choose the
-engine, workers, chunk size or pruning, use
+The free functions run in-process on the kernel of their vectors' value
+domain (bit-packed for 0/1 vectors, vectorised otherwise; see
+:func:`repro.core.evaluation.route_engine`).  To pin an engine or choose
+workers, chunk size or pruning, use
 :meth:`repro.api.Session.fault_coverage`, which returns a typed report
 carrying the same numbers plus timings and execution metadata (it calls
 the same implementation, so the numbers are bit-identical).
@@ -125,7 +127,7 @@ def _fault_coverage_impl(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = "vectorized",
+    engine: str | None = None,
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
@@ -175,7 +177,7 @@ def _coverage_report_impl(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = "vectorized",
+    engine: str | None = None,
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,

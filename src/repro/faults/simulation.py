@@ -17,14 +17,16 @@ questions:
     fault-free output at all (classical stuck-at testing with a golden
     reference).  Strictly more sensitive than ``"specification"``.
 
-Three simulation engines are available (the ``engine`` of a
-:class:`repro.api.Session`, cross-checked against each other by the test
-suite):
+Three simulation engines are available, cross-checked against each other
+by the test suite.  Without an ``engine`` pin a call routes by its
+vectors (:func:`repro.core.evaluation.route_engine`): 0/1 vectors and
+:class:`CubeVectors` run ``"bitpacked"``, other vectors ``"vectorized"``.
+A pin (the ``engine`` of a :class:`repro.api.Session`) runs that engine:
 
 ``"scalar"``
     One :meth:`~repro.core.network.ComparatorNetwork.apply` call per
     (fault, vector) pair.  The slow reference.
-``"vectorized"`` (default)
+``"vectorized"``
     One vectorised batch evaluation per fault (the classical serial fault
     simulation loop, one full network pass per fault).
 ``"bitpacked"``
@@ -89,7 +91,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._registry import builtin_engine_names
+from .._registry import EVALUATION_ENGINES
 from .._typing import WordLike
 from ..core.bitpacked import (
     BLOCK_BITS,
@@ -102,8 +104,9 @@ from ..core.bitpacked import (
 from ..core.evaluation import (
     apply_network_to_batch,
     batch_is_sorted,
-    check_engine,
     narrow_binary_batch,
+    route_engine,
+    route_words,
     words_to_array,
 )
 from ..core.network import ComparatorNetwork
@@ -138,9 +141,9 @@ __all__ = [
 #: Detection criteria accepted by :func:`fault_detection_matrix`.
 DETECTION_CRITERIA = ("specification", "reference")
 
-#: Engine choices accepted by :func:`fault_detection_matrix` — derived
-#: from the engine registry, never hard-coded (devtools rule RPR002).
-SIMULATION_ENGINES = builtin_engine_names()
+#: The simulation engines (the evaluation engines of
+#: :mod:`repro.core.evaluation`, spelt out once in :mod:`repro._registry`).
+SIMULATION_ENGINES = EVALUATION_ENGINES
 
 
 @dataclass(frozen=True)
@@ -378,8 +381,9 @@ def fault_detection_matrix(
     """Boolean matrix ``D[f, t]``: does test vector ``t`` detect fault ``f``?
 
     Rows follow the order of *faults*, columns the order of *test_vectors*.
-    This runs the default engine in-process; a :class:`repro.api.Session`
-    chooses the engine, workers, chunk size and pruning
+    This runs in-process on the kernel of the vectors' value domain
+    (module docstring); a :class:`repro.api.Session` pins the engine and
+    chooses workers, chunk size and pruning
     (``session.fault_matrix(...)`` returns the same matrix inside a typed
     result object).  All engines and execution configurations produce
     bit-identical matrices on 0/1 vectors.
@@ -418,7 +422,7 @@ def _fault_detection_matrix_impl(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = "vectorized",
+    engine: str | None = None,
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
@@ -428,8 +432,9 @@ def _fault_detection_matrix_impl(
     """:func:`fault_detection_matrix` with its execution configured.
 
     This is what the :class:`repro.api.Session` facade (and the other
-    internal callers) invoke.  *engine* is the simulation engine (module
-    docstring).  *config* with ``max_workers > 1`` shards the work across
+    internal callers) invoke.  *engine* pins the simulation engine;
+    ``None`` routes by the vectors (module docstring).  *config* with
+    ``max_workers > 1`` shards the work across
     a process pool: the fault axis alone when the vector batch fits one
     chunk (prefix states computed once, published through shared memory),
     or a 2-D (faults × vector-chunks) grid when the vector axis streams;
@@ -448,7 +453,6 @@ def _fault_detection_matrix_impl(
             f"unknown detection criterion {criterion!r}; "
             f"choose one of {DETECTION_CRITERIA}"
         )
-    check_engine(engine)
     return _detection_run(
         network,
         faults,
@@ -496,7 +500,7 @@ def _fault_detection_any_impl(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = "vectorized",
+    engine: str | None = None,
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
@@ -511,7 +515,6 @@ def _fault_detection_any_impl(
             f"unknown detection criterion {criterion!r}; "
             f"choose one of {DETECTION_CRITERIA}"
         )
-    check_engine(engine)
     return _detection_run(
         network,
         faults,
@@ -533,7 +536,7 @@ def _detection_run(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str,
-    engine: str,
+    engine: str | None,
     config: ExecutionConfig | None,
     prune: bool,
     stats: SimulationStats | None,
@@ -542,6 +545,7 @@ def _detection_run(
     cache: ResultCache | None = None,
 ) -> np.ndarray:
     """Shared dispatcher behind the two public entry points."""
+    engine, test_vectors = _route_vectors(engine, test_vectors, network.n_lines)
     vectors = _normalise_vectors(network, test_vectors, engine)
     num_vectors = len(vectors)
     if num_vectors == 0:
@@ -600,10 +604,23 @@ def _detection_run(
             arena=arena, cache=cache, base_token=base_token,
         )
     else:
-        matrix = _vectorized_detection_matrix(
-            network, faults, vectors, criterion, engine=engine
-        )
+        matrix = _vectorized_detection_matrix(network, faults, vectors, criterion)
     return matrix if reduce == "matrix" else matrix.any(axis=1)
+
+
+def _route_vectors(
+    engine: str | None,
+    test_vectors: Sequence[WordLike] | CubeVectors,
+    n_lines: int,
+):
+    """``(engine, vectors)`` of one simulation call.
+
+    :func:`repro.core.evaluation.route_words` for explicit vectors; a
+    :class:`CubeVectors` is 0/1 and passes through untouched.
+    """
+    if isinstance(test_vectors, CubeVectors):
+        return route_engine(engine, True), test_vectors
+    return route_words(engine, test_vectors, n_lines)
 
 
 def _vectors_token(network: ComparatorNetwork, vectors) -> tuple:
@@ -654,14 +671,10 @@ def _vectorized_detection_matrix(
     faults: Sequence[Fault],
     vectors,
     criterion: str,
-    engine: str = "vectorized",
 ) -> np.ndarray:
     # Build wide and narrow only after a numpy range check: permutation
     # vectors with values > 127 must never land in int8, where they would
-    # silently wrap and corrupt both criteria.  *engine* is "vectorized" or
-    # a registered plug-in (the generic fall-through of _detection_run) —
-    # binary-only plug-ins downgrade through narrow_binary_batch exactly
-    # like every other call site.
+    # silently wrap and corrupt both criteria.
     if isinstance(vectors, np.ndarray):
         batch = np.ascontiguousarray(vectors)
         if batch.shape[1] != network.n_lines:
@@ -671,14 +684,14 @@ def _vectorized_detection_matrix(
             )
     else:
         batch = words_to_array(vectors, dtype=np.int64, n_lines=network.n_lines)
-    batch, engine = narrow_binary_batch(batch, engine)
+    batch = narrow_binary_batch(batch)
     reference_outputs = None
     if criterion == "reference":
-        reference_outputs = apply_network_to_batch(network, batch, engine=engine)
+        reference_outputs = apply_network_to_batch(network, batch)
     matrix = np.zeros((len(faults), len(vectors)), dtype=bool)
     for row, fault in enumerate(faults):
         faulty = fault.apply_to(network)
-        outputs = apply_network_to_batch(faulty, batch, engine=engine)
+        outputs = apply_network_to_batch(faulty, batch)
         if criterion == "specification":
             matrix[row] = ~batch_is_sorted(outputs)
         else:

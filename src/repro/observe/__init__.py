@@ -11,7 +11,6 @@ Every layer of the system that measures itself goes through this package:
   instance, and its ``pack()``/``merge_packed()`` tuple format is the
   single aggregation path across :class:`repro.parallel.pool.WorkerPool`
   workers and cache replays.
-* :func:`global_metrics` — process-wide counters (engine downgrades).
 * :func:`set_observation_enabled` — process-wide kill switch used by the
   benchmark suite to price the instrumentation itself.
 
@@ -19,7 +18,7 @@ The package is dependency-free (stdlib only) so any layer — core,
 cache, parallel workers — can import it without cycles.
 """
 
-from .metrics import Metrics, global_metrics
+from .metrics import Metrics
 from .spans import (
     Span,
     Trace,
@@ -31,7 +30,6 @@ __all__ = [
     "Metrics",
     "Span",
     "Trace",
-    "global_metrics",
     "observation_enabled",
     "set_observation_enabled",
 ]

@@ -14,11 +14,6 @@ replaying memoised counters on a warm hit.
 Legacy stats classes (:class:`repro.faults.SimulationStats`,
 :class:`repro.cache.CacheStats`) remain in place as thin views over a
 ``Metrics`` instance; see ``docs/ARCHITECTURE.md`` ("Observability").
-
-The module also hosts the process-wide registry behind
-:func:`global_metrics` — cross-cutting counters such as
-``engine_downgrades`` (fed by :func:`repro.core.evaluation.engine_downgrade_count`)
-that are not tied to one call.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from collections.abc import Mapping, Sequence
 
 __all__ = [
     "Metrics",
-    "global_metrics",
 ]
 
 
@@ -200,33 +194,3 @@ class Metrics:
     def __repr__(self) -> str:
         body = ", ".join(f"{k}={v}" for k, v in self._counts.items())
         return f"Metrics({body})"
-
-
-#: Schema of the process-wide registry: cross-cutting counters that are
-#: not owned by a single call.  ``engine_downgrades`` counts binary-only
-#: engine downgrades (see :func:`repro.core.evaluation.engine_downgrade_count`).
-_GLOBAL_COUNTERS = ("engine_downgrades",)
-
-_GLOBAL = Metrics(_GLOBAL_COUNTERS)
-
-
-def global_metrics() -> Metrics:
-    """The process-wide :class:`Metrics` registry.
-
-    Holds cross-cutting counters (currently ``engine_downgrades``) that
-    outlive any single call; :class:`repro.api.Session` snapshots it
-    around each workload so per-call deltas land in the trace.
-
-    Returns
-    -------
-    Metrics
-        The singleton registry (one per process; worker processes have
-        their own).
-
-    Examples
-    --------
-    >>> from repro.observe import global_metrics
-    >>> global_metrics().get("engine_downgrades") >= 0
-    True
-    """
-    return _GLOBAL

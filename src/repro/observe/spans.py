@@ -56,8 +56,8 @@ def set_observation_enabled(enabled: bool) -> bool:
 
     With capture off, :meth:`Trace.span` returns a shared inert span:
     no clock reads, no tree growth — the instrumented code path becomes
-    a handful of attribute lookups.  Counters outside spans (e.g.
-    :func:`repro.observe.global_metrics`) keep counting.
+    a handful of attribute lookups.  Counters outside spans (e.g. a
+    :class:`repro.observe.Metrics` registry) keep counting.
 
     Parameters
     ----------
@@ -107,7 +107,7 @@ class Span:
     """
 
     __slots__ = ("name", "meta", "counters", "children", "_start", "_end",
-                 "_trace", "_live")
+                 "_seconds", "_trace", "_live")
 
     def __init__(
         self,
@@ -123,6 +123,7 @@ class Span:
         self.children: list[Span] = []
         self._start = 0.0
         self._end = 0.0
+        self._seconds: float | None = None  # as read by from_dict
         self._trace = trace
         self._live = live
 
@@ -148,7 +149,14 @@ class Span:
 
     @property
     def seconds(self) -> float:
-        """Wall-clock duration (0.0 while the span is still open)."""
+        """Wall-clock duration (0.0 while the span is still open).
+
+        A span rebuilt by :meth:`from_dict` keeps the ``seconds`` it read,
+        so its re-export matches the input bit for bit (``start +
+        seconds - start`` need not round back to ``seconds``).
+        """
+        if self._seconds is not None:
+            return self._seconds
         return self._end - self._start if self._end >= self._start else 0.0
 
     @property
@@ -214,7 +222,8 @@ class Span:
         """
         span = cls(str(payload["name"]), meta=payload.get("meta") or {})
         span._start = float(payload.get("start", 0.0))
-        span._end = span._start + float(payload.get("seconds", 0.0))
+        span._seconds = float(payload.get("seconds", 0.0))
+        span._end = span._start + span._seconds
         span.counters = dict(payload.get("counters") or {})
         span.children = [
             cls.from_dict(child) for child in payload.get("children") or []

@@ -307,7 +307,7 @@ def chunked_words_all_sorted(
         return True
     from ..core.evaluation import narrow_binary_batch
 
-    batch, engine = narrow_binary_batch(batch, engine)
+    batch = narrow_binary_batch(batch)
     total = batch.shape[0]
     chunk = cfg.chunk_words()
     if cfg.chunk_size is None and cfg.parallel:

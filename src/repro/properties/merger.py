@@ -21,10 +21,11 @@ Strategies:
 ``permutation-testset``
     The ``n/2`` permutations of Theorem 2.5 (ii).
 
-The engine (:data:`repro.core.evaluation.EVALUATION_ENGINES`) is the
-``engine`` of a :class:`repro.api.Session`; the 0/1 strategies can run on
-the bit-packed engine, the permutation strategies fall back from
-``"bitpacked"`` to ``"vectorized"``.  An execution configuration
+The strategy picks the engine (:func:`repro.core.evaluation.route_engine`):
+:func:`is_merger` and an unpinned :class:`repro.api.Session` run the 0/1
+strategies bit-packed and the permutation strategies vectorised, and a
+Session's ``engine`` pins another (a bit-packed pin refuses the
+permutation strategies).  An execution configuration
 (:class:`repro.parallel.ExecutionConfig`, from a Session's ``workers`` /
 ``chunk_size``) evaluates the chosen strategy's
 word list chunk by chunk (bounded memory on the ``C(n, n/2)``-sized
@@ -46,9 +47,8 @@ from ..core.bitpacked import (
 )
 from ..core.evaluation import (
     batch_is_sorted,
-    check_engine,
-    nonbinary_engine,
     outputs_on_words,
+    route_engine,
 )
 from ..core.network import ComparatorNetwork
 from ..core.scratch import allocation_free, shared_arena
@@ -179,15 +179,16 @@ def _is_merger_impl(
     network: ComparatorNetwork,
     *,
     strategy: str = "testset",
-    engine: str = "vectorized",
+    engine: str | None = None,
     config: ExecutionConfig | None = None,
 ) -> bool:
-    """:func:`is_merger` with its execution configured (Session backend)."""
+    """:func:`is_merger` with its execution configured (Session backend);
+    *engine* pins the engine, ``None`` routes by *strategy*."""
     if strategy not in MERGER_STRATEGIES:
         raise TestSetError(
             f"unknown strategy {strategy!r}; choose one of {MERGER_STRATEGIES}"
         )
-    check_engine(engine)
+    engine = route_engine(engine, strategy)
     half = _check_even(network)
     n = network.n_lines
     if strategy == "binary":
@@ -204,13 +205,11 @@ def _is_merger_impl(
         words = merging_permutation_test_set(n)
     if not words:
         return True
-    if strategy not in ("binary", "testset"):
-        engine = nonbinary_engine(engine)  # permutation values exceed 1
     if config is not None and config.streaming:
         from ..parallel.executor import chunked_words_all_sorted
 
         return chunked_words_all_sorted(network, words, engine=engine, config=config)
-    if engine == "bitpacked" and strategy in ("binary", "testset"):
+    if engine == "bitpacked":
         # 0/1 strategies never leave plane form: the violation mask runs
         # on arena rows (the RPR001 discipline the sorter and selector
         # checkers share).

@@ -23,13 +23,14 @@ Strategies:
     The ``C(n, min(k, floor(n/2))) - 1`` cover permutations of
     Theorem 2.4 (ii).
 
-The engine (:data:`repro.core.evaluation.EVALUATION_ENGINES`) is the
-``engine`` of a :class:`repro.api.Session` or the ``engine`` keyword of
-:func:`find_selection_counterexample`; the bit-packed engine runs the 0/1 strategies *fully packed* — zero counts come from a vertical
-(bit-sliced) popcount over the input planes and the first ``k`` output
-planes are compared against them without ever unpacking — while the
-permutation strategies fall back from ``"bitpacked"`` to ``"vectorized"``
-(their values exceed 1).  An execution configuration
+The strategy picks the engine (:func:`repro.core.evaluation.route_engine`):
+:func:`is_selector` and an unpinned :class:`repro.api.Session` run the 0/1
+strategies bit-packed and the permutation strategies vectorised, and a
+Session's ``engine`` pins another (a bit-packed pin refuses the
+permutation strategies).  The bit-packed engine runs the 0/1 strategies
+*fully packed* — zero counts come from a vertical (bit-sliced) popcount
+over the input planes and the first ``k`` output planes are compared
+against them without ever unpacking.  An execution configuration
 (:class:`repro.parallel.ExecutionConfig`, from a Session's ``workers`` /
 ``chunk_size``) streams the 0/1 strategies over the cube in fixed-size block ranges, optionally across worker processes.
 """
@@ -50,9 +51,8 @@ from ..core.bitpacked import (
 from ..core.evaluation import (
     all_binary_words_array,
     apply_network_to_batch,
-    check_engine,
-    nonbinary_engine,
     outputs_on_words,
+    route_engine,
 )
 from ..core.network import ComparatorNetwork
 from ..core.scratch import allocation_free, shared_arena
@@ -172,12 +172,13 @@ def _is_selector_impl(
     k: int,
     *,
     strategy: str = "testset",
-    engine: str = "vectorized",
+    engine: str | None = None,
     config: ExecutionConfig | None = None,
 ) -> bool:
     """:func:`is_selector` with its execution configured (Session backend).
 
-    With a *config* and ``engine="bitpacked"`` the 0/1 strategies stream
+    *engine* pins the engine; ``None`` routes by *strategy*.  With a
+    *config* and the bit-packed engine the 0/1 strategies stream
     the packed cube in fixed-size block ranges — constant memory at any
     ``n``, optionally sharded across worker processes — with a verdict
     identical to the single-shot path.
@@ -186,16 +187,10 @@ def _is_selector_impl(
         raise TestSetError(
             f"unknown strategy {strategy!r}; choose one of {SELECTOR_STRATEGIES}"
         )
-    check_engine(engine)
-    permutation_engine = nonbinary_engine(engine)
+    engine = route_engine(engine, strategy)
     _check_k(network, k)
     n = network.n_lines
-    if (
-        config is not None
-        and config.streaming
-        and engine == "bitpacked"
-        and strategy in ("binary", "testset")
-    ):
+    if config is not None and config.streaming and engine == "bitpacked":
         from ..parallel.executor import streamed_is_selector
 
         return streamed_is_selector(
@@ -216,9 +211,7 @@ def _is_selector_impl(
         batch = np.asarray(words, dtype=np.int8)
         return bool(np.all(_binary_batch_selected(network, batch, k, engine=engine)))
     if strategy == "permutation":
-        outputs = outputs_on_words(
-            network, all_permutations(n), engine=permutation_engine
-        )
+        outputs = outputs_on_words(network, all_permutations(n), engine=engine)
         expected = np.arange(k)
         return bool(np.all(outputs[:, :k] == expected[None, :]))
     # permutation-testset
@@ -227,7 +220,7 @@ def _is_selector_impl(
     perms = selector_cover_permutations(n, k)
     if not perms:
         return True
-    outputs = outputs_on_words(network, perms, engine=permutation_engine)
+    outputs = outputs_on_words(network, perms, engine=engine)
     expected = np.arange(k)
     return bool(np.all(outputs[:, :k] == expected[None, :]))
 

@@ -19,19 +19,20 @@ All strategies agree for standard networks; the exhaustive ones remain
 correct for non-standard networks as well (the test-set strategies assume
 the standard model, exactly as the paper does).
 
-The batch evaluation engine (:data:`repro.core.evaluation.EVALUATION_ENGINES`)
-is the ``engine`` of a :class:`repro.api.Session` (``session.verify``) or
-the ``engine`` keyword of :func:`find_sorting_counterexample`;
-:func:`is_sorter` runs the default engine.  The bit-packed engine applies to the 0/1-input strategies, and runs both of
-them on the input cube generated directly in packed form: ``binary`` judges
+The strategy picks the engine (:func:`repro.core.evaluation.route_engine`):
+:func:`is_sorter` and an unpinned :class:`repro.api.Session` run the 0/1
+strategies bit-packed and the permutation strategies vectorised; a
+Session's ``engine`` or the ``engine`` keyword of
+:func:`find_sorting_counterexample` pins another engine (a bit-packed pin
+refuses the permutation strategies).  The bit-packed engine runs both 0/1
+strategies on the input cube generated directly in packed form: ``binary`` judges
 every cube word, ``testset`` judges the same sweep's outputs with the
 ``n + 1`` sorted inputs masked out at their closed-form ranks
 (:func:`repro.core.bitpacked.packed_clear_sorted_cube_words`), so the
 Theorem 2.2 words are never materialised and non-standard networks keep
 their ``testset`` verdict.  The ``scalar`` and ``vectorized`` engines
 evaluate the materialised test set — they are the oracle the packed mask
-is checked against.  Permutation-model strategies carry values above 1 and
-silently fall back from ``"bitpacked"`` to ``"vectorized"``.
+is checked against.
 
 An execution configuration (:class:`repro.parallel.ExecutionConfig`,
 from a Session's ``workers`` / ``chunk_size``) streams the 0/1 strategies through the bit-packed engine in fixed-size block ranges —
@@ -71,12 +72,13 @@ from ..core.bitpacked import (
 )
 from ..core.scratch import allocation_free, shared_arena
 from ..core.evaluation import (
+    BINARY_STRATEGIES,
     all_binary_words_array,
     apply_network_to_batch,
     batch_is_sorted,
     check_engine,
-    nonbinary_engine,
     outputs_on_words,
+    route_engine,
     unsorted_binary_words_array,
 )
 from ..core.network import ComparatorNetwork
@@ -93,12 +95,6 @@ __all__ = [
 ]
 
 SORTER_STRATEGIES = ("binary", "permutation", "testset", "permutation-testset")
-
-
-def _nonbinary_engine(engine: str) -> str:
-    """The engine to use on batches that are not 0/1 (no bit planes there)."""
-    check_engine(engine)
-    return nonbinary_engine(engine)
 
 
 @allocation_free
@@ -195,15 +191,15 @@ def _is_sorter_impl(
     network: ComparatorNetwork,
     *,
     strategy: str = "testset",
-    engine: str = "vectorized",
+    engine: str | None = None,
     config: ExecutionConfig | None = None,
     cache=None,
 ) -> bool:
     """:func:`is_sorter` with its execution configured (Session backend).
 
-    ``engine="bitpacked"`` is the fast path for the 0/1 strategies (the
-    cube never leaves packed form; ``testset`` masks out the sorted
-    inputs); the permutation strategies fall back to ``"vectorized"``.
+    *engine* pins the engine; ``None`` routes by *strategy*.  The
+    bit-packed engine is the fast path of the 0/1 strategies (the cube
+    never leaves packed form; ``testset`` masks out the sorted inputs).
     With a *config* the bit-packed 0/1 strategies stream the cube in
     fixed-size block ranges (constant memory, optionally across worker
     processes); the permutation strategies chunk their word batches.
@@ -217,10 +213,10 @@ def _is_sorter_impl(
         raise TestSetError(
             f"unknown strategy {strategy!r}; choose one of {SORTER_STRATEGIES}"
         )
-    check_engine(engine)
+    engine = route_engine(engine, strategy)
     n = network.n_lines
     streaming = config is not None and config.streaming
-    if engine == "bitpacked" and strategy in ("binary", "testset"):
+    if engine == "bitpacked":  # a 0/1 strategy: route_engine refuses others
         restrict = strategy == "testset"
         if streaming:
             from ..parallel.executor import streamed_is_sorter
@@ -242,7 +238,7 @@ def _is_sorter_impl(
             restrict_to_unsorted_inputs=restrict,
         )
         return rank is None
-    if streaming and strategy in ("permutation", "permutation-testset"):
+    if streaming and strategy not in BINARY_STRATEGIES:
         from ..parallel.executor import chunked_words_all_sorted
         from ..words.chains import sorting_cover_permutations
 
@@ -252,7 +248,7 @@ def _is_sorter_impl(
             else sorting_cover_permutations(n)
         )
         return chunked_words_all_sorted(
-            network, words, engine=_nonbinary_engine(engine), config=config
+            network, words, engine=engine, config=config
         )
     if strategy == "binary":
         return _outputs_all_sorted(network, all_binary_words_array(n), engine=engine)
@@ -261,9 +257,7 @@ def _is_sorter_impl(
             network, unsorted_binary_words_array(n), engine=engine
         )
     if strategy == "permutation":
-        outputs = outputs_on_words(
-            network, all_permutations(n), engine=_nonbinary_engine(engine)
-        )
+        outputs = outputs_on_words(network, all_permutations(n), engine=engine)
         return bool(np.all(batch_is_sorted(outputs)))
     # permutation-testset
     from ..words.chains import sorting_cover_permutations
@@ -271,7 +265,7 @@ def _is_sorter_impl(
     perms = sorting_cover_permutations(n)
     if not perms:  # n == 1: nothing to test
         return True
-    outputs = outputs_on_words(network, perms, engine=_nonbinary_engine(engine))
+    outputs = outputs_on_words(network, perms, engine=engine)
     return bool(np.all(batch_is_sorted(outputs)))
 
 

@@ -2,10 +2,10 @@
 
 Examples
 --------
-Serve on a unix socket with two bit-packed sessions::
+Serve on a unix socket with two sessions (each job runs on the kernel
+of its value domain: bit-packed for 0/1 work, vectorised otherwise)::
 
-    python -m repro.serve --socket /tmp/repro.sock --jobs ./jobs \\
-        --engine bitpacked --pool 2
+    python -m repro.serve --socket /tmp/repro.sock --jobs ./jobs --pool 2
 
 Serve on TCP port 7777 with a 60 s default per-job timeout::
 
@@ -24,7 +24,7 @@ import asyncio
 import json
 import sys
 
-from .._registry import engine_names
+from .._registry import EVALUATION_ENGINES
 from ..cache.store import DEFAULT_MAX_BYTES
 from .service import VerificationService, serve
 
@@ -54,8 +54,9 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="session pool size = max concurrent jobs (default: 2)",
     )
     parser.add_argument(
-        "--engine", default="vectorized", choices=engine_names(),
-        help="evaluation engine of every pooled session",
+        "--engine", default=None, choices=EVALUATION_ENGINES,
+        help="pin the engine of every pooled session (default: each job "
+        "runs bitpacked on 0/1 work, vectorized otherwise)",
     )
     parser.add_argument(
         "--workers", type=int, default=1,

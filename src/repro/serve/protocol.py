@@ -20,18 +20,23 @@ Requests carry an ``"op"``; the interesting one is ``submit``, whose
     (:func:`repro.faults.enumerate_single_faults`), ``{"model": name}``
     (:func:`repro.faults.enumerate_model_faults`) or ``{"list": [...]}``
     with explicit :func:`repro.api.serialize.fault_to_dict` payloads,
-    each checked against its model's declared field types.  Required by
+    each checked against its model's declared field types and applied to
+    the network (so indices, lines and stages are in range).  Required by
     the three fault kinds.
 ``prop`` / ``strategy`` / ``k`` / ``criterion``
     Forwarded to the matching Session method.
+``timeout``
+    Optional per-job limit: ``null`` (no limit) or finite seconds ``>= 0``;
+    absent, the server's default applies.
 
 :meth:`JobRequest.from_dict` validates and decodes a payload once: the
 network, the vectors (explicit words become one read-only 2-D integer
 array) and the fault universe are decoded, and the workload token is
 built, at submit time.  Malformed input — an unknown kind, a missing
-field, ragged or wrongly sized words, non-integer entries, ill-typed faults — raises
-:class:`~repro.exceptions.ServiceError` there, before anything is
-persisted.
+field, ragged or wrongly sized words, non-integer entries, ill-typed or
+out-of-range faults, a timeout that is not null or finite seconds ``>= 0``
+— raises :class:`~repro.exceptions.ServiceError` there, before anything
+is persisted.
 
 Deduplication hinges on :meth:`JobRequest.content_key`: a BLAKE2b digest
 over the *structured* identity tokens of :mod:`repro.cache.keys`
@@ -51,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -58,7 +64,7 @@ import numpy as np
 from ..cache.keys import array_token, cube_token, faults_token, network_token
 from ..core.network import ComparatorNetwork
 from ..core.serialization import network_from_dict
-from ..exceptions import SerializationError, ServiceError
+from ..exceptions import FaultModelError, SerializationError, ServiceError
 from ..faults.injection import (
     enumerate_model_faults,
     enumerate_single_faults,
@@ -147,6 +153,25 @@ def decode_message(line: bytes | str) -> dict[str, Any]:
     return payload
 
 
+def _check_timeout(value: Any) -> None:
+    """Refuse a ``timeout`` member that is not null or finite seconds >= 0.
+
+    JSON ``true`` is refused rather than read as 1 s, and so are numbers
+    beyond the float range, which the executor could not wait on.
+    """
+    if value is None:
+        return
+    try:
+        valid = type(value) in (int, float) and math.isfinite(value) and value >= 0
+    except OverflowError:  # an int beyond the float range
+        valid = False
+    if not valid:
+        raise ServiceError(
+            f"'timeout' must be null or a finite number of seconds >= 0, "
+            f"got {value!r}"
+        )
+
+
 def _require(payload: dict[str, Any], name: str, kind: str) -> Any:
     value = payload.get(name)
     if value is None:
@@ -193,7 +218,12 @@ def _decode_vectors(spec: Any, n_lines: int) -> CubeVectors | np.ndarray:
 
 
 def _decode_faults(spec: Any, network: ComparatorNetwork) -> tuple[Fault, ...]:
-    """The fault spec as an explicit, enumerated or modelled universe."""
+    """The fault spec as an explicit, enumerated or modelled universe.
+
+    Each explicit fault is decoded and then applied to *network*, so an
+    index, line or stage out of range for it is refused here (every fault
+    model range-checks in ``apply_to``), not in the executor.
+    """
     from ..api.serialize import fault_from_dict
 
     if not isinstance(spec, dict):
@@ -205,9 +235,11 @@ def _decode_faults(spec: Any, network: ComparatorNetwork) -> tuple[Fault, ...]:
         faults = []
         for index, entry in enumerate(entries):
             try:
-                faults.append(fault_from_dict(entry))
-            except SerializationError as exc:
+                fault = fault_from_dict(entry)
+                fault.apply_to(network)
+            except (SerializationError, FaultModelError) as exc:
                 raise ServiceError(f"'faults.list[{index}]': {exc}") from exc
+            faults.append(fault)
         return tuple(faults)
     if "model" in spec:
         return tuple(enumerate_model_faults(network, str(spec["model"])))
@@ -274,6 +306,7 @@ class JobRequest:
             raise ServiceError(
                 f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
             )
+        _check_timeout(payload.get("timeout"))
         data = payload.get("network")
         if not isinstance(data, dict):
             raise ServiceError("job payload lacks a 'network' object")

@@ -128,7 +128,8 @@ class VerificationService:
         Number of pooled Sessions = maximum concurrently running jobs
         (default 2).
     engine, workers, chunk_size, prune :
-        The execution configuration of every pooled Session — part of
+        The execution configuration of every pooled Session (``engine``
+        is a pin; ``None`` routes each job by value domain) — part of
         the dedup key (see
         :meth:`~repro.serve.protocol.JobRequest.content_key`).
     timeout : float or None, optional
@@ -143,7 +144,7 @@ class VerificationService:
         job_root: str | Path,
         *,
         pool_size: int = 2,
-        engine: str = "vectorized",
+        engine: str | None = None,
         workers: int = 1,
         chunk_size: int | None = None,
         prune: bool = True,

@@ -23,9 +23,10 @@ adversary populations lives in :mod:`repro.testsets.minimal`.
 :func:`network_passes_test_set` is the other half of the story — the
 decision procedure a tester actually runs: apply every word of a test set to
 a device and accept iff every observed output is sorted.
-:meth:`repro.api.Session.passes_test_set` runs it on a configured engine
-(:data:`repro.core.evaluation.EVALUATION_ENGINES`), so exhaustive-scale
-test sets can be applied through the bit-packed engine.
+:func:`network_passes_test_set` and
+:meth:`repro.api.Session.passes_test_set` route by value domain
+(:func:`repro.core.evaluation.route_engine`): 0/1 test sets run through
+the bit-packed engine, permutation test sets through the vectorised one.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .._typing import BinaryWord, WordLike
 from ..core.evaluation import (
     apply_network_to_batch,
     batch_is_sorted,
-    check_engine,
     narrow_binary_batch,
+    route_words,
     words_to_array,
 )
 from ..core.network import ComparatorNetwork
@@ -134,75 +135,70 @@ def _network_passes_test_set_impl(
     network: ComparatorNetwork,
     test_words: Iterable[WordLike],
     *,
-    engine: str = "vectorized",
+    engine: str | None = None,
     config=None,
     cache=None,
 ) -> bool:
     """:func:`network_passes_test_set` with its execution configured
     (Session backend).
 
-    ``engine="bitpacked"`` requires 0/1 test words and falls back to
-    ``"vectorized"`` when the words are not binary.  A *config* (an
-    :class:`repro.parallel.ExecutionConfig`) applies the test set chunk by
-    chunk — bounded memory on exhaustive-scale sets, optionally sharded
-    across worker processes — with the same verdict.  With a *cache* (a
-    :class:`repro.cache.ResultCache`) and the bit-packed engine on binary
-    words, the verdict is memoised per exact network and input
+    *engine* pins the engine; ``None`` routes by the words
+    (:func:`repro.core.evaluation.route_words`), and a bit-packed pin
+    raises :class:`~repro.exceptions.NotBinaryError` on non-binary words.
+    A *config* (an :class:`repro.parallel.ExecutionConfig`) applies the
+    test set chunk by chunk — bounded memory on exhaustive-scale sets,
+    optionally sharded across worker processes — with the same verdict.
+    With a *cache* (a :class:`repro.cache.ResultCache`) and the bit-packed
+    engine, the verdict is memoised per exact network and input
     fingerprint, and on a verdict miss the simulation reuses the longest
     cached comparator prefix — same ``True``/``False`` either way.
     """
-    check_engine(engine)
-    rows = list(test_words)
-    if not rows:
+    engine, words = route_words(engine, test_words, network.n_lines)
+    # One C-level pass to build the batch, numpy min/max for the dtype and
+    # binary decisions — exhaustive-scale test sets must not pay per-element
+    # Python loops before the fast engine even starts.
+    batch = words_to_array(words, dtype=np.int64, n_lines=network.n_lines)
+    if not len(batch):
         return True
     if cache is not None and engine == "bitpacked" and config is None:
-        verdict = _cached_passes(network, rows, cache)
+        verdict = _cached_passes(network, batch, cache)
         if verdict is not None:
             return verdict
     if config is not None and config.streaming:
         from ..parallel.executor import chunked_words_all_sorted
 
-        return chunked_words_all_sorted(network, rows, engine=engine, config=config)
-    # One C-level pass to build the batch, numpy min/max for the dtype and
-    # binary decisions — exhaustive-scale test sets must not pay per-element
-    # Python loops before the fast engine even starts.
-    batch = words_to_array(rows, dtype=np.int64, n_lines=network.n_lines)
-    batch, engine = narrow_binary_batch(batch, engine)
+        return chunked_words_all_sorted(network, batch, engine=engine, config=config)
+    batch = narrow_binary_batch(batch)
     outputs = apply_network_to_batch(network, batch, copy=False, engine=engine)
     return bool(np.all(batch_is_sorted(outputs)))
 
 
 def _cached_passes(
-    network: ComparatorNetwork, rows: list, cache
+    network: ComparatorNetwork, batch: np.ndarray, cache
 ) -> bool | None:
     """Cache-served test-set verdict, or ``None`` when not cacheable.
 
-    Non-binary words (permutation test sets) and networks that override
-    their evaluation (:func:`repro.cache.cacheable_network`) fall back to
-    the ordinary path — the cache only covers the bit-packed 0/1 pipeline
-    of plain comparator networks.
+    Networks that override their evaluation
+    (:func:`repro.cache.cacheable_network`) take the ordinary path — the
+    cache only covers the bit-packed 0/1 pipeline of plain comparator
+    networks, so non-binary words fail in the packer as uncached ones do.
     """
     from ..cache.keys import array_token, cacheable_network, network_token
     from ..cache.restore import acquire_prefix_states
     from ..core.bitpacked import pack_batch, packed_is_sorted_arena
     from ..core.scratch import shared_arena
-    from ..exceptions import NotBinaryError
 
     if not cacheable_network(network):
         return None
-    batch = words_to_array(rows, dtype=np.int64, n_lines=network.n_lines)
     input_token = array_token(batch)
     key = ("passes", network_token(network), input_token)
     hit = cache.get_verdict(key)
     if hit is not None:
         return bool(hit)
-    token = (*input_token, 0, len(rows))
+    token = (*input_token, 0, len(batch))
     packed = cache.get_input(token)
     if packed is None:
-        try:
-            packed = pack_batch(batch, n_lines=network.n_lines)
-        except NotBinaryError:
-            return None
+        packed = pack_batch(batch, n_lines=network.n_lines)
         cache.put_input(token, packed)
     states = acquire_prefix_states(network, packed, cache=cache, token=token)
     arena = shared_arena(network.n_lines, packed.n_blocks, packed.planes.dtype)

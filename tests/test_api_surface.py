@@ -1,8 +1,8 @@
 """Public-API surface snapshot and the free-function contract.
 
 Two guarantees: (a) the shape of the :mod:`repro.api` facade — exported
-names, Session signature, result-object fields, registry built-ins — is
-pinned so accidental surface changes fail loudly, and (b) the Session is
+names, Session signature, result-object fields, registered fault models —
+is pinned so accidental surface changes fail loudly, and (b) the Session is
 the only execution surface: no free function takes the execution
 keywords (``engine`` / ``config`` / ``prune`` / ``arena``), and plain
 calls stay silent.
@@ -19,12 +19,8 @@ import pytest
 
 import repro.api as api
 from repro.api import registry
-from repro.constructions import batcher_sorting_network
-from repro.core.evaluation import (
-    apply_network_to_batch,
-    reset_engine_downgrade_warning,
-)
-from repro.exceptions import EngineDowngradeWarning, EngineError
+from repro.core.evaluation import EVALUATION_ENGINES, apply_network_to_batch
+from repro.exceptions import EngineError, NotBinaryError
 from repro.faults import (
     compare_test_sets,
     coverage_report,
@@ -66,7 +62,7 @@ class TestApiSurface:
         )
         defaults = {name: p.default for name, p in params.items()}
         assert defaults == {
-            "engine": "vectorized",
+            "engine": None,
             "workers": 1,
             "chunk_size": None,
             "prune": True,
@@ -156,12 +152,6 @@ class TestApiSurface:
     def test_result_dataclass_fields(self, cls, expected):
         assert [f.name for f in fields(cls)] == expected
 
-    def test_builtin_engines_are_registered(self):
-        names = registry.engine_names()
-        assert names[:3] == ("scalar", "vectorized", "bitpacked")
-        for name in ("scalar", "vectorized", "bitpacked"):
-            assert registry.get_engine(name).builtin
-
     def test_builtin_fault_models_are_registered(self):
         assert set(registry.fault_model_names()) >= {
             "StuckPassFault",
@@ -172,57 +162,21 @@ class TestApiSurface:
 
 
 # ----------------------------------------------------------------------
-# Engine registry behaviour
+# Engine names
 # ----------------------------------------------------------------------
-class TestEngineRegistry:
-    def test_register_dispatch_unregister(self, four_sorter):
-        def doubled_vectorized(network, batch):
-            return apply_network_to_batch(network, np.asarray(batch))
-
-        registry.register_engine("test-plugin", doubled_vectorized)
-        try:
-            batch = np.array([[1, 0, 1, 0], [0, 1, 1, 0]], dtype=np.int8)
-            out = apply_network_to_batch(four_sorter, batch, engine="test-plugin")
-            expected = apply_network_to_batch(four_sorter, batch)
-            assert np.array_equal(out, expected)
-            assert "test-plugin" in registry.engine_names()
-        finally:
-            registry.unregister_engine("test-plugin")
-        assert "test-plugin" not in registry.engine_names()
-        with pytest.raises(EngineError):
-            apply_network_to_batch(four_sorter, batch, engine="test-plugin")
-
-    def test_plugin_engine_drives_the_fault_simulator(self, four_sorter):
-        calls = []
-
-        def counting_vectorized(network, batch):
-            calls.append(type(network).__name__)
-            return apply_network_to_batch(network, np.asarray(batch))
-
-        registry.register_engine("test-fault-plugin", counting_vectorized)
-        try:
-            faults = enumerate_single_faults(four_sorter)
-            vectors = sorting_binary_test_set(4)
-            with api.Session(engine="test-fault-plugin") as session:
-                result = session.fault_matrix(four_sorter, faults, vectors)
-            reference = fault_detection_matrix(four_sorter, faults, vectors)
-            assert np.array_equal(result.matrix, reference)
-            # The registered callable actually ran (once per faulty device).
-            assert len(calls) >= len(faults)
-        finally:
-            registry.unregister_engine("test-fault-plugin")
-
-    def test_builtins_cannot_be_replaced_or_removed(self):
-        with pytest.raises(EngineError):
-            registry.register_engine("bitpacked", lambda n, b: b, replace=True)
-        with pytest.raises(EngineError):
-            registry.unregister_engine("vectorized")
-
+class TestEngineNames:
     def test_unknown_engine_message_lists_choices(self, four_sorter):
         with pytest.raises(EngineError, match="bitpacked"):
             apply_network_to_batch(
                 four_sorter, np.zeros((1, 4), dtype=np.int8), engine="nope"
             )
+
+    def test_session_takes_no_pin_or_one_of_the_three_engines(self):
+        for engine in (None, *EVALUATION_ENGINES):
+            assert api.Session(engine=engine).engine == engine
+        for bad in ("nope", "", "Bitpacked", "registered-plugin"):
+            with pytest.raises(EngineError):
+                api.Session(engine=bad)
 
 
 # ----------------------------------------------------------------------
@@ -270,37 +224,37 @@ class TestFreeFunctions:
 
 
 # ----------------------------------------------------------------------
-# Engine-downgrade surfacing
+# Engine routing: no pin routes by value domain, a pin never downgrades
 # ----------------------------------------------------------------------
-class TestEngineDowngrade:
-    def test_downgrade_warns_once_and_surfaces_on_result(self, four_sorter):
+class TestEngineRouting:
+    def test_bitpacked_pin_refuses_permutation_words(self, four_sorter):
         permutations = [(3, 1, 0, 2), (0, 2, 1, 3)]
-        reset_engine_downgrade_warning()
         with api.Session(engine="bitpacked") as session:
-            with pytest.warns(EngineDowngradeWarning):
-                result = session.passes_test_set(four_sorter, permutations)
-            assert result.execution.engine_requested == "bitpacked"
-            assert result.execution.engine_effective == "vectorized"
-            assert result.execution.engine_downgraded
-            # The warning is one-time per process; the field still reports.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", EngineDowngradeWarning)
-                again = session.passes_test_set(four_sorter, permutations)
-            assert again.execution.engine_downgraded
+            with pytest.raises(NotBinaryError):
+                session.passes_test_set(four_sorter, permutations)
+            # NotBinaryError is the EngineError of the packer.
+            with pytest.raises(EngineError):
+                session.passes_test_set(four_sorter, permutations)
+        with api.Session() as session:
+            routed = session.passes_test_set(four_sorter, permutations)
+        assert routed.execution.engine_requested is None
+        assert routed.execution.engine_effective == "vectorized"
 
-    def test_binary_words_do_not_downgrade(self, four_sorter):
+    def test_binary_words_run_on_the_bitpacked_pin(self, four_sorter):
         with api.Session(engine="bitpacked") as session:
             result = session.passes_test_set(
                 four_sorter, sorting_binary_test_set(4)
             )
+        assert result.execution.engine_requested == "bitpacked"
         assert result.execution.engine_effective == "bitpacked"
-        assert not result.execution.engine_downgraded
 
-    def test_permutation_strategy_downgrade_on_verify(self, four_sorter):
-        reset_engine_downgrade_warning()
-        with api.Session(engine="bitpacked") as session, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    def test_bitpacked_pin_refuses_permutation_strategy(self, four_sorter):
+        with api.Session(engine="bitpacked") as session:
+            with pytest.raises(EngineError, match="0/1"):
+                session.verify(four_sorter, "sorter", strategy="permutation")
+        with api.Session() as session:
             result = session.verify(
                 four_sorter, "sorter", strategy="permutation"
             )
+        assert result.verdict
         assert result.execution.engine_effective == "vectorized"

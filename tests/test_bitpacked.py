@@ -252,24 +252,16 @@ class TestFloatBatches:
 
 
 class TestNarrowBinaryBatch:
-    def test_narrows_binary_ints_and_keeps_engine(self):
+    def test_narrows_binary_ints(self):
         from repro.core import narrow_binary_batch
 
-        batch, engine = narrow_binary_batch(
-            np.array([[0, 1]], dtype=np.int64), "bitpacked"
-        )
-        assert batch.dtype == np.int8 and engine == "bitpacked"
+        batch = narrow_binary_batch(np.array([[0, 1]], dtype=np.int64))
+        assert batch.dtype == np.int8
 
-    def test_falls_back_for_non_binary_and_preserves_floats(self):
+    def test_keeps_non_binary_ints_and_floats(self):
         from repro.core import narrow_binary_batch
-        from repro.core.evaluation import reset_engine_downgrade_warning
-        from repro.exceptions import EngineDowngradeWarning
 
-        reset_engine_downgrade_warning()
-        with pytest.warns(EngineDowngradeWarning):
-            batch, engine = narrow_binary_batch(
-                np.array([[0, 5]], dtype=np.int64), "bitpacked"
-            )
-        assert batch.dtype == np.int64 and engine == "vectorized"
-        floats, engine = narrow_binary_batch(np.array([[0.25, 0.75]]), "vectorized")
-        assert floats.dtype == np.float64 and engine == "vectorized"
+        batch = narrow_binary_batch(np.array([[0, 5]], dtype=np.int64))
+        assert batch.dtype == np.int64
+        floats = narrow_binary_batch(np.array([[0.25, 0.75]]))
+        assert floats.dtype == np.float64

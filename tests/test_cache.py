@@ -17,7 +17,6 @@ import functools
 import pickle
 import sys
 import threading
-import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -404,9 +403,10 @@ class TestWarmColdIdentity:
     def test_verify_and_passes_test_set(self, network):
         tests = sorting_binary_test_set(network.n_lines)
         plain_verdict = session_verdict(
-            network, strategy="binary", engine="bitpacked"
+            network, strategy="binary", engine="vectorized"
         )
-        plain_passes = network_passes_test_set(network, tests)
+        with api.Session(engine="vectorized") as reference:
+            plain_passes = reference.passes_test_set(network, tests).passed
         with api.Session(engine="bitpacked", cache=True) as s:
             for _ in range(2):  # second round is answered from the store
                 assert (
@@ -416,14 +416,18 @@ class TestWarmColdIdentity:
                 assert s.passes_test_set(network, tests).passed is plain_passes
 
     def test_permutation_test_sets_fall_back_identically(self, four_sorter):
+        # The cache serves the bit-packed 0/1 pipeline only: a permutation
+        # test set routes to the vectorised engine and leaves it untouched.
         permutations = [(3, 1, 0, 2), (0, 2, 1, 3), (1, 0, 3, 2)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy = network_passes_test_set(four_sorter, permutations)
-            with api.Session(engine="bitpacked", cache=True) as s:
+        legacy = network_passes_test_set(four_sorter, permutations)
+        with api.Session(cache=True) as s:
+            for _ in range(2):
                 cached = s.passes_test_set(four_sorter, permutations)
-        assert cached.passed is legacy
-        assert cached.execution.engine_effective == "vectorized"
+                assert cached.passed is legacy
+                assert cached.execution.engine_effective == "vectorized"
+                assert cached.execution.cache.verdict_hits == 0
+                assert cached.execution.cache.verdict_misses == 0
+            assert s.cache.stats().entries == 0
 
 
 # ----------------------------------------------------------------------

@@ -22,10 +22,7 @@ from repro.core import (
     apply_network_to_batch,
     words_to_array,
 )
-from repro.faults import (
-    enumerate_single_faults,
-    fault_detection_matrix,
-)
+from repro.faults import enumerate_single_faults
 from repro.testsets import sorting_binary_test_set
 
 # ----------------------------------------------------------------------
@@ -155,8 +152,8 @@ def test_fault_matrix_engines_on_batcher(batcher8, criterion, engine):
     faults = enumerate_single_faults(batcher8, line_stuck_at_input_only=False)
     vectors = sorting_binary_test_set(8)[:64]
     matrix = session_matrix(batcher8, faults, vectors, criterion, engine=engine)
-    reference = fault_detection_matrix(
-        batcher8, faults, vectors, criterion=criterion
+    reference = session_matrix(
+        batcher8, faults, vectors, criterion, engine="vectorized"
     )
     assert matrix.shape == (len(faults), 64)
     assert np.array_equal(matrix, reference)

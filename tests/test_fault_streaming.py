@@ -35,7 +35,6 @@ from repro.faults import (
     LineStuckFault,
     SimulationStats,
     enumerate_single_faults,
-    fault_detection_matrix,
 )
 import repro.faults.simulation as simulation
 from repro.faults.simulation import (
@@ -60,8 +59,8 @@ def test_pruned_and_streamed_matrices_match_serial(network, criterion, chunk):
     streamed, on random networks, both criteria, odd chunk sizes."""
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = all_binary_words_array(network.n_lines)
-    reference = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion
+    reference = session_matrix(
+        network, faults, vectors, criterion, engine="vectorized"
     )
     unpruned = session_matrix(
         network, faults, vectors, criterion, engine="bitpacked", prune=False
@@ -97,8 +96,8 @@ def test_streamed_explicit_vectors_match(network, criterion, chunk):
     vectors = unsorted_binary_words_array(network.n_lines)
     if vectors.shape[0] == 0:
         return
-    reference = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion
+    reference = session_matrix(
+        network, faults, vectors, criterion, engine="vectorized"
     )
     streamed = session_matrix(
         network, faults, vectors, criterion, engine="bitpacked",
@@ -123,7 +122,8 @@ def test_cube_vectors_equivalent_to_explicit_cube():
     assert np.array_equal(lazy, explicit)
     # Non-bit-packed engines expand the cube and agree as well.
     assert np.array_equal(
-        fault_detection_matrix(network, faults, CubeVectors(6)), explicit
+        session_matrix(network, faults, CubeVectors(6), engine="vectorized"),
+        explicit,
     )
 
 
@@ -164,8 +164,9 @@ def test_grid_sharded_matrix_is_bit_identical(criterion, prune):
     """Real process pool over the 2-D grid: cube chunks × fault slices."""
     network = batcher_sorting_network(7)
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
-    reference = fault_detection_matrix(
-        network, faults, all_binary_words_array(7), criterion=criterion
+    reference = session_matrix(
+        network, faults, all_binary_words_array(7), criterion,
+        engine="vectorized",
     )
     config = ExecutionConfig(max_workers=2, chunk_size=48)
     stats = SimulationStats()
@@ -188,7 +189,7 @@ def test_grid_sharded_explicit_vectors():
     network = batcher_sorting_network(7)
     faults = enumerate_single_faults(network)
     vectors = all_binary_words_array(7)
-    reference = fault_detection_matrix(network, faults, vectors)
+    reference = session_matrix(network, faults, vectors, engine="vectorized")
     config = ExecutionConfig(max_workers=2, chunk_size=32)
     assert config.wants_vector_chunking(vectors.shape[0])
     grid = _fault_detection_matrix_impl(

@@ -31,7 +31,6 @@ from repro.faults.simulation import _fault_detection_matrix_impl
 from repro.observe import (
     Metrics,
     Trace,
-    global_metrics,
     observation_enabled,
     set_observation_enabled,
 )
@@ -92,11 +91,6 @@ class TestMetrics:
         assert a != Metrics(("x",))
         assert (a == object()) is False or (a == object()) is NotImplemented
         assert "x" in repr(a)
-
-    def test_global_metrics_is_a_singleton_registry(self):
-        g = global_metrics()
-        assert g is global_metrics()
-        assert "engine_downgrades" in g.names
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +156,47 @@ class TestSpans:
         assert rebuilt.to_json() == trace.to_json()
         again = Trace.from_json(rebuilt.to_json())
         assert again.to_json() == rebuilt.to_json()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_read_seconds_survive_re_export(self, data):
+        """``from_dict`` keeps each span's ``seconds`` as read: a child at
+        ``start`` 0.1 with ``seconds`` 0.2 must not come back as
+        0.20000000000000004 (``start + seconds - start``)."""
+        floats = st.floats(
+            min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
+        )
+
+        def span(start, depth):
+            children = [
+                span(data.draw(floats), depth + 1)
+                for _ in range(data.draw(st.integers(0, 2 if depth < 2 else 0)))
+            ]
+            return {
+                "name": f"s{depth}",
+                "start": start,
+                "seconds": data.draw(floats),
+                "meta": {},
+                "counters": {},
+                "children": children,
+            }
+
+        # An exported trace starts its first root at 0.0 (the epoch).
+        payload = {"spans": [span(0.0, 0)]}
+        assert Trace.from_dict(payload).to_dict() == payload
+        payload["spans"][0]["children"].append(span(0.1, 1) | {"seconds": 0.2})
+        assert Trace.from_dict(payload).to_dict() == payload
+        info = api.ExecutionInfo(
+            engine_requested=None,
+            engine_effective="bitpacked",
+            workers=1,
+            chunk_words=None,
+            grid_shape=None,
+            seconds=payload["spans"][0]["seconds"],
+            trace=Trace.from_dict(payload),
+        )
+        text = info.to_json()
+        assert api.ExecutionInfo.from_json(text).to_json() == text
 
     def test_trace_equality_and_repr(self):
         trace = Trace()

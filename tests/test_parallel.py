@@ -33,7 +33,7 @@ from repro.core.evaluation import (
     evaluate_on_all_binary_inputs,
 )
 from repro.exceptions import ExecutionConfigError
-from repro.faults import enumerate_single_faults, fault_detection_matrix
+from repro.faults import enumerate_single_faults
 from repro.faults.simulation import _fault_detection_matrix_impl
 from repro.parallel import (
     ExecutionConfig,
@@ -47,7 +47,6 @@ from repro.parallel import (
     streamed_is_sorter,
     streamed_sorting_failure_rank,
 )
-from repro.properties import is_merger
 from repro.properties.sorter import _is_sorter_impl, find_sorting_counterexample
 from repro.testsets import sorting_binary_test_set
 from repro.testsets.validation import _network_passes_test_set_impl
@@ -282,7 +281,7 @@ def test_chunked_merger_matches(n):
         bad = good.without_comparator(0)
         assert session_verdict(
             bad, "merger", strategy="binary", chunk_size=3
-        ) == is_merger(bad, strategy="binary")
+        ) == session_verdict(bad, "merger", strategy="binary", engine="vectorized")
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +334,7 @@ def test_extended_universe_and_array_vectors_match():
     from repro.core.evaluation import unsorted_binary_words_array
 
     array = unsorted_binary_words_array(7)
-    reference = fault_detection_matrix(network, faults, tuples)
+    reference = session_matrix(network, faults, tuples, engine="vectorized")
     assert np.array_equal(
         session_matrix(network, faults, tuples, engine="bitpacked"), reference
     )
@@ -343,7 +342,7 @@ def test_extended_universe_and_array_vectors_match():
         session_matrix(network, faults, array, engine="bitpacked"), reference
     )
     assert np.array_equal(
-        fault_detection_matrix(network, faults, array), reference
+        session_matrix(network, faults, array, engine="vectorized"), reference
     )
     sharded = _fault_detection_matrix_impl(
         network,

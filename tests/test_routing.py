@@ -1,0 +1,185 @@
+"""The routing contract: with no engine pin, the value domain picks the kernel.
+
+An unpinned :class:`repro.api.Session` runs 0/1 work — the ``binary`` /
+``testset`` strategies, 0/1 word lists and arrays (empty ones included),
+:class:`~repro.faults.CubeVectors` — on the bit-packed engine and
+everything else on the vectorised one, reports that engine as
+``engine_effective`` (with ``engine_requested`` ``None``), and returns
+exactly what ``Session(engine="vectorized")`` returns.  A bit-packed pin
+never swaps engines: permutation input raises
+:class:`~repro.exceptions.EngineError` from every workload method.  The
+CLI prints the engine that ran.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+import numpy as np
+import pytest
+from strategies import networks
+
+from repro.api import Session
+from repro.cli import main
+from repro.constructions import batcher_sorting_network
+from repro.core import ComparatorNetwork
+from repro.core.evaluation import unsorted_binary_words_array
+from repro.exceptions import EngineError
+from repro.faults import CubeVectors, enumerate_single_faults
+from repro.testsets import sorting_binary_test_set
+from repro.words.permutations import all_permutations
+
+#: Small networks, the one-line network included.
+small_networks = st.one_of(
+    networks(max_lines=5, max_size=8), st.just(ComparatorNetwork.identity(1))
+)
+
+STRATEGIES = ("binary", "testset", "permutation", "permutation-testset")
+
+
+def vector_sources(n: int) -> dict[str, tuple[object, bool]]:
+    """``name -> (test vectors, is 0/1)`` for an ``n``-line network."""
+    fractional = np.linspace(0.25, 0.75, n)[None, :].repeat(2, axis=0)
+    fractional[1] = fractional[1, ::-1]
+    return {
+        "binary-list": (sorting_binary_test_set(n), True),
+        "theorem-array": (unsorted_binary_words_array(n), True),
+        "cube": (CubeVectors(n), True),
+        "empty-list": ([], True),
+        # Permutations of 0..n-1 are 0/1 words only for n <= 2.
+        "permutations": (list(all_permutations(n))[:24], n <= 2),
+        "fractional-array": (fractional, False),
+    }
+
+
+def expected_engine(binary: bool) -> str:
+    return "bitpacked" if binary else "vectorized"
+
+
+def assert_routed(execution, binary: bool) -> None:
+    assert execution.engine_requested is None
+    assert execution.engine_effective == expected_engine(binary)
+
+
+def coverage_fields(report) -> tuple:
+    return (
+        report.total_faults,
+        report.detected_faults,
+        report.coverage,
+        dict(report.by_kind),
+        report.vectors_used,
+    )
+
+
+@given(small_networks)
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_unpinned_verify_routes_by_strategy(network):
+    n = network.n_lines
+    checks = [("sorter", 1), ("selector", min(2, n))]
+    if n % 2 == 0:
+        checks.append(("merger", 1))
+    with Session() as routed, Session(engine="vectorized") as reference:
+        for prop, k in checks:
+            for strategy in STRATEGIES:
+                result = routed.verify(network, prop, k=k, strategy=strategy)
+                oracle = reference.verify(network, prop, k=k, strategy=strategy)
+                assert result.verdict is oracle.verdict, (prop, strategy)
+                assert_routed(
+                    result.execution, strategy in ("binary", "testset")
+                )
+
+
+@given(small_networks)
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_unpinned_vector_workloads_route_by_their_vectors(network):
+    faults = enumerate_single_faults(network)
+    with Session() as routed, Session(engine="vectorized") as reference:
+        for name, (vectors, binary) in vector_sources(network.n_lines).items():
+            if not isinstance(vectors, CubeVectors):
+                result = routed.passes_test_set(network, vectors)
+                oracle = reference.passes_test_set(network, vectors)
+                assert result.passed is oracle.passed, name
+                assert result.vectors_used == oracle.vectors_used
+                # A fractional float array is truncated by the test-set
+                # path, but it is routed as given: not 0/1.
+                assert_routed(result.execution, binary)
+
+            matrix = routed.fault_matrix(network, faults, vectors)
+            assert np.array_equal(
+                matrix.matrix,
+                reference.fault_matrix(network, faults, vectors).matrix,
+            ), name
+            assert_routed(matrix.execution, binary)
+
+            coverage = routed.fault_coverage(network, faults, vectors)
+            assert coverage_fields(coverage) == coverage_fields(
+                reference.fault_coverage(network, faults, vectors)
+            ), name
+            assert_routed(coverage.execution, binary)
+
+            diagnosis = routed.diagnose(network, faults, vectors)
+            oracle = reference.diagnose(network, faults, vectors)
+            assert diagnosis.dictionary.signatures == oracle.dictionary.signatures
+            assert diagnosis.dictionary.classes == oracle.dictionary.classes
+            assert diagnosis.test_order == oracle.test_order, name
+            assert_routed(diagnosis.execution, binary)
+
+
+class TestBitpackedPinRefusesPermutations:
+    """A bit-packed pin raises instead of running another engine."""
+
+    network = batcher_sorting_network(4)
+    permutations = ((3, 1, 0, 2), (0, 2, 1, 3), (1, 0, 3, 2))
+
+    @pytest.mark.parametrize("strategy", ["permutation", "permutation-testset"])
+    @pytest.mark.parametrize("prop", ["sorter", "selector", "merger"])
+    def test_verify(self, prop, strategy):
+        with Session(engine="bitpacked") as session, pytest.raises(EngineError):
+            session.verify(self.network, prop, k=2, strategy=strategy)
+
+    def test_passes_test_set(self):
+        with Session(engine="bitpacked") as session, pytest.raises(EngineError):
+            session.passes_test_set(self.network, self.permutations)
+
+    @pytest.mark.parametrize("method", ["fault_matrix", "fault_coverage", "diagnose"])
+    def test_fault_workloads(self, method):
+        faults = enumerate_single_faults(self.network)
+        with Session(engine="bitpacked") as session, pytest.raises(EngineError):
+            getattr(session, method)(self.network, faults, self.permutations)
+
+    def test_cached_and_streamed_sessions_refuse_too(self):
+        for knobs in ({"cache": True}, {"chunk_size": 2}):
+            with Session(engine="bitpacked", **knobs) as session:
+                with pytest.raises(EngineError):
+                    session.passes_test_set(self.network, self.permutations)
+
+    def test_pins_report_themselves(self):
+        for engine in ("scalar", "vectorized", "bitpacked"):
+            with Session(engine=engine) as session:
+                result = session.verify(self.network, "sorter")
+            assert result.execution.engine_requested == engine
+            assert result.execution.engine_effective == engine
+
+
+class TestCliPrintsTheEngineThatRan:
+    @pytest.mark.parametrize(
+        "argv,engine",
+        [
+            (["--n", "12"], "bitpacked"),
+            (["--n", "12", "--strategy", "permutation-testset"], "vectorized"),
+            (["--n", "5", "--strategy", "permutation"], "vectorized"),
+            (["--n", "12", "--engine", "vectorized"], "vectorized"),
+        ],
+    )
+    def test_verify(self, capsys, argv, engine):
+        assert main(["verify", "--construct", "batcher", *argv]) == 0
+        assert f"engine={engine} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["faults", "diagnose"])
+    def test_fault_commands(self, capsys, command):
+        assert main([command, "--n", "5"]) == 0
+        assert "engine=bitpacked " in capsys.readouterr().out

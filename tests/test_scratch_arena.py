@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
+from strategies import session_matrix
 
 from repro.api import Session
 from repro.cache import ResultCache
@@ -30,7 +31,6 @@ from repro.faults import (
     StuckPassFault,
     StuckSwapFault,
     enumerate_single_faults,
-    fault_detection_matrix,
 )
 from repro.faults.simulation import (
     _fault_detection_any_impl,
@@ -126,8 +126,8 @@ def test_shared_arena_reuse_bit_identical(network, criterion, chunk):
     reproduce the vectorized matrix, as does the unpruned path."""
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = all_binary_words_array(network.n_lines)
-    reference = fault_detection_matrix(
-        network, faults, vectors, criterion=criterion
+    reference = session_matrix(
+        network, faults, vectors, criterion, engine="vectorized"
     )
     config = ExecutionConfig(max_workers=1, chunk_size=chunk)
     # Deliberately mis-sized: the first call must adapt it, later calls
@@ -190,8 +190,8 @@ def test_grid_sharded_matrix_bit_identical():
     pruning work."""
     network = batcher_sorting_network(7)
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
-    reference = fault_detection_matrix(
-        network, faults, all_binary_words_array(7)
+    reference = session_matrix(
+        network, faults, all_binary_words_array(7), engine="vectorized"
     )
     streamed_stats = SimulationStats()
     streamed = _fault_detection_matrix_impl(

@@ -767,6 +767,116 @@ def test_ill_typed_fault_lists_are_refused_at_submit(tmp_path, sock_dir):
     run_with_server(scenario, tmp_path, sock_dir)
 
 
+def test_bad_timeouts_are_refused_at_submit(tmp_path, sock_dir):
+    """``timeout`` is null or finite seconds >= 0; anything else is answered
+    ``{"ok": false}`` before a job directory exists, and a valid limit
+    still runs."""
+    bad_timeouts = ("soon", -1, float("nan"), True, 10**400)
+
+    async def scenario(service, sock):
+        def run():
+            with ServeClient(socket_path=sock) as client:
+                errors = []
+                for timeout in bad_timeouts:
+                    # json.dumps writes NaN, and json.loads reads it back.
+                    with pytest.raises(ServiceError) as refused:
+                        client.submit(
+                            dict(coverage_job(), timeout=timeout), wait=True
+                        )
+                    errors.append(str(refused.value))
+                status = client.status()
+                good = client.submit(dict(coverage_job(), timeout=0.5), wait=True)
+                return errors, status, good
+
+        errors, status, good = await asyncio.to_thread(run)
+        assert len(errors) == len(bad_timeouts)
+        assert all("'timeout'" in error for error in errors)
+        assert status["metrics"]["protocol_errors"] == len(bad_timeouts)
+        assert status["metrics"]["jobs_accepted"] == 0
+        assert good["state"] == "done"
+        assert len(list(service.store.root.iterdir())) == 1
+        return None
+
+    run_with_server(scenario, tmp_path, sock_dir)
+
+
+def test_out_of_range_faults_are_refused_at_submit(tmp_path, sock_dir):
+    """Explicit faults are applied to the submitted network at submit: an
+    index, line or stage out of its range is answered ``{"ok": false}``
+    before a job directory exists."""
+    network = batcher_sorting_network(4)  # 5 comparators
+
+    def fault(model, **fields):
+        return {"model": model, "fields": fields}
+
+    bad_entries = (
+        fault("StuckPassFault", index=999),
+        fault("LineStuckFault", line=9, value=0, stage=0),
+        fault("LineStuckFault", line=0, value=1, stage=99),
+        fault(
+            "MultiFault",
+            faults=[
+                fault("StuckPassFault", index=0),
+                fault("StuckSwapFault", index=5),
+            ],
+        ),
+    )
+
+    def job(entry):
+        return {
+            "kind": "fault-coverage",
+            "network": coverage_job(network)["network"],
+            "vectors": {"cube": 4},
+            "faults": {"list": [entry]},
+        }
+
+    async def scenario(service, sock):
+        def run():
+            with ServeClient(socket_path=sock) as client:
+                errors = []
+                for entry in bad_entries:
+                    with pytest.raises(ServiceError) as refused:
+                        client.submit(job(entry), wait=True)
+                    errors.append(str(refused.value))
+                status = client.status()
+                good = client.submit(
+                    job(fault("StuckPassFault", index=4)), wait=True
+                )
+                return errors, status, good
+
+        errors, status, good = await asyncio.to_thread(run)
+        assert len(errors) == len(bad_entries)
+        assert all("faults.list[0]" in error for error in errors)
+        assert "out of range" in errors[0]
+        assert status["metrics"]["protocol_errors"] == len(bad_entries)
+        assert status["metrics"]["jobs_accepted"] == 0
+        assert good["state"] == "done"
+        assert ServeClient.decode_result(good).total_faults == 1
+        assert len(list(service.store.root.iterdir())) == 1
+        return None
+
+    run_with_server(scenario, tmp_path, sock_dir)
+
+
+def test_default_service_routes_each_job_by_value_domain(tmp_path, sock_dir):
+    """Without an engine pin the service runs a 0/1 job bit-packed and
+    reports ``engine_requested`` as null."""
+
+    async def scenario(service, sock):
+        def run():
+            with ServeClient(socket_path=sock) as client:
+                return client.submit(coverage_job(), wait=True)
+
+        response = await asyncio.to_thread(run)
+        execution = json.loads(response["result_json"])["execution"]
+        assert execution["engine_requested"] is None
+        assert execution["engine_effective"] == "bitpacked"
+        assert service.status_payload()["config"]["engine"] is None
+        return None
+
+    run_with_server(scenario, tmp_path, sock_dir, engine=None)
+
+
 def test_json_booleans_in_fault_fields_read_as_integers():
     request = JobRequest.build(
         "fault-coverage",

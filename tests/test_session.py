@@ -214,7 +214,7 @@ class TestSessionConstruction:
         ):
             monkeypatch.delenv(name, raising=False)
         session = Session.default()
-        assert session.engine == "vectorized"
+        assert session.engine is None  # no pin: routed by value domain
         assert session.workers == 1
         assert session.chunk_size is None
         assert session.prune is True
