@@ -394,12 +394,14 @@ class Session:
         words = (
             test_words if isinstance(test_words, np.ndarray) else list(test_words)
         )
+        # A flat sequence of values is one word, as ``words_to_array``
+        # reads it (a 1-D array of n values is applied once, not n times).
+        vectors = 1 if len(words) and np.ndim(words[0]) == 0 else len(words)
         config = self._config()
         cache_before = self._cache_before()
         trace = Trace()
         with trace.span(
-            "session.passes_test_set", n_lines=network.n_lines,
-            vectors=len(words),
+            "session.passes_test_set", n_lines=network.n_lines, vectors=vectors
         ):
             engine, routed = route_words(self.engine, words, network.n_lines)
             with trace.span("apply_test_set"):
@@ -409,7 +411,7 @@ class Session:
                 )
         return TestSetResult(
             passed=passed,
-            vectors_used=len(words),
+            vectors_used=vectors,
             n_lines=network.n_lines,
             execution=self._execution_info(
                 config, engine, None, trace, cache_before

@@ -54,7 +54,6 @@ def acquire_prefix_states(
     *,
     cache: ResultCache | None = None,
     token: tuple | None = None,
-    engine: str = "bitpacked",
     deltas_out: np.ndarray | None = None,
     arena: PlaneArena | None = None,
 ) -> PrefixStates:
@@ -78,10 +77,9 @@ def acquire_prefix_states(
         The store to consult; ``None`` disables caching.
     token : tuple, optional
         Input-identity token (:mod:`repro.cache.keys`); ``None``
-        disables caching for this call.
-    engine : str
-        Engine name embedded in the context key (part of the
-        invalidation contract; see ``docs/CACHING.md``).
+        disables caching for this call.  The context key also names the
+        ``"bitpacked"`` engine, the only one that records prefix states
+        (part of the invalidation contract; see ``docs/CACHING.md``).
     deltas_out : numpy.ndarray, optional
         Pre-allocated ``(size, 2, n_blocks)`` destination, e.g. a
         shared-memory array of the sharded executor.  The cache never
@@ -103,7 +101,7 @@ def acquire_prefix_states(
     size = network.size
     codes = comparator_codes(network)
     hashes = prefix_hashes(codes)
-    context = (token, engine, network.n_lines, packed_input.n_blocks)
+    context = (token, "bitpacked", network.n_lines, packed_input.n_blocks)
     donor, lcp = cache.prefix_lookup(context, codes, hashes)
     if donor is not None and lcp == size and donor.deltas.shape[0] == size:
         if deltas_out is None:
@@ -122,7 +120,7 @@ def acquire_prefix_states(
         np.copyto(deltas[:lcp], donor.deltas[:lcp])
     if lcp < size:
         running = _running_after(donor, packed_input, lcp, arena)
-        _record_suffix(network, running, deltas, lcp)
+        PrefixStates.record_deltas(network, running, deltas, lcp)
     states = PrefixStates(
         network, packed_input.planes, deltas, packed_input.num_words
     )
@@ -160,34 +158,6 @@ def _running_after(
     else:
         donor.state_after(lcp, out=buf)
     return buf
-
-
-def _record_suffix(
-    network: ComparatorNetwork,
-    running: np.ndarray,
-    deltas: np.ndarray,
-    start: int,
-) -> None:
-    """Record comparators ``start..size-1`` into *deltas*.
-
-    Mirrors the recording sweep of ``PrefixStates.build`` exactly
-    (write the outputs into the delta pair, copy back into the running
-    state), so a restored record is bit-identical to a cold one.
-    """
-    for index in range(start, network.size):
-        comp = network.comparators[index]
-        a = running[comp.low]
-        b = running[comp.high]
-        d_lo = deltas[index, 0]
-        d_hi = deltas[index, 1]
-        if comp.reversed:
-            np.bitwise_or(a, b, out=d_lo)
-            np.bitwise_and(a, b, out=d_hi)
-        else:
-            np.bitwise_and(a, b, out=d_lo)
-            np.bitwise_or(a, b, out=d_hi)
-        running[comp.low] = d_lo
-        running[comp.high] = d_hi
 
 
 def cached_cube_packed(n: int, cache: ResultCache) -> PackedBatch:

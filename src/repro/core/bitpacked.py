@@ -636,19 +636,19 @@ def packed_is_sorted_arena(
 def packed_zero_count_planes(
     packed: PackedBatch,
     *,
-    out: Sequence[np.ndarray] | np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    out: Sequence[np.ndarray] | np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
     pad: np.ndarray | None = None,
 ) -> Sequence[np.ndarray] | np.ndarray:
     """Bit-sliced per-word count of *zero* lines (a vertical popcount).
 
-    Returns ``m = max(1, n_lines.bit_length())`` counter planes, least
-    significant first: bit ``w`` of ``counter[j]`` is bit ``j`` of the
-    number of 0-valued lines of word ``w``.  Each line is added with a
-    ripple-carry over the counter planes, so the whole batch is counted in
-    ``O(n_lines * log n_lines)`` bitwise block operations — this is what
-    lets the ``(k, n)``-selection check stay fully packed instead of
-    round-tripping through the unpacked engine.
+    Fills *out* with ``m = max(1, n_lines.bit_length())`` counter planes,
+    least significant first, and returns it: bit ``w`` of ``counter[j]``
+    is bit ``j`` of the number of 0-valued lines of word ``w``.  Each
+    line is added with a ripple-carry over the counter planes, so the
+    whole batch is counted in ``O(n_lines * log n_lines)`` bitwise block
+    operations — this is what lets the ``(k, n)``-selection check stay
+    fully packed instead of round-tripping through the unpacked engine.
 
     Padding bits of every counter plane are 0 (padding words count zero
     zeroes).
@@ -657,25 +657,17 @@ def packed_zero_count_planes(
     ----------
     packed : PackedBatch
         The batch whose zero lines are counted.
-    out : sequence of numpy.ndarray or numpy.ndarray, optional
+    out : sequence of numpy.ndarray or numpy.ndarray
         ``m`` destination rows (a ``(m, n_blocks)`` array or a list of
-        arena rows).  With *out* the whole count runs on ``out=`` ufuncs —
-        nothing is allocated; *scratch* is then required.
-    scratch : tuple of numpy.ndarray, optional
-        Two ``(n_blocks,)`` temp rows ``(carry, tmp)``, required with *out*.
+        arena rows); the whole count runs on ``out=`` ufuncs, so nothing
+        is allocated.
+    scratch : tuple of numpy.ndarray
+        Two ``(n_blocks,)`` temp rows ``(carry, tmp)``.
     pad : numpy.ndarray, optional
         A precomputed pad-mask row; defaults to ``packed.pad_mask()``.
     """
     m = max(1, packed.n_lines.bit_length())
     pad_mask = packed.pad_mask() if pad is None else pad
-    if out is None:
-        counter = np.zeros((m, packed.n_blocks), dtype=_BLOCK_DTYPE)  # repro: noqa RPR001 — legacy path result
-        for i in range(packed.n_lines):
-            carry = ~packed.planes[i] & pad_mask
-            for j in range(m):
-                counter[j], carry = counter[j] ^ carry, counter[j] & carry
-        return counter
-    assert scratch is not None, "packed_zero_count_planes(out=...) needs scratch="
     carry, tmp = scratch
     for row in out:
         row.fill(0)
@@ -695,8 +687,8 @@ def packed_count_gt_blocks(
     threshold: int,
     pad_mask: np.ndarray,
     *,
-    out: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Per-block uint64 mask: is the bit-sliced count > *threshold*?
 
@@ -712,29 +704,13 @@ def packed_count_gt_blocks(
         The constant compared against.
     pad_mask : numpy.ndarray
         Per-block valid-word mask.
-    out : numpy.ndarray, optional
-        A ``(n_blocks,)`` destination row; with *out* the sweep runs on
-        ``out=`` ufuncs (no allocation) and *scratch* is required.
-    scratch : tuple of numpy.ndarray, optional
-        Two ``(n_blocks,)`` temp rows ``(eq, tmp)``, required with *out*.
+    out : numpy.ndarray
+        A ``(n_blocks,)`` destination row; the sweep runs on ``out=``
+        ufuncs, so nothing is allocated.
+    scratch : tuple of numpy.ndarray
+        Two ``(n_blocks,)`` temp rows ``(eq, tmp)``.
     """
     m = len(counter)
-    if out is None:
-        if threshold < 0:
-            return pad_mask.copy()  # repro: noqa RPR001 — legacy path result
-        if threshold >> m:
-            # The counter cannot represent any value above the threshold.
-            return np.zeros(pad_mask.shape[0], dtype=_BLOCK_DTYPE)  # repro: noqa RPR001 — legacy path result
-        gt = np.zeros(pad_mask.shape[0], dtype=_BLOCK_DTYPE)  # repro: noqa RPR001 — legacy path result
-        eq = pad_mask.copy()  # repro: noqa RPR001 — legacy path temp
-        for j in range(m - 1, -1, -1):
-            if (threshold >> j) & 1:
-                eq &= counter[j]
-            else:
-                gt |= eq & counter[j]
-                eq &= ~counter[j]
-        return gt
-    assert scratch is not None, "packed_count_gt_blocks(out=...) needs scratch="
     eq, tmp = scratch
     if threshold < 0:
         np.copyto(out, pad_mask)
@@ -763,8 +739,8 @@ def packed_selection_violation_blocks(
     k: int,
     *,
     restrict_to_test_words: bool = False,
-    arena: PlaneArena | None = None,
-    out: np.ndarray | None = None,
+    arena: PlaneArena,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Per-block uint64 mask of words on which ``(k, n)``-selection fails.
 
@@ -787,30 +763,14 @@ def packed_selection_violation_blocks(
         Selection order.
     restrict_to_test_words : bool, optional
         Restrict eligibility to the paper's ``T_k^n`` test words.
-    arena : PlaneArena, optional
-        Scratch arena for the counter planes and sweep temporaries; with
-        *arena* the whole check allocates nothing and *out* is required.
-        The arena must serve the batch geometry
+    arena : PlaneArena
+        Scratch arena for the counter planes and sweep temporaries, so the
+        whole check allocates nothing.  It must serve the batch geometry
         (``(n_lines, n_blocks)``).
-    out : numpy.ndarray, optional
+    out : numpy.ndarray
         A ``(n_blocks,)`` destination row (e.g. an arena row the caller
-        acquired), required with *arena*.
+        acquired).
     """
-    if arena is None:
-        pad = inputs.pad_mask()
-        counter = packed_zero_count_planes(inputs, pad=pad)
-        violation = np.zeros(inputs.n_blocks, dtype=_BLOCK_DTYPE)  # repro: noqa RPR001 — legacy path result
-        for i in range(min(k, outputs.n_lines)):
-            gt = packed_count_gt_blocks(counter, i, pad)
-            # Desired: outputs[i] == ~gt on every valid word.
-            violation |= ~(outputs.planes[i] ^ gt) & pad
-        if restrict_to_test_words:
-            eligible = packed_unsorted_blocks(inputs) & ~packed_count_gt_blocks(
-                counter, k, pad
-            )
-            violation &= eligible
-        return violation
-    assert out is not None, "packed_selection_violation_blocks(arena=...) needs out="
     m = max(1, inputs.n_lines.bit_length())
     pad = arena.pad_row(inputs.num_words)
     slots = [arena.acquire() for _ in range(m + 4)]

@@ -27,8 +27,9 @@ The value domain picks the kernel: a workload call (a
 :func:`route_engine` is that rule.  An explicit engine name is a pin for
 oracles, tests and engine comparisons; nothing is ever swapped behind
 it.  The evaluation primitives below (:func:`apply_network_to_batch`,
-:func:`outputs_on_words`, :func:`evaluate_on_all_binary_inputs`) return
-unpacked outputs and keep ``engine="vectorized"``.
+:func:`outputs_on_words`) return unpacked outputs and keep
+``engine="vectorized"``; :func:`evaluate_on_all_binary_inputs` evaluates
+the 0/1 cube, so it runs bit-packed.
 """
 
 from __future__ import annotations
@@ -332,54 +333,23 @@ def batch_is_sorted(batch: Batch) -> np.ndarray:
 
 
 def evaluate_on_all_binary_inputs(
-    network: ComparatorNetwork,
-    *,
-    dtype=np.int8,
-    engine: str = "vectorized",
-    config=None,
+    network: ComparatorNetwork, *, dtype=np.int8
 ) -> Batch:
     """Outputs of *network* on every binary word, ordered by input rank.
 
-    With ``engine="bitpacked"`` the input cube is generated directly in
-    packed form (never materialising the ``(2**n, n)`` input array) and only
-    the outputs are expanded.  A streaming *config*
-    (:class:`repro.parallel.ExecutionConfig`) additionally generates and
-    evaluates the cube chunk by chunk, so the packed working set stays
-    bounded by the chunk size (the unpacked output array is still the full
-    ``(2**n, n)`` — use the property checkers for constant-memory verdicts).
+    The cube is 0/1, so it runs bit-packed: the input cube is generated
+    directly in packed form (never materialising the ``(2**n, n)`` input
+    array) and only the outputs are expanded.
     """
-    check_engine(engine)
-    n = network.n_lines
-    if engine == "bitpacked":
-        from .bitpacked import (
-            BLOCK_BITS,
-            apply_network_packed,
-            packed_all_binary_words,
-            packed_cube_range,
-            unpack_batch,
-        )
-
-        if config is not None and config.streaming:
-            from ..parallel.chunking import cube_block_spans
-
-            out = np.empty((1 << n, n), dtype=dtype)
-            for start, stop in cube_block_spans(n, config.chunk_words()):
-                chunk = packed_cube_range(n, start, stop)
-                outputs = apply_network_packed(network, chunk, copy=False)
-                first = start * BLOCK_BITS
-                out[first : first + chunk.num_words] = unpack_batch(
-                    outputs, dtype=dtype
-                )
-            return out
-        packed = packed_all_binary_words(n)
-        outputs = apply_network_packed(network, packed, copy=False)
-        return unpack_batch(outputs, dtype=dtype)
-    return apply_network_to_batch(
-        network,
-        all_binary_words_array(n, dtype=dtype),
-        copy=False,
-        engine=engine,
+    from .bitpacked import (
+        apply_network_packed,
+        packed_all_binary_words,
+        unpack_batch,
     )
+
+    packed = packed_all_binary_words(network.n_lines)
+    outputs = apply_network_packed(network, packed, copy=False)
+    return unpack_batch(outputs, dtype=dtype)
 
 
 def outputs_on_words(

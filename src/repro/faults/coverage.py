@@ -216,8 +216,6 @@ def greedy_test_selection(
     candidate_vectors: Sequence[WordLike],
     *,
     criterion: str = "specification",
-    engine: str = "vectorized",
-    config: ExecutionConfig | None = None,
     target_coverage: float = 1.0,
 ) -> list[tuple[int, ...]]:
     """Greedy selection of vectors until *target_coverage* of detectable faults.
@@ -227,7 +225,9 @@ def greedy_test_selection(
     are excluded from the target), so ``target_coverage=1.0`` always
     terminates.  This is the one coverage helper that materialises the full
     detection matrix (set cover needs the per-vector columns), so cube-scale
-    candidate sets are out of scope — pass an explicit candidate list.
+    candidate sets are out of scope — pass an explicit candidate list.  The
+    matrix runs on the kernel of the candidates' value domain, like
+    :func:`fault_coverage`.
 
     Returns
     -------
@@ -240,8 +240,7 @@ def greedy_test_selection(
         )
     vectors = [tuple(int(v) for v in w) for w in candidate_vectors]
     matrix = _fault_detection_matrix_impl(
-        network, faults, vectors, criterion=criterion, engine=engine,
-        config=config,
+        network, faults, vectors, criterion=criterion
     )
     detectable = np.any(matrix, axis=1)
     needed = int(np.ceil(target_coverage * int(np.sum(detectable))))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,11 +40,6 @@ from .simulation import (
     SimulationStats,
     _fault_detection_matrix_impl,
 )
-
-if TYPE_CHECKING:
-    from ..cache.store import ResultCache
-    from ..core.scratch import PlaneArena
-    from ..parallel.config import ExecutionConfig
 
 __all__ = [
     "DiagnosticResolution",
@@ -205,12 +199,7 @@ def build_fault_dictionary(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = "vectorized",
-    config: ExecutionConfig | None = None,
-    prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | None = None,
-    cache: ResultCache | None = None,
 ) -> FaultDictionary:
     """Simulate the universe and build its :class:`FaultDictionary`.
 
@@ -222,10 +211,11 @@ def build_fault_dictionary(
         The fault universe (any registered model, composites included).
     test_vectors : sequence of words, 2-D array, or CubeVectors
         Vectors the signatures are recorded over.
-    criterion, engine, config, prune, stats, arena, cache :
-        Execution knobs of
-        :func:`repro.faults.simulation._fault_detection_matrix_impl`; prefer
-        :meth:`repro.api.Session.diagnose`, which also reports timings.
+    criterion, stats :
+        Forwarded to :func:`repro.faults.simulation.fault_detection_matrix`,
+        which runs the kernel of the vectors' value domain;
+        :meth:`repro.api.Session.diagnose` pins an engine or chooses workers,
+        chunk size, pruning and caching, and also reports timings.
 
     Returns
     -------
@@ -233,8 +223,7 @@ def build_fault_dictionary(
         The signature → candidate-class dictionary.
     """
     matrix = _fault_detection_matrix_impl(
-        network, faults, test_vectors, criterion=criterion, engine=engine,
-        config=config, prune=prune, stats=stats, arena=arena, cache=cache,
+        network, faults, test_vectors, criterion=criterion, stats=stats
     )
     return fault_dictionary_from_matrix(faults, matrix, criterion=criterion)
 

@@ -905,11 +905,30 @@ class PrefixStates:
             if deltas_out is not None
             else np.empty((size, 2, n_blocks), dtype=packed_input.planes.dtype)
         )
-        running = packed_input.planes.copy()
-        # Write each comparator's outputs straight into its delta pair and
-        # copy them back into the running state — the recording sweep then
-        # allocates nothing per stage.
-        for index, comp in enumerate(network.comparators):
+        cls.record_deltas(network, packed_input.planes.copy(), deltas)
+        return cls(network, packed_input.planes, deltas, packed_input.num_words)
+
+    @staticmethod
+    def record_deltas(
+        network: ComparatorNetwork,
+        running: np.ndarray,
+        deltas: np.ndarray,
+        start: int = 0,
+    ) -> None:
+        """Record comparators ``start..size-1`` of *network* into *deltas*.
+
+        *running* is the packed state before comparator *start* and is
+        advanced in place: each comparator's outputs are written straight
+        into its delta pair and copied back into the running state, so
+        the sweep allocates nothing per stage.  :meth:`build` records a
+        whole network from its inputs; the cache's partial-hit path
+        (:func:`repro.cache.restore.acquire_prefix_states`) records the
+        suffix after a restored common prefix with this same loop, so a
+        restored record is bit-identical to a cold one.
+        """
+        comparators = network.comparators
+        for index in range(start, len(comparators)):
+            comp = comparators[index]
             a = running[comp.low]
             b = running[comp.high]
             d_lo = deltas[index, 0]
@@ -922,7 +941,6 @@ class PrefixStates:
                 np.bitwise_or(a, b, out=d_hi)
             running[comp.low] = d_lo
             running[comp.high] = d_hi
-        return cls(network, packed_input.planes, deltas, packed_input.num_words)
 
     def line_value(self, stage: int, line: int) -> np.ndarray:
         """The fault-free plane of *line* after the first *stage* comparators.
@@ -1866,8 +1884,6 @@ def detected_faults(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = "vectorized",
-    config: ExecutionConfig | None = None,
 ) -> list[Fault]:
     """The faults detected by at least one of the given test vectors.
 
@@ -1876,8 +1892,7 @@ def detected_faults(
     (:class:`CubeVectors`) sources stay in constant memory.
     """
     detected_rows = _fault_detection_any_impl(
-        network, faults, test_vectors, criterion=criterion, engine=engine,
-        config=config,
+        network, faults, test_vectors, criterion=criterion
     )
     return [fault for fault, hit in zip(faults, detected_rows) if hit]
 
@@ -1888,8 +1903,6 @@ def undetected_faults(
     test_vectors: Sequence[WordLike] | CubeVectors,
     *,
     criterion: str = "specification",
-    engine: str = "vectorized",
-    config: ExecutionConfig | None = None,
 ) -> list[Fault]:
     """The faults that escape the given test vectors entirely.
 
@@ -1899,7 +1912,6 @@ def undetected_faults(
     chip that, while physically defective, still meets its specification.
     """
     detected_rows = _fault_detection_any_impl(
-        network, faults, test_vectors, criterion=criterion, engine=engine,
-        config=config,
+        network, faults, test_vectors, criterion=criterion
     )
     return [fault for fault, hit in zip(faults, detected_rows) if not hit]

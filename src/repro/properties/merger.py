@@ -43,7 +43,7 @@ from .._typing import BinaryWord
 from ..core.bitpacked import (
     apply_network_packed,
     pack_batch,
-    packed_unsorted_blocks,
+    packed_is_sorted_arena,
 )
 from ..core.evaluation import (
     batch_is_sorted,
@@ -51,9 +51,10 @@ from ..core.evaluation import (
     route_engine,
 )
 from ..core.network import ComparatorNetwork
-from ..core.scratch import allocation_free, shared_arena
+from ..core.scratch import shared_arena
 from ..exceptions import TestSetError
 from ..words.binary import is_sorted_word, sorted_binary_words
+from .sorter import find_sorting_counterexample
 
 if TYPE_CHECKING:
     from ..parallel.config import ExecutionConfig
@@ -105,50 +106,20 @@ def permutation_merge_inputs(n: int) -> list[tuple]:
     return inputs
 
 
-@allocation_free
-def _merging_violations_arena(outputs, arena, out):
-    """Arena-disciplined violation mask of the merger property checker.
-
-    The packed merging verdict's single seam: the per-block unsorted-word
-    mask of the merged *outputs* lands in *out* (a caller-acquired arena
-    row) with scratch and pad rows drawn from *arena*, so the
-    steady-state check is allocation-free — enforced at runtime by the
-    ``assert_allocation_free`` scenario in
-    ``tests/test_devtools_sanitize.py`` (the sorter's and selector's
-    ``*_violations_arena`` seams are the same discipline for their
-    properties).  Returns ``True`` when every merged word came out
-    sorted.
-    """
-    scratch = arena.acquire()
-    try:
-        mask = packed_unsorted_blocks(
-            outputs,
-            out=out,
-            scratch=arena.plane(scratch),
-            pad=arena.pad_row(outputs.num_words),
-        )
-        return not bool(mask.any())
-    finally:
-        arena.release(scratch)
-
-
 def _packed_merge_verdict(network: ComparatorNetwork, words) -> bool:
     """The bit-packed merging verdict over a 0/1 word list.
 
     Packs the half-sorted inputs once, applies the network in plane form
-    and judges the outputs through :func:`_merging_violations_arena` on
-    the shared arena for the batch geometry — bit-identical to the
-    unpacked ``batch_is_sorted`` sweep.
+    and judges the outputs with
+    :func:`repro.core.bitpacked.packed_is_sorted_arena` on the shared
+    arena for the batch geometry — bit-identical to the unpacked
+    ``batch_is_sorted`` sweep.
     """
     batch = np.asarray(words, dtype=np.int8)
     packed = pack_batch(batch, n_lines=network.n_lines)
     outputs = apply_network_packed(network, packed, copy=False)
     arena = shared_arena(outputs.n_lines, outputs.n_blocks, outputs.planes.dtype)
-    slot = arena.acquire()
-    try:
-        return _merging_violations_arena(outputs, arena, arena.plane(slot))
-    finally:
-        arena.release(slot)
+    return packed_is_sorted_arena(outputs, arena)
 
 
 def merges_correctly(network: ComparatorNetwork, word) -> bool:
@@ -221,12 +192,12 @@ def _is_merger_impl(
 def find_merging_counterexample(
     network: ComparatorNetwork,
 ) -> BinaryWord | None:
-    """A half-sorted binary input the network fails to merge, or ``None``."""
+    """A half-sorted binary input the network fails to merge, or ``None``.
+
+    :func:`repro.properties.find_sorting_counterexample` over
+    :func:`all_sorted_half_pairs`: the first failing pair in that order.
+    """
     _check_even(network)
-    words = all_sorted_half_pairs(network.n_lines)
-    outputs = outputs_on_words(network, words)
-    sorted_mask = batch_is_sorted(outputs)
-    for word, ok in zip(words, sorted_mask):
-        if not ok:
-            return word
-    return None
+    return find_sorting_counterexample(
+        network, candidates=all_sorted_half_pairs(network.n_lines)
+    )

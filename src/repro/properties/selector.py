@@ -46,6 +46,7 @@ from ..core.bitpacked import (
     apply_network_packed,
     pack_batch,
     packed_selection_violation_blocks,
+    rank_to_word,
     unpack_bits,
 )
 from ..core.evaluation import (
@@ -55,7 +56,7 @@ from ..core.evaluation import (
     route_engine,
 )
 from ..core.network import ComparatorNetwork
-from ..core.scratch import allocation_free, shared_arena
+from ..core.scratch import shared_arena
 from ..exceptions import TestSetError
 from ..words.permutations import all_permutations
 
@@ -92,27 +93,12 @@ def selects_correctly(network: ComparatorNetwork, k: int, word) -> bool:
     return list(output[:k]) == expected
 
 
-@allocation_free
-def _selection_violations_arena(packed, outputs, k, arena, out):
-    """Arena-disciplined violation mask of the selector property checker.
-
-    The single seam through which the property layer computes packed
-    k-selection violations: counter planes and sweep temporaries come from
-    *arena* and the mask lands in *out* (a caller-acquired arena row), so
-    the steady-state check is allocation-free — enforced at runtime by the
-    ``assert_allocation_free`` scenario in ``tests/test_devtools_sanitize.py``.
-    """
-    return packed_selection_violation_blocks(
-        packed, outputs, k, arena=arena, out=out
-    )
-
-
 def _binary_batch_selected(
     network: ComparatorNetwork,
     batch: np.ndarray,
     k: int,
     *,
-    engine: str = "vectorized",
+    engine: str,
 ) -> np.ndarray:
     """Boolean vector: for each binary word row, is it correctly k-selected?
 
@@ -131,8 +117,8 @@ def _binary_batch_selected(
         arena = shared_arena(network.n_lines, packed.n_blocks, packed.planes.dtype)
         slot = arena.acquire()
         try:
-            violations = _selection_violations_arena(
-                packed, outputs, k, arena, arena.plane(slot)
+            violations = packed_selection_violation_blocks(
+                packed, outputs, k, arena=arena, out=arena.plane(slot)
             )
             return ~unpack_bits(violations, packed.num_words)
         finally:
@@ -228,11 +214,15 @@ def _is_selector_impl(
 def find_selection_counterexample(
     network: ComparatorNetwork, k: int
 ) -> BinaryWord | None:
-    """A binary word on which ``(k, n)``-selection fails, or ``None``."""
+    """A binary word on which ``(k, n)``-selection fails, or ``None``.
+
+    The ``binary`` strategy's packed cube sweep
+    (:func:`repro.parallel.streamed_selection_failure_rank`): one span up
+    to ``n = 20``, constant memory above, and the first failing word in
+    rank order.
+    """
+    from ..parallel.executor import streamed_selection_failure_rank
+
     _check_k(network, k)
-    batch = all_binary_words_array(network.n_lines)
-    ok = _binary_batch_selected(network, batch, k)
-    if bool(np.all(ok)):
-        return None
-    index = int(np.flatnonzero(~ok)[0])
-    return tuple(int(v) for v in batch[index])
+    rank = streamed_selection_failure_rank(network, k)
+    return None if rank is None else rank_to_word(rank, network.n_lines)

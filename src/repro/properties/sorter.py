@@ -22,9 +22,9 @@ the standard model, exactly as the paper does).
 The strategy picks the engine (:func:`repro.core.evaluation.route_engine`):
 :func:`is_sorter` and an unpinned :class:`repro.api.Session` run the 0/1
 strategies bit-packed and the permutation strategies vectorised; a
-Session's ``engine`` or the ``engine`` keyword of
-:func:`find_sorting_counterexample` pins another engine (a bit-packed pin
-refuses the permutation strategies).  The bit-packed engine runs both 0/1
+Session's ``engine`` pins another engine (a bit-packed pin refuses the
+permutation strategies).  :func:`find_sorting_counterexample` is the
+``testset`` strategy's packed sweep.  The bit-packed engine runs both 0/1
 strategies on the input cube generated directly in packed form: ``binary`` judges
 every cube word, ``testset`` judges the same sweep's outputs with the
 ``n + 1`` sorted inputs masked out at their closed-form ranks
@@ -76,9 +76,9 @@ from ..core.evaluation import (
     all_binary_words_array,
     apply_network_to_batch,
     batch_is_sorted,
-    check_engine,
     outputs_on_words,
     route_engine,
+    route_words,
     unsorted_binary_words_array,
 )
 from ..core.network import ComparatorNetwork
@@ -106,9 +106,8 @@ def _sorting_violations_arena(outputs, arena, out):
     caller-acquired arena row) with scratch and pad rows drawn from
     *arena*, so the steady-state check is allocation-free — enforced at
     runtime by the ``assert_allocation_free`` scenario in
-    ``tests/test_devtools_sanitize.py`` (the selector's
-    ``_selection_violations_arena`` is the same seam for k-selection).
-    Returns ``True`` when every word of *outputs* is sorted.
+    ``tests/test_devtools_sanitize.py``.  Returns ``True`` when every word
+    of *outputs* is sorted.
     """
     scratch = arena.acquire()
     try:
@@ -273,48 +272,36 @@ def find_sorting_counterexample(
     network: ComparatorNetwork,
     *,
     candidates: Iterable[WordLike] | None = None,
-    engine: str = "vectorized",
-    config: ExecutionConfig | None = None,
 ) -> BinaryWord | None:
     """Return a binary word the network fails to sort, or ``None`` if it sorts all.
 
     By default searches the minimum test set (equivalently, all unsorted
-    binary words); a custom candidate iterable can be supplied, e.g. to
-    search only a restricted test set in the empirical lower-bound
-    experiments.  With ``engine="bitpacked"`` the default search runs the
-    packed cube with the sorted inputs masked out — streamed when *config*
-    streams — so it never materialises the word array and returns the same
-    (first-in-rank-order) counterexample.
+    binary words) with the ``testset`` strategy's packed cube sweep
+    (:func:`repro.parallel.streamed_sorting_failure_rank`): one span up to
+    ``n = 20``, constant memory above, and the first failing word in rank
+    order.  A custom candidate iterable can be supplied, e.g. to search
+    only a restricted test set in the empirical lower-bound experiments;
+    it is searched in its own order on the kernel of its value domain
+    (:func:`repro.core.evaluation.route_words`).
     """
-    check_engine(engine)
-    if candidates is None and engine == "bitpacked":
-        if config is not None and config.streaming:
-            from ..parallel.executor import streamed_sorting_failure_rank
-
-            rank = streamed_sorting_failure_rank(
-                network, restrict_to_unsorted_inputs=True, config=config
-            )
-        else:
-            rank = _sorting_failure_rank(
-                network,
-                packed_all_binary_words(network.n_lines),
-                restrict_to_unsorted_inputs=True,
-            )
-        return None if rank is None else rank_to_word(rank, network.n_lines)
+    n = network.n_lines
     if candidates is None:
-        batch = unsorted_binary_words_array(network.n_lines)
-    else:
-        word_list = [tuple(int(v) for v in w) for w in candidates]
-        if not word_list:
-            return None
-        batch = np.asarray(word_list, dtype=np.int8)
+        from ..parallel.executor import streamed_sorting_failure_rank
+
+        rank = streamed_sorting_failure_rank(
+            network, restrict_to_unsorted_inputs=True
+        )
+        return None if rank is None else rank_to_word(rank, n)
+    engine, batch = route_words(None, candidates, n)
+    if not len(batch):
+        return None
     if engine == "bitpacked":
-        packed = pack_batch(batch, n_lines=network.n_lines)
-        outputs = apply_network_packed(network, packed, copy=False)
+        outputs = apply_network_packed(
+            network, pack_batch(batch, n_lines=n), copy=False
+        )
         sorted_mask = packed_is_sorted(outputs)
     else:
-        outputs = apply_network_to_batch(network, batch, engine=engine)
-        sorted_mask = batch_is_sorted(outputs)
+        sorted_mask = batch_is_sorted(apply_network_to_batch(network, batch))
     if bool(np.all(sorted_mask)):
         return None
     index = int(np.flatnonzero(~sorted_mask)[0])

@@ -20,7 +20,12 @@ from repro.api import Session
 from repro.constructions import batcher_sorting_network
 from repro.core import ComparatorNetwork
 from repro.core.bitpacked import rank_to_word
-from repro.core.evaluation import all_binary_words_array
+from repro.core.evaluation import (
+    all_binary_words_array,
+    apply_network_to_batch,
+    batch_is_sorted,
+    unsorted_binary_words_array,
+)
 from repro.core.network import Comparator
 from repro.faults import enumerate_model_faults, enumerate_single_faults
 from repro.testsets import near_sorter
@@ -35,6 +40,7 @@ __all__ = [
     "mutate_one",
     "session_matrix",
     "session_verdict",
+    "vectorized_first_failure",
     "odd_chunks",
     "criteria",
     "engines",
@@ -120,6 +126,23 @@ def session_verdict(network, prop="sorter", *, k=1, strategy="testset", **knobs)
     """The verdict of ``Session(**knobs).verify(...)``."""
     with Session(**knobs) as session:
         return session.verify(network, prop, k=k, strategy=strategy).verdict
+
+
+def vectorized_first_failure(network: ComparatorNetwork, strategy: str):
+    """The first word, in cube rank order, whose ``vectorized`` output is
+    unsorted — over the whole cube (``binary``) or over the materialised
+    Theorem 2.2 test set (``testset``); ``None`` when there is none."""
+    n = network.n_lines
+    words = (
+        all_binary_words_array(n)
+        if strategy == "binary"
+        else unsorted_binary_words_array(n)
+    )
+    outputs = apply_network_to_batch(network, words, engine="vectorized")
+    failing = np.flatnonzero(~batch_is_sorted(outputs))
+    if failing.size == 0:
+        return None
+    return tuple(int(v) for v in words[failing[0]])
 
 
 def mutate_one(network: ComparatorNetwork, index: int) -> ComparatorNetwork:

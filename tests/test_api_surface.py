@@ -4,8 +4,8 @@ Two guarantees: (a) the shape of the :mod:`repro.api` facade — exported
 names, Session signature, result-object fields, registered fault models —
 is pinned so accidental surface changes fail loudly, and (b) the Session is
 the only execution surface: no free function takes the execution
-keywords (``engine`` / ``config`` / ``prune`` / ``arena``), and plain
-calls stay silent.
+keywords (``engine`` / ``config`` / ``prune`` / ``arena`` / ``cache``),
+and plain calls stay silent.
 """
 
 from __future__ import annotations
@@ -19,17 +19,32 @@ import pytest
 
 import repro.api as api
 from repro.api import registry
-from repro.core.evaluation import EVALUATION_ENGINES, apply_network_to_batch
+from repro.core.evaluation import (
+    EVALUATION_ENGINES,
+    apply_network_to_batch,
+    evaluate_on_all_binary_inputs,
+)
 from repro.exceptions import EngineError, NotBinaryError
 from repro.faults import (
+    build_fault_dictionary,
     compare_test_sets,
     coverage_report,
+    detected_faults,
     enumerate_single_faults,
     fault_coverage,
     fault_detection_any,
     fault_detection_matrix,
+    greedy_test_selection,
+    undetected_faults,
 )
-from repro.properties import is_merger, is_selector, is_sorter
+from repro.properties import (
+    find_merging_counterexample,
+    find_selection_counterexample,
+    find_sorting_counterexample,
+    is_merger,
+    is_selector,
+    is_sorter,
+)
 from repro.testsets import network_passes_test_set, sorting_binary_test_set
 
 
@@ -192,6 +207,14 @@ FREE_FUNCTIONS = (
     fault_coverage,
     coverage_report,
     compare_test_sets,
+    find_sorting_counterexample,
+    find_selection_counterexample,
+    find_merging_counterexample,
+    greedy_test_selection,
+    detected_faults,
+    undetected_faults,
+    build_fault_dictionary,
+    evaluate_on_all_binary_inputs,
 )
 
 
@@ -201,7 +224,7 @@ class TestFreeFunctions:
     )
     def test_takes_no_execution_keywords(self, func):
         params = inspect.signature(func).parameters
-        assert not {"engine", "config", "prune", "arena"} & set(params)
+        assert not {"engine", "config", "prune", "arena", "cache"} & set(params)
 
     def test_plain_calls_do_not_warn(self, four_sorter):
         faults = enumerate_single_faults(four_sorter)

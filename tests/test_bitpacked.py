@@ -169,8 +169,10 @@ class TestPackedEvaluation:
 
     def test_evaluate_on_all_binary_inputs_bitpacked(self, batcher8):
         assert np.array_equal(
-            evaluate_on_all_binary_inputs(batcher8, engine="bitpacked"),
             evaluate_on_all_binary_inputs(batcher8),
+            apply_network_to_batch(
+                batcher8, all_binary_words_array(8), engine="vectorized"
+            ),
         )
 
 

@@ -200,24 +200,7 @@ def test_packed_selection_violation_blocks(env):
 
 
 # ----------------------------------------------------------------------
-# repro.properties.selector
-# ----------------------------------------------------------------------
-def test_selection_violations_arena(env):
-    """The property checker's violation-mask seam stays allocation-free."""
-    from repro.properties.selector import _selection_violations_arena
-
-    run_budgeted(
-        lambda: _selection_violations_arena(
-            env.packed, env.outputs, 4, env.arena, env.row_out
-        ),
-        transient=TIGHT,
-        retained=TIGHT,
-        label="_selection_violations_arena",
-    )
-
-
-# ----------------------------------------------------------------------
-# repro.properties.sorter / repro.properties.merger
+# repro.properties.sorter
 # ----------------------------------------------------------------------
 def test_sorting_violations_arena(env):
     """The sorter checker's violation-mask seam stays allocation-free."""
@@ -228,18 +211,6 @@ def test_sorting_violations_arena(env):
         transient=TIGHT,
         retained=TIGHT,
         label="_sorting_violations_arena",
-    )
-
-
-def test_merging_violations_arena(env):
-    """The merger checker's violation-mask seam stays allocation-free."""
-    from repro.properties.merger import _merging_violations_arena
-
-    run_budgeted(
-        lambda: _merging_violations_arena(env.outputs, env.arena, env.row_out),
-        transient=TIGHT,
-        retained=TIGHT,
-        label="_merging_violations_arena",
     )
 
 
@@ -358,9 +329,7 @@ COVERED = {
     "repro.core.bitpacked.packed_is_sorted_arena",
     "repro.core.bitpacked.packed_clear_sorted_cube_words",
     "repro.core.bitpacked.packed_selection_violation_blocks",
-    "repro.properties.selector._selection_violations_arena",
     "repro.properties.sorter._sorting_violations_arena",
-    "repro.properties.merger._merging_violations_arena",
     "repro.faults.simulation.PrefixStates.state_after",
     "repro.faults.simulation._pruned_fault_errors",
     "repro.faults.simulation._errors_detect",

@@ -86,12 +86,11 @@ class TestFaultDictionary:
     ):
         faults = enumerate_single_faults(network)
         vectors = all_binary_words_array(network.n_lines)
-        baseline = build_fault_dictionary(
-            network, faults, vectors, criterion=criterion, engine="vectorized"
-        )
-        packed = build_fault_dictionary(
-            network, faults, vectors, criterion=criterion, engine="bitpacked"
-        )
+        with api.Session(engine="vectorized") as oracle:
+            baseline = oracle.diagnose(
+                network, faults, vectors, criterion=criterion
+            ).dictionary
+        packed = build_fault_dictionary(network, faults, vectors, criterion=criterion)
         assert isinstance(baseline, FaultDictionary)
         assert packed.signatures == baseline.signatures
         assert packed.classes == baseline.classes

@@ -1,23 +1,35 @@
 """Documentation build smoke checks.
 
-Two guarantees: (a) every public symbol of :mod:`repro.parallel` and
+Three guarantees: (a) every public symbol of :mod:`repro.parallel` and
 :mod:`repro.faults` carries a docstring and the modules render cleanly
-under :mod:`pydoc` (the CI lint job runs the same sweep), and (b) the
+under :mod:`pydoc` (the CI lint job runs the same sweep), (b) the
 committed documentation artefacts — ``EXPERIMENTS.md``,
 ``docs/ARCHITECTURE.md``, ``docs/CACHING.md`` — exist and still mention
-what the README links them for, so a stale regeneration fails fast.
+what the README links them for, so a stale regeneration fails fast, and
+(c) the example scripts under ``examples/`` run to completion.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import os
 from pathlib import Path
 import pydoc
+import subprocess
+import sys
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Every example script but ``serve_client.py``, which boots a server and
+#: by design leaves its job store in the temp directory.
+EXAMPLES = sorted(
+    path.name
+    for path in (REPO_ROOT / "examples").glob("*.py")
+    if path.name != "serve_client.py"
+)
 
 DOCUMENTED_MODULES = [
     "repro.parallel",
@@ -210,3 +222,16 @@ def test_caching_doc_is_committed_and_linked():
     architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
     assert "CACHING.md" in architecture
     assert "repro.cache" in architecture
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_example_runs(name):
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "examples" / name)],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
-from strategies import session_matrix, session_verdict
+from strategies import session_matrix, session_verdict, vectorized_first_failure
 
 from repro.api import Session
 from repro.constructions import batcher_sorting_network
@@ -28,10 +28,8 @@ from repro.core.bitpacked import (
     packed_zero_count_planes,
     unpack_bits,
 )
-from repro.core.evaluation import (
-    all_binary_words_array,
-    evaluate_on_all_binary_inputs,
-)
+from repro.core.evaluation import all_binary_words_array
+from repro.core.scratch import PlaneArena
 from repro.exceptions import ExecutionConfigError
 from repro.faults import enumerate_single_faults
 from repro.faults.simulation import _fault_detection_matrix_impl
@@ -155,10 +153,16 @@ def test_packed_zero_counts_and_compare(params):
     n, rows, threshold = params
     batch = np.asarray(rows, dtype=np.int8).reshape((len(rows), n))
     packed = pack_batch(batch, n_lines=n)
-    counter = packed_zero_count_planes(packed)
+    m = max(1, n.bit_length())
+    arena = PlaneArena(n, packed.n_blocks, packed.planes.dtype)
+    slots = [arena.plane(arena.acquire()) for _ in range(m + 3)]
+    scratch = (slots[m], slots[m + 1])
+    counter = packed_zero_count_planes(packed, out=slots[:m], scratch=scratch)
     zeros = np.sum(batch == 0, axis=1)
     gt = unpack_bits(
-        packed_count_gt_blocks(counter, threshold, packed.pad_mask()),
+        packed_count_gt_blocks(
+            counter, threshold, packed.pad_mask(), out=slots[m + 2], scratch=scratch
+        ),
         packed.num_words,
     )
     assert np.array_equal(gt, zeros > threshold)
@@ -213,11 +217,12 @@ def test_streamed_sorter_matches_single_shot(network, chunk):
 )
 def test_streamed_counterexample_is_first_in_rank_order(network, chunk):
     config = ExecutionConfig(max_workers=1, chunk_size=chunk)
-    streamed = find_sorting_counterexample(
-        network, engine="bitpacked", config=config
+    rank = streamed_sorting_failure_rank(
+        network, restrict_to_unsorted_inputs=True, config=config
     )
-    reference = find_sorting_counterexample(network)
-    assert streamed == reference
+    streamed = None if rank is None else rank_to_word(rank, network.n_lines)
+    assert streamed == vectorized_first_failure(network, "testset")
+    assert find_sorting_counterexample(network) == streamed
 
 
 @given(networks(), odd_chunks, st.data())
@@ -247,7 +252,7 @@ def test_streamed_failure_rank_points_at_first_unsorted_output():
     rank = streamed_sorting_failure_rank(network, config=config)
     assert rank is not None
     word = rank_to_word(rank, 8)
-    assert find_sorting_counterexample(network, engine="bitpacked") == word
+    assert find_sorting_counterexample(network) == word
 
 
 # ----------------------------------------------------------------------
@@ -395,10 +400,12 @@ def test_parallel_streamed_sorter_and_counterexample():
         good, strategy="binary", engine="bitpacked", config=config
     )
     bad = good.without_comparator(7)
-    assert (
-        find_sorting_counterexample(bad, engine="bitpacked", config=config)
-        == find_sorting_counterexample(bad)
+    rank = streamed_sorting_failure_rank(
+        bad, restrict_to_unsorted_inputs=True, config=config
     )
+    assert rank is not None
+    assert rank_to_word(rank, 9) == vectorized_first_failure(bad, "testset")
+    assert find_sorting_counterexample(bad) == rank_to_word(rank, 9)
 
 
 def test_parallel_chunked_words():
@@ -411,16 +418,6 @@ def test_parallel_chunked_words():
     assert not _network_passes_test_set_impl(
         network.without_comparator(0), words, engine="bitpacked", config=config
     )
-
-
-def test_streamed_evaluate_on_all_binary_inputs_matches():
-    network = batcher_sorting_network(7)
-    config = ExecutionConfig(chunk_size=64)
-    reference = evaluate_on_all_binary_inputs(network, engine="bitpacked")
-    streamed = evaluate_on_all_binary_inputs(
-        network, engine="bitpacked", config=config
-    )
-    assert np.array_equal(streamed, reference)
 
 
 def test_streamed_selector_parallel():
@@ -438,7 +435,13 @@ def test_unsorted_blocks_has_clean_padding():
     )
     # Padding bits beyond num_words stay zero.
     assert int(mask[0]) >> 3 == 0
+    arena = PlaneArena(packed.n_lines, packed.n_blocks, packed.planes.dtype)
     violations = packed_selection_violation_blocks(
-        packed, packed, 2, restrict_to_test_words=True
+        packed,
+        packed,
+        2,
+        restrict_to_test_words=True,
+        arena=arena,
+        out=arena.plane(arena.acquire()),
     )
     assert int(violations[0]) >> 3 == 0

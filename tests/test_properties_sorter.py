@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
-import numpy as np
 import pytest
-from strategies import chunk_boundary_cases, mutate_one, networks, odd_chunks
+from strategies import (
+    chunk_boundary_cases,
+    mutate_one,
+    networks,
+    odd_chunks,
+    vectorized_first_failure,
+)
 
 from repro.api import Session
 from repro.constructions import (
@@ -17,14 +22,8 @@ from repro.constructions import (
 )
 from repro.core import Comparator, ComparatorNetwork
 from repro.core.bitpacked import packed_all_binary_words, rank_to_word
-from repro.core.evaluation import (
-    all_binary_words_array,
-    apply_network_to_batch,
-    batch_is_sorted,
-    unsorted_binary_words_array,
-)
 from repro.exceptions import TestSetError
-from repro.parallel import ExecutionConfig
+from repro.parallel import ExecutionConfig, streamed_sorting_failure_rank
 from repro.properties import (
     SORTER_STRATEGIES,
     find_sorting_counterexample,
@@ -42,23 +41,6 @@ from repro.properties import (
 from repro.properties.sorter import _sorting_failure_rank
 from repro.testsets import near_sorter
 from repro.words import all_binary_words, unsorted_binary_words
-
-
-def vectorized_first_failure(network: ComparatorNetwork, strategy: str):
-    """The first word, in cube rank order, whose ``vectorized`` output is
-    unsorted — over the whole cube (``binary``) or over the materialised
-    Theorem 2.2 test set (``testset``); ``None`` when there is none."""
-    n = network.n_lines
-    words = (
-        all_binary_words_array(n)
-        if strategy == "binary"
-        else unsorted_binary_words_array(n)
-    )
-    outputs = apply_network_to_batch(network, words, engine="vectorized")
-    failing = np.flatnonzero(~batch_is_sorted(outputs))
-    if failing.size == 0:
-        return None
-    return tuple(int(v) for v in words[failing[0]])
 
 
 def packed_first_failure(network: ComparatorNetwork, strategy: str):
@@ -142,7 +124,8 @@ class TestBitpackedTestsetOnThePackedCube:
 
     def test_one_line_network_sorts_its_empty_test_set(self):
         network = ComparatorNetwork.identity(1)
-        assert find_sorting_counterexample(network, engine="bitpacked") is None
+        assert vectorized_first_failure(network, "testset") is None
+        assert find_sorting_counterexample(network) is None
         with Session(engine="bitpacked", cache=True) as session:
             assert session.verify(network, strategy="testset").verdict
 
@@ -179,15 +162,14 @@ class TestBitpackedTestsetOnThePackedCube:
                             assert result.verdict == expected[candidate, strategy]
         config = ExecutionConfig(chunk_size=chunk)
         for candidate in candidates:
-            witness = find_sorting_counterexample(candidate)
+            witness = vectorized_first_failure(candidate, "testset")
             assert (witness is None) == expected[candidate, "testset"]
-            assert find_sorting_counterexample(candidate, engine="bitpacked") == witness
-            assert (
-                find_sorting_counterexample(
-                    candidate, engine="bitpacked", config=config
-                )
-                == witness
+            assert find_sorting_counterexample(candidate) == witness
+            rank = streamed_sorting_failure_rank(
+                candidate, restrict_to_unsorted_inputs=True, config=config
             )
+            streamed = None if rank is None else rank_to_word(rank, candidate.n_lines)
+            assert streamed == witness
             for strategy in ("binary", "testset"):
                 assert packed_first_failure(
                     candidate, strategy
@@ -225,11 +207,7 @@ class TestEarlyExitChunks:
                 assert plain.verify(network, strategy=strategy).verdict is (
                     word is None
                 )
-        assert (
-            find_sorting_counterexample(network, engine="bitpacked")
-            == find_sorting_counterexample(network)
-            == expected["testset"]
-        )
+        assert find_sorting_counterexample(network) == expected["testset"]
 
 
 class TestSortednessHelpers:

@@ -8,24 +8,47 @@ everything else on the vectorised one, reports that engine as
 exactly what ``Session(engine="vectorized")`` returns.  A bit-packed pin
 never swaps engines: permutation input raises
 :class:`~repro.exceptions.EngineError` from every workload method.  The
-CLI prints the engine that ran.
+CLI prints the engine that ran.  The free functions with no Session
+method (the counterexample searches, greedy selection, the detected /
+undetected fault lists, the fault dictionary and the cube evaluation)
+route the same way and give the vectorised oracle's answers.
 """
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
-from strategies import networks
+from strategies import networks, vectorized_first_failure
 
 from repro.api import Session
 from repro.cli import main
 from repro.constructions import batcher_sorting_network
 from repro.core import ComparatorNetwork
-from repro.core.evaluation import unsorted_binary_words_array
+from repro.core.evaluation import (
+    all_binary_words_array,
+    apply_network_to_batch,
+    batch_is_sorted,
+    evaluate_on_all_binary_inputs,
+    unsorted_binary_words_array,
+)
 from repro.exceptions import EngineError
-from repro.faults import CubeVectors, enumerate_single_faults
+from repro.faults import (
+    CubeVectors,
+    StuckSwapFault,
+    build_fault_dictionary,
+    detected_faults,
+    enumerate_single_faults,
+    greedy_test_selection,
+    undetected_faults,
+)
+from repro.properties import (
+    all_sorted_half_pairs,
+    find_merging_counterexample,
+    find_selection_counterexample,
+    find_sorting_counterexample,
+)
 from repro.testsets import sorting_binary_test_set
 from repro.words.permutations import all_permutations
 
@@ -127,6 +150,91 @@ def test_unpinned_vector_workloads_route_by_their_vectors(network):
             assert diagnosis.dictionary.classes == oracle.dictionary.classes
             assert diagnosis.test_order == oracle.test_order, name
             assert_routed(diagnosis.execution, binary)
+
+
+#: A device whose evaluation is its fault model's override of the
+#: packed and unpacked kernels, not its comparator list.
+swapped_sorter = StuckSwapFault(index=0).apply_to(batcher_sorting_network(4))
+
+
+def vectorized_outputs(network, words) -> np.ndarray:
+    return apply_network_to_batch(network, np.asarray(words), engine="vectorized")
+
+
+def first_failure(words, ok: np.ndarray):
+    """The first row of *words* whose verdict in *ok* is ``False``."""
+    failing = np.flatnonzero(~ok)
+    return tuple(int(v) for v in words[failing[0]]) if failing.size else None
+
+
+def greedy_oracle(matrix: np.ndarray, vectors) -> list[tuple[int, ...]]:
+    """Greedy set cover of every detectable fault, over a given matrix."""
+    covered = np.zeros(matrix.shape[0], dtype=bool)
+    needed = int(matrix.any(axis=1).sum())
+    chosen: list[int] = []
+    while int(covered.sum()) < needed:
+        gains = np.sum(matrix & ~covered[:, None], axis=0)
+        gains[chosen] = -1
+        chosen.append(int(np.argmax(gains)))
+        covered |= matrix[:, chosen[-1]]
+    return [vectors[i] for i in chosen]
+
+
+@given(small_networks)
+@example(swapped_sorter)
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_free_functions_give_the_vectorized_answers(network):
+    n = network.n_lines
+    cube = all_binary_words_array(n)
+    outputs = vectorized_outputs(network, cube)
+    assert np.array_equal(evaluate_on_all_binary_inputs(network), outputs)
+    # Each search returns its first failing word in the order it searches:
+    # cube rank order over Theorem 2.2's words, over the whole cube for
+    # selection, and the candidates' own order otherwise.
+    assert find_sorting_counterexample(network) == vectorized_first_failure(
+        network, "testset"
+    )
+    permutations = np.asarray(list(all_permutations(n))[:24])
+    assert find_sorting_counterexample(
+        network, candidates=permutations.tolist()
+    ) == first_failure(
+        permutations, batch_is_sorted(vectorized_outputs(network, permutations))
+    )
+    smallest = np.sort(cube, axis=1)
+    for k in range(1, n + 1):
+        selected = np.all(outputs[:, :k] == smallest[:, :k], axis=1)
+        assert find_selection_counterexample(network, k) == first_failure(
+            cube, selected
+        ), k
+    if n % 2 == 0:
+        pairs = np.asarray(all_sorted_half_pairs(n))
+        assert find_merging_counterexample(network) == first_failure(
+            pairs, batch_is_sorted(vectorized_outputs(network, pairs))
+        )
+    faults = enumerate_single_faults(network)
+    with Session(engine="vectorized") as oracle:
+        for name, (vectors, _) in vector_sources(n).items():
+            hits = oracle.fault_matrix(network, faults, vectors).matrix.any(axis=1)
+            assert detected_faults(network, faults, vectors) == [
+                fault for fault, hit in zip(faults, hits) if hit
+            ], name
+            assert undetected_faults(network, faults, vectors) == [
+                fault for fault, hit in zip(faults, hits) if not hit
+            ], name
+            expected = oracle.diagnose(network, faults, vectors).dictionary
+            dictionary = build_fault_dictionary(network, faults, vectors)
+            assert dictionary.signatures == expected.signatures, name
+            assert dictionary.classes == expected.classes, name
+            if isinstance(vectors, CubeVectors):
+                continue
+            # Greedy selection applies the candidates as integer words.
+            words = [tuple(int(v) for v in w) for w in vectors]
+            matrix = oracle.fault_matrix(network, faults, words).matrix
+            assert greedy_test_selection(
+                network, faults, vectors
+            ) == greedy_oracle(matrix, words), name
 
 
 class TestBitpackedPinRefusesPermutations:

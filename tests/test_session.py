@@ -68,6 +68,25 @@ def test_passes_test_set_matches_scalar_session(network, engine):
     assert result.vectors_used == len(words)
 
 
+@pytest.mark.parametrize(
+    ("words", "count"),
+    [
+        pytest.param(np.array([1, 0, 1, 0]), 1, id="one-word-array"),
+        pytest.param([1, 0, 1, 0], 1, id="one-word-list"),
+        pytest.param(np.array([[1, 0, 1, 0], [0, 1, 1, 0]]), 2, id="two-rows"),
+        pytest.param(np.array([], dtype=np.int64), 0, id="empty-array"),
+    ],
+)
+def test_passes_test_set_counts_the_words_it_applies(words, count):
+    """A flat sequence of values is one word: ``vectors_used`` and the
+    root span's ``vectors`` count the words applied, not the values."""
+    with Session() as session:
+        result = session.passes_test_set(batcher_sorting_network(4), words)
+    assert result.passed
+    assert result.vectors_used == count
+    assert result.execution.trace.root.meta["vectors"] == count
+
+
 @given(networks(), engines, criteria, st.booleans())
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fault_matrix_matches_scalar_session(network, engine, criterion, prune):
