@@ -8,8 +8,10 @@ Boots ``python -m repro.serve`` on a private unix socket, then uses
    classical single-fault universe) and decode the typed result;
 2. submit the *identical* job again and watch it deduplicate — same job
    id, byte-identical ``result_json``, no second simulation;
-3. read the server's counters and the job's ``jobs/<id>/`` directory;
-4. shut the server down gracefully (the job store stays on disk — a
+3. read the server's counters, and the job's records in the store's
+   journal with ``repro-networks job`` (it reads a live server's store
+   without taking its lock);
+4. shut the server down gracefully (the journal stays on disk — a
    restarted server would replay the finished job from it).
 
 Run with::
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 
+from repro.cli import main as repro_networks
 from repro.constructions import batcher_sorting_network
 from repro.serve import ServeClient
 from repro.serve.protocol import JobRequest
@@ -76,9 +79,8 @@ def main() -> None:
         print("server metrics:",
               json.dumps(status["metrics"], sort_keys=True))
 
-        job_dir = jobs_dir / first["job_id"]
-        print(f"persisted artifacts in {job_dir.name}/:",
-              sorted(p.name for p in job_dir.iterdir()))
+        print("journal records:")
+        repro_networks(["job", "--jobs", str(jobs_dir), first["job_id"]])
 
         client.shutdown()
 

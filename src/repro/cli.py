@@ -37,6 +37,10 @@ Subcommands
 ``status``
     Print a running server's counters, job states and configuration
     (or, with ``--job ID``, one job's status object) as JSON.
+``job``
+    Print one job's records from a job store's journal — kind, content
+    key, each state with its detail, the result and trace sizes — without
+    taking the writer lock, so a live server's store can be inspected.
 
 ``verify``, ``faults`` and ``diagnose`` pick the evaluation engine by
 value domain: 0/1 work runs ``bitpacked`` (0/1 batches packed 64 words
@@ -69,6 +73,7 @@ Examples
     repro-networks submit --socket /tmp/repro.sock --kind fault-coverage \
         --n 8 --construct batcher --strategy binary
     repro-networks status --socket /tmp/repro.sock
+    repro-networks job --jobs ./jobs 000001-61e3f2a40c9b
 """
 
 from __future__ import annotations
@@ -454,6 +459,14 @@ examples:
         "--job", default=None, metavar="ID", help="show one job instead"
     )
 
+    job = sub.add_parser(
+        "job", help="print one job's journal records from a job store"
+    )
+    job.add_argument(
+        "--jobs", default="jobs", help="job-store directory (default: jobs)"
+    )
+    job.add_argument("job_id", metavar="JOB_ID", help="the job to show")
+
     experiments = sub.add_parser("experiments", help="run the experiment harness")
     experiments.add_argument("--fast", action="store_true", help="small parameters")
     experiments.add_argument(
@@ -722,6 +735,38 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_job(args: argparse.Namespace) -> int:
+    from .exceptions import ServiceError
+    from .serve.jobstore import job_records
+
+    try:
+        records = job_records(args.jobs, args.job_id)
+    except (OSError, ServiceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if not records:
+        print(
+            f"error: unknown job id {args.job_id!r} in {args.jobs}", file=sys.stderr
+        )
+        return 1
+    print(f"job {args.job_id}")
+    for segment, header in records:
+        record = header["type"]
+        if record == "create":
+            text = (
+                f"kind={header['kind']} key={header['key']} "
+                f"request={header['n']} bytes"
+            )
+        elif record == "state":
+            text = header["state"]
+            if "detail" in header:
+                text += f" detail={header['detail']!r}"
+        else:
+            text = f"{header['n']} bytes"
+        print(f"{segment}  {record:<6}  {text}")
+    return 0
+
+
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .analysis.experiments import run_all_experiments
 
@@ -754,6 +799,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "status": _cmd_status,
+        "job": _cmd_job,
     }
     return handlers[args.command](args)
 

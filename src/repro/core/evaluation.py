@@ -60,6 +60,7 @@ __all__ = [
     "words_to_array",
     "array_to_words",
     "min_word_dtype",
+    "explicit_word_dtype",
     "narrow_binary_batch",
 ]
 
@@ -148,6 +149,23 @@ def min_word_dtype(words: Iterable[Sequence[int]]):
             if value > highest:
                 highest = value
     return np.int8 if lowest >= -128 and highest <= 1 else np.int64
+
+
+def explicit_word_dtype(words: object) -> np.dtype:
+    """The dtype a call builds its explicit-word batch in.
+
+    ``int64``, unless *words* is a float array holding a fractional value:
+    that one keeps its dtype, since truncating it would apply other words
+    than the given ones.  Integer, 0/1 and word-list input always get
+    ``int64``.
+    """
+    if (
+        isinstance(words, np.ndarray)
+        and words.dtype.kind == "f"
+        and bool(np.any(words % 1))
+    ):
+        return words.dtype
+    return np.dtype(np.int64)
 
 
 def narrow_binary_batch(batch: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .._typing import WordLike
+from ..core.evaluation import explicit_word_dtype, words_to_array
 from ..core.network import ComparatorNetwork
 from ..exceptions import FaultModelError
 from .models import Fault
@@ -217,7 +218,7 @@ def greedy_test_selection(
     *,
     criterion: str = "specification",
     target_coverage: float = 1.0,
-) -> list[tuple[int, ...]]:
+) -> list[tuple]:
     """Greedy selection of vectors until *target_coverage* of detectable faults.
 
     Coverage is measured relative to the faults detectable by the *full*
@@ -231,16 +232,26 @@ def greedy_test_selection(
 
     Returns
     -------
-    list of tuple of int
-        The selected vectors, in greedy order.
+    list of tuple
+        The selected vectors, in greedy order, with their given values
+        (Python ints for integer candidates).
     """
     if not 0.0 < target_coverage <= 1.0:
         raise FaultModelError(
             f"target_coverage must be in (0, 1], got {target_coverage}"
         )
-    vectors = [tuple(int(v) for v in w) for w in candidate_vectors]
+    # One array of the given values: fractional candidates are simulated
+    # and returned as given, integer ones as int64 (returned as ints).
+    words = np.asarray(
+        candidate_vectors
+        if isinstance(candidate_vectors, np.ndarray)
+        else list(candidate_vectors)
+    )
+    batch = words_to_array(
+        words, dtype=explicit_word_dtype(words), n_lines=network.n_lines
+    )
     matrix = _fault_detection_matrix_impl(
-        network, faults, vectors, criterion=criterion
+        network, faults, batch, criterion=criterion
     )
     detectable = np.any(matrix, axis=1)
     needed = int(np.ceil(target_coverage * int(np.sum(detectable))))
@@ -255,7 +266,7 @@ def greedy_test_selection(
             break
         selected.append(best)
         covered |= matrix[:, best]
-    return [vectors[i] for i in selected]
+    return [tuple(batch[i].tolist()) for i in selected]
 
 
 def compare_test_sets(

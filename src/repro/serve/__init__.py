@@ -6,9 +6,9 @@ library to server: ``python -m repro.serve --socket PATH`` (or
 newline-delimited-JSON protocol, multiplexes them onto a bounded pool
 of Sessions (each job runs in an executor thread, so the event loop
 never blocks), **deduplicates** submissions by content hash, and
-persists every job to a ``jobs/<id>/`` directory so a killed server
-resumes where it stopped — finished jobs replay from disk bit-identically,
-interrupted ones re-run.
+journals every job transition to an append-only log under ``jobs/`` so a
+killed server resumes where it stopped — finished jobs replay from the
+journal bit-identically, interrupted ones re-run.
 
 The moving parts:
 
@@ -16,7 +16,8 @@ The moving parts:
     Message framing, the :class:`JobRequest` model and the dedup
     content key (built from :mod:`repro.cache.keys` tokens).
 :mod:`repro.serve.jobstore`
-    The atomic, resumable on-disk job store.
+    The resumable job store: one append-only journal of segment files
+    with a declared disk budget.
 :mod:`repro.serve.service`
     :class:`VerificationService` (session pool, job state machine,
     server metrics) and the asyncio socket front end.

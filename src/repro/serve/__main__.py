@@ -14,7 +14,8 @@ Serve on TCP port 7777 with a 60 s default per-job timeout::
 On startup the server prints one JSON line (``{"listening": ...}``) to
 stdout once the socket accepts connections — scripts can wait for it —
 then runs until a client sends ``{"op": "shutdown"}`` or the process is
-terminated.  Jobs found in the jobs directory are resumed first.
+terminated.  Jobs found in the jobs directory's journal are resumed
+first; one server owns a jobs directory at a time.
 """
 
 from __future__ import annotations

@@ -12,22 +12,26 @@
 * the dedup map ``content key → job id``: a submission whose
   :meth:`~repro.serve.protocol.JobRequest.content_key` matches a live or
   completed job attaches to that job instead of recomputing;
-* the :class:`~repro.serve.jobstore.JobStore`, which persists every
-  transition so a killed server resumes: finished jobs replay from disk
-  (their ``result.json`` text is returned verbatim — bit-identical),
-  interrupted ones are re-queued.
+* the :class:`~repro.serve.jobstore.JobStore`, an append-only journal
+  with one record per transition, so a killed server resumes: finished
+  jobs replay from it (their stored result text is returned verbatim —
+  bit-identical), interrupted ones are re-queued.  A submission is
+  journalled as the line the server received, and acknowledged once
+  that record is written.
 
 A job holds its decoded :class:`~repro.serve.protocol.JobRequest` only
 while it can still run.  Once it is ``done``, ``failed`` or
 ``cancelled`` it keeps its id, kind, state, detail and content key and
 drops the request and its task, so the job table grows by a few short
 strings per job, not by payloads; a finished job is answered from the
-store.
+store.  The journal's segment budget bounds the table too: a finished
+job whose segment the store deletes is evicted from it (counted as
+``jobs_evicted``), and an identical submission then runs again.
 
 Server-level counters (``jobs_accepted`` / ``jobs_deduped`` /
 ``jobs_executed`` / ``jobs_completed`` / ``jobs_failed`` /
 ``jobs_cancelled`` / ``jobs_resumed`` / ``jobs_replayed`` /
-``protocol_errors``) live in a
+``jobs_evicted`` / ``protocol_errors``) live in a
 :class:`repro.observe.Metrics` registry surfaced by the ``status``
 endpoint, next to an aggregated :data:`~repro.faults.simulation.SIMULATION_COUNTERS`
 registry — the latter is how the crash-resume test proves a replayed
@@ -80,6 +84,7 @@ SERVER_COUNTERS = (
     "jobs_cancelled",
     "jobs_resumed",
     "jobs_replayed",
+    "jobs_evicted",
     "protocol_errors",
 )
 
@@ -122,8 +127,9 @@ class VerificationService:
     Parameters
     ----------
     job_root : path-like
-        The jobs directory (see :class:`~repro.serve.jobstore.JobStore`);
-        jobs found there on :meth:`start` are resumed.
+        The jobs directory (see :class:`~repro.serve.jobstore.JobStore`),
+        held by this service until :meth:`close`; jobs found there on
+        :meth:`start` are resumed.
     pool_size : int, optional
         Number of pooled Sessions = maximum concurrently running jobs
         (default 2).
@@ -153,7 +159,6 @@ class VerificationService:
     ) -> None:
         if pool_size < 1:
             raise ServiceError(f"pool_size must be >= 1, got {pool_size}")
-        self.store = JobStore(job_root)
         self.timeout = timeout
         self.execution_identity = (engine, workers, chunk_size, prune)
         self.cache = ResultCache(cache_bytes, thread_safe=True)
@@ -175,6 +180,7 @@ class VerificationService:
         self._executor: ThreadPoolExecutor | None = None
         self._closing = False
         self.shutdown_requested = asyncio.Event()
+        self.store = JobStore(job_root, on_evict=self._evict)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -182,11 +188,12 @@ class VerificationService:
     async def start(self) -> None:
         """Spin up the session queue / executor and resume stored jobs.
 
-        Terminal jobs on disk are indexed into the dedup map (``done``
-        ones) so future identical submissions replay them; the store
-        hands them over without a request, as :meth:`_terminalise` leaves
-        a finished job.  ``queued`` / ``running`` jobs — the ones a crash
-        interrupted — are re-queued and counted under ``jobs_resumed``.
+        Terminal jobs in the store are indexed into the dedup map
+        (``done`` ones) so future identical submissions replay them; the
+        store hands them over without a request, as :meth:`_terminalise`
+        leaves a finished job.  ``queued`` / ``running`` jobs — the ones a
+        crash interrupted — are re-queued and counted under
+        ``jobs_resumed``, once every stored job is in the table.
         """
         self._session_queue = asyncio.Queue()
         for session in self.sessions:
@@ -195,6 +202,7 @@ class VerificationService:
             max_workers=len(self.sessions),
             thread_name_prefix="repro-serve",
         )
+        resumed: list[_Job] = []
         for record in self.store.iter_jobs():
             job = _Job(
                 job_id=record.job_id,
@@ -215,17 +223,19 @@ class VerificationService:
                 # The job will be *re-executed* this server life, so its
                 # eventual result is fresh compute, not a disk replay.
                 job.from_disk = False
-                job.state = "queued"
-                self.store.write_status(job.job_id, "queued")
                 self._by_key.setdefault(job.content_key, job.job_id)
-                self._spawn(job)
+                resumed.append(job)
+        for job in resumed:
+            self._set_state(job, "queued")
+            self._spawn(job)
 
     async def close(self) -> None:
         """Stop gracefully: cancel live tasks *without* terminalising them.
 
         Interrupted jobs keep their persisted ``queued`` / ``running``
         state, so the next server on the same job directory re-runs
-        them — same contract as a crash, minus the risk.
+        them — same contract as a crash, minus the risk.  The job store
+        is closed last, releasing the directory.
         """
         self._closing = True
         live = [job.task for job in self._jobs.values() if job.task is not None]
@@ -238,11 +248,14 @@ class VerificationService:
             self._executor.shutdown(wait=False, cancel_futures=True)
         for session in self.sessions:
             session.close()
+        self.store.close()
 
     # ------------------------------------------------------------------
     # Submission and lifecycle transitions
     # ------------------------------------------------------------------
-    def submit(self, payload: dict[str, Any]) -> tuple[str, bool]:
+    def submit(
+        self, payload: dict[str, Any], line: bytes | None = None
+    ) -> tuple[str, bool]:
         """Accept (or dedup) one job submission.
 
         Parameters
@@ -250,6 +263,9 @@ class VerificationService:
         payload : dict
             The wire ``"job"`` object
             (:meth:`repro.serve.protocol.JobRequest.from_dict`).
+        line : bytes, optional
+            The submit message as received, journalled verbatim; an
+            in-process call without one has the payload encoded once.
 
         Returns
         -------
@@ -268,7 +284,7 @@ class VerificationService:
             if existing.state not in ("failed", "cancelled"):
                 self.metrics.increment("jobs_deduped")
                 return existing_id, True
-        job_id = self.store.create(request, key)
+        job_id = self.store.create(request, key, line)
         job = _Job(job_id, request.kind, request, key)
         self._jobs[job_id] = job
         self._by_key[key] = job_id
@@ -386,8 +402,8 @@ class VerificationService:
         Returns
         -------
         str or None
-            The exact ``result.json`` bytes as text, or ``None`` when
-            the job has not finished.
+            The stored result text, byte for byte, or ``None`` when the
+            job has not finished.
         """
         self._get(job_id)
         return self.store.read_result_text(job_id)
@@ -397,6 +413,14 @@ class VerificationService:
         if job is None:
             raise ServiceError(f"unknown job id {job_id!r}")
         return job
+
+    def _evict(self, job_ids: list[str]) -> None:
+        """Drop finished jobs whose journal segment the store deleted."""
+        for job_id in job_ids:
+            job = self._jobs.pop(job_id)
+            if self._by_key.get(job.content_key) == job_id:
+                del self._by_key[job.content_key]
+            self.metrics.increment("jobs_evicted")
 
     # ------------------------------------------------------------------
     # Execution
@@ -558,7 +582,7 @@ async def _handle_connection(
                 )
             message = decode_message(line)
             shutdown = message.get("op") == "shutdown"
-            response = await _dispatch(service, message)
+            response = await _dispatch(service, message, line)
         except ServiceError as exc:
             response = {"ok": False, "error": str(exc)}
         except Exception as exc:  # defensive: never drop the connection
@@ -600,15 +624,15 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
 
 
 async def _dispatch(
-    service: VerificationService, message: dict[str, Any]
+    service: VerificationService, message: dict[str, Any], line: bytes
 ) -> dict[str, Any]:
-    """Route one decoded message to the service."""
+    """Route one decoded message (received as *line*) to the service."""
     op = message.get("op")
     if op == "submit":
         job = message.get("job")
         if not isinstance(job, dict):
             raise ServiceError("submit needs a 'job' object")
-        job_id, deduped = service.submit(job)
+        job_id, deduped = service.submit(job, line)
         response: dict[str, Any] = {
             "ok": True,
             "job_id": job_id,

@@ -39,6 +39,7 @@ from .._typing import BinaryWord, WordLike
 from ..core.evaluation import (
     apply_network_to_batch,
     batch_is_sorted,
+    explicit_word_dtype,
     narrow_binary_batch,
     route_words,
     words_to_array,
@@ -156,8 +157,11 @@ def _network_passes_test_set_impl(
     engine, words = route_words(engine, test_words, network.n_lines)
     # One C-level pass to build the batch, numpy min/max for the dtype and
     # binary decisions — exhaustive-scale test sets must not pay per-element
-    # Python loops before the fast engine even starts.
-    batch = words_to_array(words, dtype=np.int64, n_lines=network.n_lines)
+    # Python loops before the fast engine even starts.  Fractional words keep
+    # their values (a bit-packed pin then refuses them in the packer).
+    batch = words_to_array(
+        words, dtype=explicit_word_dtype(words), n_lines=network.n_lines
+    )
     if not len(batch):
         return True
     if cache is not None and engine == "bitpacked" and config is None:

@@ -145,15 +145,17 @@ def test_architecture_doc_is_committed_and_linked():
         "set_observation_enabled",
         "RPR007",
         # The service-layer section: protocol, state machine, dedup key
-        # anatomy, the jobs/<id>/ layout and crash-resume.
+        # anatomy, the job journal and crash-resume.
         "Service layer",
         "repro.serve",
         "newline-delimited JSON",
         "Job state machine",
         "Dedup key anatomy",
-        "jobs/<id>/",
-        "request.json",
-        "result.json",
+        "journal-NNNNNN.log",
+        "Torn records",
+        "fcntl.flock",
+        "MAX_SEGMENTS",
+        "jobs_evicted",
         "jobs_replayed",
         "jobs_resumed",
         "thread_safe=True",

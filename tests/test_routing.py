@@ -40,6 +40,7 @@ from repro.faults import (
     build_fault_dictionary,
     detected_faults,
     enumerate_single_faults,
+    fault_coverage,
     greedy_test_selection,
     undetected_faults,
 )
@@ -49,7 +50,7 @@ from repro.properties import (
     find_selection_counterexample,
     find_sorting_counterexample,
 )
-from repro.testsets import sorting_binary_test_set
+from repro.testsets import network_passes_test_set, sorting_binary_test_set
 from repro.words.permutations import all_permutations
 
 #: Small networks, the one-line network included.
@@ -229,12 +230,38 @@ def test_free_functions_give_the_vectorized_answers(network):
             assert dictionary.classes == expected.classes, name
             if isinstance(vectors, CubeVectors):
                 continue
-            # Greedy selection applies the candidates as integer words.
-            words = [tuple(int(v) for v in w) for w in vectors]
-            matrix = oracle.fault_matrix(network, faults, words).matrix
+            # Greedy selection applies the candidates with their values.
+            words = [tuple(w) for w in np.asarray(vectors).tolist()]
+            matrix = oracle.fault_matrix(network, faults, vectors).matrix
             assert greedy_test_selection(
                 network, faults, vectors
             ) == greedy_oracle(matrix, words), name
+
+
+#: One fractional word: truncated to int64 it reads as all zeros (sorted).
+FRACTIONAL_WORD = np.array([[0.75, 0.5, 0.25, 0.0]])
+
+
+def test_fractional_test_words_are_applied_as_given():
+    identity = ComparatorNetwork.identity(4)
+    assert network_passes_test_set(identity, FRACTIONAL_WORD) is False
+    assert Session().passes_test_set(identity, FRACTIONAL_WORD).passed is False
+    sorter = batcher_sorting_network(4)
+    assert network_passes_test_set(sorter, FRACTIONAL_WORD) is True
+    assert Session().passes_test_set(sorter, FRACTIONAL_WORD).passed is True
+    with pytest.raises(EngineError):
+        Session(engine="bitpacked").passes_test_set(identity, FRACTIONAL_WORD)
+
+
+def test_greedy_selection_keeps_fractional_candidates():
+    network = batcher_sorting_network(4)
+    faults = enumerate_single_faults(network)
+    words = np.vstack([FRACTIONAL_WORD, FRACTIONAL_WORD[:, ::-1]])
+    selected = greedy_test_selection(network, faults, words)
+    assert set(selected) <= set(map(tuple, words.tolist()))
+    reached = fault_coverage(network, faults, np.array(selected))
+    assert reached == fault_coverage(network, faults, words)
+    assert reached == pytest.approx(16 / 23)
 
 
 class TestBitpackedPinRefusesPermutations:

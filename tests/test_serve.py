@@ -3,7 +3,8 @@
 Three tiers:
 
 * unit tests for the wire protocol (framing, request validation, the
-  content-key anatomy) and the atomic job store;
+  content-key anatomy) and the journal job store (torn records, the
+  single-writer lock, the segment budget);
 * in-process end-to-end tests running the real asyncio server on a unix
   socket with blocking clients on worker threads — including the
   acceptance scenario (two concurrent identical fault-coverage
@@ -39,6 +40,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.constructions import batcher_sorting_network
+from repro.core import ComparatorNetwork
 from repro.exceptions import ServiceError
 from repro.faults.simulation import SIMULATION_COUNTERS
 from repro.serve import (
@@ -47,8 +49,10 @@ from repro.serve import (
     JobStore,
     ServeClient,
     VerificationService,
+    jobstore,
     serve,
 )
+from repro.serve.jobstore import job_records
 from repro.serve.protocol import decode_message, encode_message
 from repro.serve.service import MAX_LINE_BYTES
 
@@ -311,51 +315,256 @@ def test_jobstore_create_load_and_artifacts(tmp_path):
     second = store.create(request, key)
     assert second.startswith("000002-")
     assert [r.job_id for r in store.iter_jobs()] == [job_id, second]
+    store.close()
 
 
-def test_jobstore_skips_corrupt_directories(tmp_path):
-    store = JobStore(tmp_path / "jobs")
+def segment_files(root: Path) -> list[Path]:
+    return sorted(root.glob("journal-*.log"))
+
+
+@pytest.mark.parametrize(
+    "torn",
+    [
+        b'{"type":"state","id":"000001-abababababab","sta',  # header
+        b'{"type":"result","id":"000001-abababababab","n":64}\n{"partial',
+    ],
+    ids=["header", "payload"],
+)
+def test_jobstore_drops_a_torn_last_record(tmp_path, torn):
+    root = tmp_path / "jobs"
+    store = JobStore(root)
     job_id = store.create(JobRequest.from_dict(coverage_job()), "ab" * 16)
-    (store.root / "000099-deadbeef0000").mkdir()  # no request.json
+    store.write_status(job_id, "running")
+    with pytest.raises(ServiceError):
+        store.write_status(job_id, "no-such-state")
+    store.close()
+    (segment,) = segment_files(root)
+    whole = segment.stat().st_size
+    with segment.open("ab") as handle:  # a crash in the middle of a write
+        handle.write(torn)
+    store = JobStore(root)
+    # The job falls back to its previous state; the segment is cut back to
+    # its last whole record.
+    assert segment.stat().st_size == whole
+    record = store.load(job_id)
+    assert record.state == "running" and record.request is not None
+    assert store.read_result_text(job_id) is None
     assert [r.job_id for r in store.iter_jobs()] == [job_id]
     with pytest.raises(ServiceError):
         store.load("000099-deadbeef0000")
-    with pytest.raises(ServiceError):
-        store.write_status(job_id, "no-such-state")
+    # The next append starts cleanly.
+    store.write_result_text(job_id, '{"coverage": 1.0}')
+    store.write_status(job_id, "done")
+    store.close()
+    store = JobStore(root)
+    assert store.read_status(job_id) == {"state": "done"}
+    assert store.read_result_text(job_id) == '{"coverage": 1.0}'
+    store.close()
+    assert [header["type"] for _, header in job_records(root, job_id)] == [
+        "create", "state", "result", "state",
+    ]
 
 
 def test_jobstore_mints_ids_without_listing_the_directory(
     tmp_path, monkeypatch
 ):
-    store = JobStore(tmp_path / "jobs")
+    """10,000 jobs: ids from a counter, one segment file, no per-job file or
+    directory, and no directory listing or file open per create."""
+    root = tmp_path / "jobs"
+    store = JobStore(root)
     request = JobRequest.from_dict(coverage_job())
+    line = encode_message({"op": "submit", "job": coverage_job()})
 
-    def no_listing(self):
-        raise AssertionError(f"JobStore.create listed {self}")
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"JobStore.create called {name}{args}")
 
-    monkeypatch.setattr(Path, "iterdir", no_listing)
-    ids = [store.create(request, f"{i:032x}") for i in range(1, 4)]
-    assert [job_id[:6] for job_id in ids] == ["000001", "000002", "000003"]
+        return refused
+
+    monkeypatch.setattr(Path, "iterdir", refuse("Path.iterdir"))
+    monkeypatch.setattr(os, "scandir", refuse("os.scandir"))
+    monkeypatch.setattr(os, "listdir", refuse("os.listdir"))
+    monkeypatch.setattr(os, "open", refuse("os.open"))
+    monkeypatch.setattr(os, "mkdir", refuse("os.mkdir"))
+    monkeypatch.setattr("builtins.open", refuse("open"))
+    ids = [store.create(request, f"{i:032x}", line) for i in range(1, 10_001)]
+    monkeypatch.undo()
+    assert [job_id[:6] for job_id in ids[:3]] == ["000001", "000002", "000003"]
+    assert ids[-1].startswith("010000-") and len(set(ids)) == len(ids)
+    assert os.listdir(root) == ["journal-000001.log"]
+    assert store.read_status(ids[-1]) == {"state": "queued"}
+    store.close()
 
 
 def test_new_jobstore_continues_past_the_highest_id(tmp_path):
     root = tmp_path / "jobs"
-    first = JobStore(root)
     request = JobRequest.from_dict(coverage_job())
-    first.create(request, "ab" * 16)
-    # Non-digit names and a corrupt job (no request.json) on disk.
+    first = JobStore(root)
+    for i in range(3):
+        first.create(request, f"{i:032x}")
+    first.close()
+    # Names that are neither journal segments nor job directories.
     (root / "notes").mkdir()
     (root / "x-000500").mkdir()
     (root / "000300.tmp").write_text("")
-    (root / "000012-deadbeef0000").mkdir()
     second = JobStore(root)
-    assert second.create(request, "cd" * 16) == "000013-" + "cd" * 6
-    assert second.create(request, "ef" * 16).startswith("000014-")
-    # A stale store minting an id another store already took fails loudly.
-    stale = JobStore(root)
-    assert second.create(request, "ef" * 16).startswith("000015-")
-    with pytest.raises(FileExistsError):
-        stale.create(request, "ef" * 16)
+    assert second.create(request, "cd" * 16) == "000004-" + "cd" * 6
+    assert second.create(request, "ef" * 16).startswith("000005-")
+    # A stale second writer on the same root fails at open.
+    with pytest.raises(ServiceError, match="another writer"):
+        JobStore(root)
+    second.close()
+    third = JobStore(root)
+    assert third.create(request, "ef" * 16).startswith("000006-")
+    third.close()
+
+
+def test_a_second_writer_is_refused_at_open(tmp_path):
+    root = tmp_path / "jobs"
+    first = JobStore(root)
+    with pytest.raises(ServiceError, match="another writer"):
+        JobStore(root)
+    with pytest.raises(ServiceError, match="another writer"):
+        VerificationService(root)
+    first.close()
+    service = VerificationService(root)  # the lock went with close()
+    with pytest.raises(ServiceError, match="another writer"):
+        JobStore(root)
+    asyncio.run(service.close())
+    JobStore(root).close()
+
+
+def test_an_old_layout_root_is_refused_at_open(tmp_path):
+    root = tmp_path / "jobs"
+    (root / "000012-deadbeef0000").mkdir(parents=True)
+    (root / "000012-deadbeef0000" / "status.json").write_text('{"state":"done"}')
+    with pytest.raises(ServiceError, match="000012-deadbeef0000"):
+        JobStore(root)
+    with pytest.raises(ServiceError, match="000012-deadbeef0000"):
+        VerificationService(root)
+    # Nothing was written, and the refusal released the root.
+    assert sorted(p.name for p in root.iterdir()) == ["000012-deadbeef0000"]
+    shutil.rmtree(root / "000012-deadbeef0000")
+    JobStore(root).close()
+
+
+def record_bytes(header: dict) -> int:
+    """The size of one journal record on disk, from its header."""
+    size = len(json.dumps(header, separators=(",", ":"))) + 1
+    return size + (header["n"] + 1 if "n" in header else 0)
+
+
+def small_budget(monkeypatch, segment_bytes: int, max_segments: int) -> int:
+    monkeypatch.setattr(jobstore, "SEGMENT_BYTES", segment_bytes)
+    monkeypatch.setattr(jobstore, "MAX_SEGMENTS", max_segments)
+    return segment_bytes * max_segments
+
+
+def test_live_job_survives_its_segments_deletion(tmp_path, monkeypatch):
+    """Rolling past the budget re-appends a running job whole before its
+    segment goes; finished jobs of that segment are evicted, and the live
+    one still resumes under a service."""
+    budget = small_budget(monkeypatch, 2048, 2)
+    root = tmp_path / "jobs"
+    evicted: list[str] = []
+    store = JobStore(root, on_evict=evicted.extend)
+    live_request = JobRequest.build(
+        "verify", batcher_sorting_network(6), strategy="binary"
+    )
+    live = store.create(
+        live_request, live_request.content_key(("bitpacked", 1, None, True))
+    )
+    store.write_status(live, "running")
+    request = JobRequest.from_dict(coverage_job())
+    finished, largest = [], 0
+    for i in range(40):
+        job_id = store.create(request, f"{i:032x}")
+        store.write_result_text(job_id, "x" * 300)
+        store.write_status(job_id, "done")
+        finished.append(job_id)
+        largest = max(
+            [largest] + [record_bytes(h) for _, h in job_records(root, job_id)]
+        )
+        on_disk = sum(path.stat().st_size for path in root.iterdir())
+        assert on_disk <= budget + largest
+        assert len(segment_files(root)) <= 2
+    assert (root / "journal-000001.log").exists() is False
+    assert evicted and set(evicted) <= set(finished)
+    survivors = [job_id for job_id in finished if job_id not in evicted]
+    assert [r.job_id for r in store.iter_jobs()] == [live, *survivors]
+    assert store.load(live).state == "running"
+    assert store.load(live).request.network() == batcher_sorting_network(6)
+    for job_id in evicted:
+        with pytest.raises(ServiceError, match="unknown job id"):
+            store.load(job_id)
+    store.close()
+
+    async def resume():
+        service = VerificationService(root, engine="bitpacked")
+        await service.start()
+        try:
+            assert service.metrics.get("jobs_resumed") == 1
+            assert await asyncio.wait_for(service.wait(live), 60) == "done"
+            assert not set(evicted) & set(service._jobs)
+        finally:
+            await service.close()
+
+    asyncio.run(resume())
+
+
+def test_budget_evicts_finished_jobs_which_then_run_again(tmp_path, monkeypatch):
+    """With a small budget ``jobs/`` never exceeds it by more than one
+    record; an evicted job leaves the job table and the dedup map, counts
+    as ``jobs_evicted``, answers "unknown job id", and re-executes when
+    submitted again."""
+    budget = small_budget(monkeypatch, 8192, 3)
+    root = tmp_path / "jobs"
+    payloads = [
+        JobRequest.build(
+            "verify", ComparatorNetwork.from_pairs(4, [(0, 1)] * i)
+        ).to_dict()
+        for i in range(24)
+    ]
+
+    async def scenario():
+        service = VerificationService(root, engine="bitpacked", pool_size=1)
+        await service.start()
+        try:
+            ids, largest = [], 0
+            for payload in payloads:
+                job_id, deduped = service.submit(payload)
+                assert not deduped
+                assert await service.wait(job_id) == "done"
+                ids.append(job_id)
+                largest = max(
+                    [largest]
+                    + [record_bytes(h) for _, h in job_records(root, job_id)]
+                )
+                on_disk = sum(path.stat().st_size for path in root.iterdir())
+                assert on_disk <= budget + largest
+            assert all(path.name.startswith("journal-") for path in root.iterdir())
+            evicted = [job_id for job_id in ids if job_id not in service._jobs]
+            assert evicted and evicted == ids[: len(evicted)]
+            status = service.status_payload()
+            assert status["metrics"]["jobs_evicted"] == len(evicted)
+            assert sum(status["jobs"].values()) == len(ids) - len(evicted)
+            assert sorted(service._jobs) == [r.job_id for r in service.store.iter_jobs()]
+            first = evicted[0]
+            assert first not in service._by_key.values()
+            for view in (service.job_payload, service.result_text):
+                with pytest.raises(ServiceError, match="unknown job id"):
+                    view(first)
+            # The identical submission runs again, under a new id.
+            again, deduped = service.submit(payloads[0])
+            assert not deduped and again != first
+            assert await service.wait(again) == "done"
+            assert service.metrics.get("jobs_executed") == len(payloads) + 1
+            verdict = json.loads(service.result_text(again))["verdict"]
+            assert verdict is False  # one comparator does not sort 4 lines
+        finally:
+            await service.close()
+
+    asyncio.run(scenario())
 
 
 def test_resume_validates_only_jobs_that_will_run(tmp_path, monkeypatch):
@@ -383,6 +592,7 @@ def test_resume_validates_only_jobs_that_will_run(tmp_path, monkeypatch):
         record = records[job_id]
         assert record.state == state and record.kind == "verify"
         assert (record.request is None) == (state != "queued")
+    store.close()
 
     async def resume():
         service = VerificationService(tmp_path / "jobs", engine="bitpacked")
@@ -404,6 +614,7 @@ def test_jobstore_missing_result_reads_none(tmp_path):
     store = JobStore(tmp_path / "jobs")
     job_id = store.create(JobRequest.from_dict(coverage_job()), "cd" * 16)
     assert store.read_result_text(job_id) is None
+    store.close()
 
 
 # ----------------------------------------------------------------------
@@ -467,12 +678,16 @@ def test_concurrent_identical_submissions_dedupe(tmp_path, sock_dir):
         assert result.execution.engine_effective == "bitpacked"
         assert result.coverage > 0.9
 
-        # jobs/<id>/ holds all four artifacts.
-        job_dir = service.store.job_dir(first["job_id"])
-        assert sorted(p.name for p in job_dir.iterdir()) == [
-            "request.json", "result.json", "status.json", "trace.json",
+        # The journal holds the job's create, result and trace records.
+        job_id = first["job_id"]
+        records = [header for _, header in job_records(service.store.root, job_id)]
+        assert [header["type"] for header in records] == [
+            "create", "state", "result", "trace", "state",
         ]
-        trace = json.loads(job_dir.joinpath("trace.json").read_text())
+        assert records[0]["kind"] == "fault-coverage"
+        assert records[0]["key"] == service._jobs[job_id].content_key
+        assert service.store.read_result_text(job_id) == first["result_json"]
+        trace = json.loads(service.store.read_trace_text(job_id))
         assert trace["spans"][0]["name"] == "serve.job"
         assert trace["spans"][0]["children"], "job span lost the run's trace"
         return None
@@ -708,7 +923,7 @@ def test_malformed_words_are_refused_at_submit(tmp_path, sock_dir):
         assert all("vectors.words" in error for error in errors)
         assert status["metrics"]["protocol_errors"] == len(bad_words)
         assert status["metrics"]["jobs_accepted"] == 0
-        assert list(service.store.root.iterdir()) == []
+        assert service.store.iter_jobs() == []
         return None
 
     run_with_server(scenario, tmp_path, sock_dir)
@@ -761,7 +976,7 @@ def test_ill_typed_fault_lists_are_refused_at_submit(tmp_path, sock_dir):
         assert good["state"] == "done"
         assert ServeClient.decode_result(good).total_faults == 2
         assert after["metrics"]["jobs_completed"] == 1
-        assert len(list(service.store.root.iterdir())) == 1
+        assert len(service.store.iter_jobs()) == 1
         return None
 
     run_with_server(scenario, tmp_path, sock_dir)
@@ -794,7 +1009,7 @@ def test_bad_timeouts_are_refused_at_submit(tmp_path, sock_dir):
         assert status["metrics"]["protocol_errors"] == len(bad_timeouts)
         assert status["metrics"]["jobs_accepted"] == 0
         assert good["state"] == "done"
-        assert len(list(service.store.root.iterdir())) == 1
+        assert len(service.store.iter_jobs()) == 1
         return None
 
     run_with_server(scenario, tmp_path, sock_dir)
@@ -852,7 +1067,7 @@ def test_out_of_range_faults_are_refused_at_submit(tmp_path, sock_dir):
         assert status["metrics"]["jobs_accepted"] == 0
         assert good["state"] == "done"
         assert ServeClient.decode_result(good).total_faults == 1
-        assert len(list(service.store.root.iterdir())) == 1
+        assert len(service.store.iter_jobs()) == 1
         return None
 
     run_with_server(scenario, tmp_path, sock_dir)
@@ -1048,6 +1263,7 @@ def test_graceful_close_cancels_only_live_jobs_and_keeps_them_resumable(
     assert [store.read_status(job_id)["state"] for job_id in (
         finished, running, queued
     )] == ["done", "running", "queued"]
+    store.close()
 
     async def second_life():
         service = VerificationService(tmp_path / "jobs", engine="bitpacked")
@@ -1088,6 +1304,7 @@ def test_in_process_resume_replays_and_requeues(tmp_path, sock_dir):
     interrupted_id = store.create(
         pending, pending.content_key(("bitpacked", 1, None, True))
     )
+    store.close()
 
     async def second_life(service, sock):
         def run():
@@ -1153,6 +1370,7 @@ def test_serve_and_client_argument_validation(tmp_path):
         ServeClient()
     with pytest.raises(ServiceError):
         VerificationService(tmp_path / "jobs", pool_size=0)
+    asyncio.run(service.close())
 
 
 # ----------------------------------------------------------------------
@@ -1214,6 +1432,53 @@ def test_cli_serve_submit_status_round_trip(tmp_path, sock_dir, capsys):
         if proc.poll() is None:
             proc.kill()
             proc.communicate(timeout=30)
+
+
+def test_cli_job_prints_the_journal_records_of_a_live_store(
+    tmp_path, sock_dir, capsys
+):
+    """``repro-networks job`` reads a live server's journal without its
+    lock, and skips a torn last record without truncating it."""
+    failing = JobRequest.build("verify", NETWORK).to_dict()
+    failing["strategy"] = "no-such-strategy"
+
+    async def scenario(service, sock):
+        def run():
+            with ServeClient(socket_path=sock) as client:
+                return client.submit(coverage_job(), wait=True), client.submit(
+                    failing, wait=True
+                )
+
+        done, failed = await asyncio.to_thread(run)
+        jobs = str(service.store.root)
+        assert cli_main(["job", "--jobs", jobs, done["job_id"]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"job {done['job_id']}"
+        key = service._jobs[done["job_id"]].content_key
+        assert f"create  kind=fault-coverage key={key} request=" in lines[1]
+        assert [line.split()[1:3] for line in lines[2:]] == [
+            ["state", "running"],
+            ["result", str(len(done["result_json"].encode()))],
+            ["trace", str(len(service.store.read_trace_text(done["job_id"])))],
+            ["state", "done"],
+        ]
+        assert all(line.startswith("journal-000001.log") for line in lines[1:])
+        assert cli_main(["job", "--jobs", jobs, failed["job_id"]]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert "state   failed detail=" in last and "no-such-strategy" in last
+        return done["job_id"]
+
+    job_id = run_with_server(scenario, tmp_path, sock_dir)
+    (segment,) = segment_files(tmp_path / "jobs")
+    with segment.open("ab") as handle:
+        handle.write(b'{"type":"state","id":"' + job_id.encode() + b'","st')
+    size = segment.stat().st_size
+    assert cli_main(["job", "--jobs", str(tmp_path / "jobs"), job_id]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("state   done")
+    assert segment.stat().st_size == size
+    assert cli_main(["job", "--jobs", str(tmp_path / "jobs"), "000099-x"]) == 1
+    assert "unknown job id" in capsys.readouterr().err
+    assert cli_main(["job", "--jobs", str(tmp_path / "missing"), job_id]) == 1
 
 
 def test_cli_submit_verify_job(tmp_path, sock_dir, capsys):
@@ -1325,10 +1590,10 @@ def test_crash_resume_requeues_interrupted_jobs(tmp_path, sock_dir):
     os.unlink(sock)
 
     # The persisted state survived as non-terminal.
-    persisted = json.loads(
-        (Path(jobs) / job_id / "status.json").read_text()
-    )
-    assert persisted["state"] in ("queued", "running")
+    store = JobStore(jobs)
+    persisted = store.load(job_id)
+    store.close()
+    assert persisted.state in ("queued", "running")
 
     proc = start_server(sock, jobs)
     try:

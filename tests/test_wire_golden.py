@@ -6,7 +6,7 @@ bytes stayed the same from one version to the next.  This module can:
 one deterministic value per result type is built below, and its
 ``to_json()`` text must equal the committed file under
 ``tests/data/wire/`` byte for byte (the file adds one trailing newline).
-A ``result.json`` written by an earlier server therefore still replays
+A result record journalled by an earlier server therefore still replays
 verbatim and still decodes.
 
 The values use dyadic floats (exact in binary), a trace rebuilt with
