@@ -60,7 +60,6 @@ __all__ = [
     "words_to_array",
     "array_to_words",
     "min_word_dtype",
-    "explicit_word_dtype",
     "narrow_binary_batch",
 ]
 
@@ -151,7 +150,7 @@ def min_word_dtype(words: Iterable[Sequence[int]]):
     return np.int8 if lowest >= -128 and highest <= 1 else np.int64
 
 
-def explicit_word_dtype(words: object) -> np.dtype:
+def _explicit_word_dtype(words: object) -> np.dtype:
     """The dtype a call builds its explicit-word batch in.
 
     ``int64``, unless *words* is a float array holding a fractional value:

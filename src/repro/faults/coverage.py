@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .._typing import WordLike
-from ..core.evaluation import explicit_word_dtype, words_to_array
+from ..core.evaluation import _explicit_word_dtype, words_to_array
 from ..core.network import ComparatorNetwork
 from ..exceptions import FaultModelError
 from .models import Fault
@@ -233,22 +233,20 @@ def greedy_test_selection(
     Returns
     -------
     list of tuple
-        The selected vectors, in greedy order, with their given values
-        (Python ints for integer candidates).
+        The selected vectors, in greedy order, as Python ints — or with
+        their own values when the candidates are a float array holding
+        fractional ones.
     """
     if not 0.0 < target_coverage <= 1.0:
         raise FaultModelError(
             f"target_coverage must be in (0, 1], got {target_coverage}"
         )
-    # One array of the given values: fractional candidates are simulated
-    # and returned as given, integer ones as int64 (returned as ints).
-    words = np.asarray(
-        candidate_vectors
-        if isinstance(candidate_vectors, np.ndarray)
-        else list(candidate_vectors)
-    )
+    # A float array's fractional candidates are simulated and returned as
+    # given; everything else is built as int64 (returned as ints).
     batch = words_to_array(
-        words, dtype=explicit_word_dtype(words), n_lines=network.n_lines
+        candidate_vectors,
+        dtype=_explicit_word_dtype(candidate_vectors),
+        n_lines=network.n_lines,
     )
     matrix = _fault_detection_matrix_impl(
         network, faults, batch, criterion=criterion

@@ -35,15 +35,20 @@ header without its newline, or a payload shorter than its ``n`` — is
 dropped and its segment truncated to the last whole record, so that job
 falls back to its previous state and the next append starts cleanly.
 Only ``queued`` / ``running`` jobs are re-validated into a
-:class:`~repro.serve.protocol.JobRequest` (they will run again); a
-finished job is answered from its stored records, read back by offset.
+:class:`~repro.serve.protocol.JobRequest` (they will run again); one
+whose stored submit line no longer validates is journalled ``failed``
+with the validation message.  A finished job is answered from its stored
+records, read back by offset.
 
 One writer: the store holds an exclusive :func:`fcntl.flock` on its root
 until :meth:`JobStore.close`, so a second store on the same root fails
-at open.  A root that still holds per-job directories of the earlier
-directory-per-job layout is refused at open, naming them, rather than
-dropping the jobs they hold.  :func:`job_records` reads a journal
-without the lock (the ``repro-networks job`` command).
+at open.  A forked child closes its copies of every store's descriptors
+at once: the lock belongs to the open file description, which a child
+shares, and a process-pool worker outlives a killed server.  A root
+that still holds per-job directories of the earlier directory-per-job
+layout is refused at open, naming them, rather than dropping the jobs
+they hold.  :func:`job_records` reads a journal without the lock (the
+``repro-networks job`` command).
 
 The disk budget is :data:`MAX_SEGMENTS` segments of about
 :data:`SEGMENT_BYTES` each.  A record that would overflow the active
@@ -64,6 +69,7 @@ import os
 from pathlib import Path
 import re
 from typing import Any
+import weakref
 
 from ..exceptions import ServiceError
 from .protocol import (
@@ -87,6 +93,22 @@ _SEGMENT_NAME = re.compile(r"journal-(\d{6,})\.log")
 
 #: Where a payload lives: (segment number, byte offset, length).
 _Location = tuple[int, int, int]
+
+#: The stores open in this process (see :func:`_close_in_child`).
+_OPEN_STORES: weakref.WeakSet[JobStore] = weakref.WeakSet()
+
+
+def _close_in_child() -> None:
+    """Close every open store in a freshly forked child.
+
+    Otherwise the child would share the parent's lock, and a pool worker
+    left behind by a killed server would refuse every restart.
+    """
+    for store in list(_OPEN_STORES):
+        store.close()
+
+
+os.register_at_fork(after_in_child=_close_in_child)
 
 
 def _segment_name(number: int) -> str:
@@ -284,6 +306,7 @@ class JobStore:
         self._active = self._fd = -1  # the active segment, appended to
         self._size = 0
         self._lock = os.open(self.root, os.O_RDONLY)
+        _OPEN_STORES.add(self)
         try:
             try:
                 fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -298,6 +321,7 @@ class JobStore:
 
     def close(self) -> None:
         """Close the segments and release the root (idempotent)."""
+        _OPEN_STORES.discard(self)
         for fd in self._segments.values():
             os.close(fd)
         self._segments.clear()
@@ -585,7 +609,9 @@ class JobStore:
                     decode_message(self._read(entry.create))["job"]
                 )
             except (KeyError, ValueError) as exc:
-                raise ServiceError(f"job {job_id!r} is corrupt: {exc}") from exc
+                raise ServiceError(
+                    f"job {job_id!r} no longer validates: {exc}"
+                ) from exc
         return JobRecord(
             job_id=job_id,
             kind=entry.kind,
@@ -598,9 +624,22 @@ class JobStore:
     def iter_jobs(self) -> list[JobRecord]:
         """Every job in the store, in id (= submission) order.
 
+        A ``queued`` / ``running`` job whose stored submit line no longer
+        validates (a later release may check more) can never run: it is
+        journalled ``failed`` with the validation message and listed so.
+
         Returns
         -------
         list of JobRecord
             One record per job (see :meth:`load`).
         """
-        return [self.load(job_id) for job_id in sorted(self._jobs)]
+        records: list[JobRecord] = []
+        for job_id in sorted(self._jobs):
+            if job_id not in self._jobs:
+                continue  # evicted by a roll of the journalling below
+            try:
+                records.append(self.load(job_id))
+            except ServiceError as exc:
+                self.write_status(job_id, "failed", str(exc))
+                records.append(self.load(job_id))
+        return [record for record in records if record.job_id in self._jobs]

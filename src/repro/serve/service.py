@@ -233,7 +233,7 @@ class VerificationService:
         """Stop gracefully: cancel live tasks *without* terminalising them.
 
         Interrupted jobs keep their persisted ``queued`` / ``running``
-        state, so the next server on the same job directory re-runs
+        state, so the next server on the same jobs directory re-runs
         them — same contract as a crash, minus the risk.  The job store
         is closed last, releasing the directory.
         """
@@ -415,10 +415,13 @@ class VerificationService:
         return job
 
     def _evict(self, job_ids: list[str]) -> None:
-        """Drop finished jobs whose journal segment the store deleted."""
+        """Drop finished jobs whose journal segment the store deleted.
+
+        A resume can evict jobs before they reach the table.
+        """
         for job_id in job_ids:
-            job = self._jobs.pop(job_id)
-            if self._by_key.get(job.content_key) == job_id:
+            job = self._jobs.pop(job_id, None)
+            if job is not None and self._by_key.get(job.content_key) == job_id:
                 del self._by_key[job.content_key]
             self.metrics.increment("jobs_evicted")
 

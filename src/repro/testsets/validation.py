@@ -37,9 +37,9 @@ import numpy as np
 
 from .._typing import BinaryWord, WordLike
 from ..core.evaluation import (
+    _explicit_word_dtype,
     apply_network_to_batch,
     batch_is_sorted,
-    explicit_word_dtype,
     narrow_binary_batch,
     route_words,
     words_to_array,
@@ -160,7 +160,7 @@ def _network_passes_test_set_impl(
     # Python loops before the fast engine even starts.  Fractional words keep
     # their values (a bit-packed pin then refuses them in the packer).
     batch = words_to_array(
-        words, dtype=explicit_word_dtype(words), n_lines=network.n_lines
+        words, dtype=_explicit_word_dtype(words), n_lines=network.n_lines
     )
     if not len(batch):
         return True

@@ -12,7 +12,7 @@ Three tiers:
   clients get bit-identical results) plus failure, timeout and
   cancellation lifecycles;
 * subprocess crash-resume tests: ``python -m repro.serve`` is SIGKILLed
-  and restarted against the same job directory — finished jobs must
+  and restarted against the same jobs directory — finished jobs must
   replay from disk bit-identically with the simulation counters staying
   at zero, interrupted jobs must re-run.
 
@@ -24,6 +24,7 @@ can exceed that.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -610,6 +611,96 @@ def test_resume_validates_only_jobs_that_will_run(tmp_path, monkeypatch):
     asyncio.run(resume())
 
 
+def stale_submit_line() -> bytes:
+    """A submit line that validated once but fails today's checks: its
+    fault lies outside the network (refused at submit since fault lists
+    are applied to the network there)."""
+    network = batcher_sorting_network(4)  # 5 comparators
+    job = {
+        "kind": "fault-coverage",
+        "network": coverage_job(network)["network"],
+        "vectors": {"cube": 4},
+        "faults": {"list": [{"model": "StuckPassFault", "fields": {"index": 999}}]},
+    }
+    return encode_message({"op": "submit", "job": job})
+
+
+def test_resume_fails_an_interrupted_job_that_no_longer_validates(tmp_path):
+    """A running job whose stored request fails today's validation does not
+    stop the server from booting: it is journalled ``failed`` with the
+    message, once, and the other interrupted job still runs."""
+    root = tmp_path / "jobs"
+    store = JobStore(root)
+    request = JobRequest.from_dict(coverage_job())
+    stale = store.create(request, "ab" * 16, stale_submit_line())
+    store.write_status(stale, "running")
+    live = store.create(request, request.content_key(("bitpacked", 1, None, True)))
+    store.close()
+
+    async def resume():
+        service = VerificationService(root, engine="bitpacked", pool_size=1)
+        await service.start()
+        try:
+            payload = service.job_payload(stale)
+            assert payload["state"] == "failed"
+            assert "out of range" in payload["detail"]
+            assert service.metrics.get("jobs_resumed") == 1
+            assert await asyncio.wait_for(service.wait(live), 60) == "done"
+        finally:
+            await service.close()
+
+    asyncio.run(resume())
+    store = JobStore(root)
+    assert [r.state for r in store.iter_jobs()] == ["failed", "done"]
+    states = [h.get("state") for _, h in job_records(root, stale)]
+    assert states == [None, "running", "failed"]
+    store.close()
+
+
+def test_resume_tolerates_evictions_caused_by_its_own_journalling(
+    tmp_path, monkeypatch
+):
+    """Journalling a stale job ``failed`` at resume can roll the journal and
+    evict finished jobs before the service has listed them."""
+    small_budget(monkeypatch, 2048, 2)
+    root = tmp_path / "jobs"
+    store = JobStore(root)
+    request = JobRequest.from_dict(coverage_job())
+    finished = []
+    for i in range(2):  # one per segment
+        job_id = store.create(request, f"{i:032x}")
+        store.write_result_text(job_id, "x" * 300)
+        store.write_status(job_id, "done")
+        finished.append(job_id)
+    stale = store.create(request, "ab" * 16, stale_submit_line())
+    assert [path.name for path in segment_files(root)] == [
+        "journal-000001.log", "journal-000002.log",
+    ]
+    # Fill the active segment until the ``failed`` record cannot fit.
+    while jobstore.SEGMENT_BYTES - segment_files(root)[-1].stat().st_size > 100:
+        store.write_status(stale, "queued")
+    assert len(segment_files(root)) == 2
+    store.close()
+
+    async def resume():
+        service = VerificationService(root, engine="bitpacked", pool_size=1)
+        await service.start()
+        try:
+            evicted = [job_id for job_id in finished if job_id not in service._jobs]
+            assert evicted
+            assert service.metrics.get("jobs_evicted") == len(evicted)
+            assert sorted(service._jobs) == [
+                r.job_id for r in service.store.iter_jobs()
+            ]
+            assert service.job_payload(stale)["state"] == "failed"
+            with pytest.raises(ServiceError, match="unknown job id"):
+                service.job_payload(evicted[0])
+        finally:
+            await service.close()
+
+    asyncio.run(resume())
+
+
 def test_jobstore_missing_result_reads_none(tmp_path):
     store = JobStore(tmp_path / "jobs")
     job_id = store.create(JobRequest.from_dict(coverage_job()), "cd" * 16)
@@ -984,7 +1075,7 @@ def test_ill_typed_fault_lists_are_refused_at_submit(tmp_path, sock_dir):
 
 def test_bad_timeouts_are_refused_at_submit(tmp_path, sock_dir):
     """``timeout`` is null or finite seconds >= 0; anything else is answered
-    ``{"ok": false}`` before a job directory exists, and a valid limit
+    ``{"ok": false}`` before the store records a job, and a valid limit
     still runs."""
     bad_timeouts = ("soon", -1, float("nan"), True, 10**400)
 
@@ -1018,7 +1109,7 @@ def test_bad_timeouts_are_refused_at_submit(tmp_path, sock_dir):
 def test_out_of_range_faults_are_refused_at_submit(tmp_path, sock_dir):
     """Explicit faults are applied to the submitted network at submit: an
     index, line or stage out of its range is answered ``{"ok": false}``
-    before a job directory exists."""
+    before the store records a job."""
     network = batcher_sorting_network(4)  # 5 comparators
 
     def fault(model, **fields):
@@ -1510,7 +1601,7 @@ def test_cli_submit_verify_job(tmp_path, sock_dir, capsys):
 # ----------------------------------------------------------------------
 # Crash-resume (subprocess + SIGKILL)
 # ----------------------------------------------------------------------
-def start_server(sock: str, jobs: str, *extra: str) -> subprocess.Popen:
+def start_server(sock: str, jobs: str, *extra: str, **popen) -> subprocess.Popen:
     """Boot ``python -m repro.serve`` and wait for its listening line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
@@ -1524,6 +1615,7 @@ def start_server(sock: str, jobs: str, *extra: str) -> subprocess.Popen:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        **popen,
     )
     line = proc.stdout.readline()
     assert "listening" in line, (line, proc.stderr.read())
@@ -1608,3 +1700,43 @@ def test_crash_resume_requeues_interrupted_jobs(tmp_path, sock_dir):
         assert status["simulation"]["faults"] > 0
     finally:
         proc.communicate(timeout=30)
+
+
+def test_crash_resume_with_pool_workers_left_behind(tmp_path, sock_dir):
+    """A ``--workers 2`` server forks process-pool workers, which outlive a
+    SIGKILL of the server: they must not keep the job store locked against
+    the restart, and the finished job still replays bit-identically."""
+    sock = str(sock_dir / "serve.sock")
+    jobs = str(tmp_path / "jobs")
+    job = coverage_job(batcher_sorting_network(10))
+    servers = []
+
+    def boot():  # each in its own process group, to reap its workers
+        servers.append(
+            start_server(sock, jobs, "--workers", "2", start_new_session=True)
+        )
+
+    try:
+        boot()
+        with ServeClient(socket_path=sock) as client:
+            original = client.submit(job, wait=True)
+        servers[0].send_signal(signal.SIGKILL)
+        servers[0].wait(timeout=30)
+        os.killpg(servers[0].pid, 0)  # its pool's workers are still alive
+        os.unlink(sock)
+        boot()
+        with ServeClient(socket_path=sock) as client:
+            replay = client.submit(job, wait=True)
+            status = client.status()
+            client.shutdown()
+    finally:
+        for proc in servers:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate(timeout=30)
+    assert original["state"] == "done"
+    assert replay["deduped"] is True
+    assert replay["job_id"] == original["job_id"]
+    assert replay["result_json"] == original["result_json"]
+    assert status["metrics"]["jobs_replayed"] == 1
+    assert status["metrics"]["jobs_executed"] == 0
