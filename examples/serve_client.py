@@ -12,7 +12,8 @@ Boots ``python -m repro.serve`` on a private unix socket, then uses
    journal with ``repro-networks job`` (it reads a live server's store
    without taking its lock);
 4. shut the server down gracefully (the journal stays on disk — a
-   restarted server would replay the finished job from it).
+   restarted server would replay the finished job from it — until the
+   example removes its temporary directory).
 
 Run with::
 
@@ -35,7 +36,13 @@ from repro.serve.protocol import JobRequest
 
 
 def main() -> None:
-    scratch = Path(tempfile.mkdtemp(dir="/tmp", prefix="repro-serve-demo-"))
+    # /tmp keeps the socket path short (unix socket paths are limited to
+    # about 100 bytes); the directory and the store in it go at the end.
+    with tempfile.TemporaryDirectory(dir="/tmp", prefix="repro-serve-demo-") as tmp:
+        round_trip(Path(tmp))
+
+
+def round_trip(scratch: Path) -> None:
     socket_path = str(scratch / "serve.sock")
     jobs_dir = scratch / "jobs"
 

@@ -17,7 +17,7 @@ common prefix is the same comparator sequence on the same packed input.
 sorter check (zero-one principle, or Theorem 2.2 (i)'s unsorted inputs
 for the ``testset`` strategy) with full-verdict and prefix-level reuse,
 used by the property checkers when a cache is active.  It judges the
-cube in early-exit chunks (:func:`repro.core.bitpacked.cube_sweep_spans`):
+cube in early-exit chunks (:func:`repro.core.bitpacked.early_exit_spans`):
 each chunk restores the donor's prefix state for its own block range
 only, applies the candidate's suffix there and is judged before the next
 chunk is touched, so a non-sorter usually costs a sixteenth of a sweep.
@@ -32,7 +32,7 @@ import numpy as np
 from ..core.bitpacked import (
     PackedBatch,
     apply_comparators_packed,
-    cube_sweep_spans,
+    early_exit_spans,
     packed_all_binary_words,
     packed_is_sorted_arena,
 )
@@ -201,7 +201,7 @@ def cached_cube_sorted(
     network of a lineage is recorded).
 
     The cube is judged in the early-exit chunks of
-    :func:`repro.core.bitpacked.cube_sweep_spans`: per chunk, the
+    :func:`repro.core.bitpacked.early_exit_spans`: per chunk, the
     donor's state after the common prefix is restored for the chunk's
     block range only, the suffix is applied to that range, and the range
     is judged (:func:`_donor_chunk_sorted`, all in arena views).  The
@@ -269,7 +269,7 @@ def cached_cube_sorted(
     restrict = restrict_to_unsorted_inputs
     verdict = all(
         _donor_chunk_sorted(donor, lcp, suffix, work, span, restrict)
-        for span in cube_sweep_spans(n)
+        for span in early_exit_spans(packed.n_blocks)
     )
     cache.put_verdict(key, verdict)
     return verdict

@@ -59,7 +59,7 @@ __all__ = [
     "unpack_batch",
     "packed_all_binary_words",
     "packed_cube_range",
-    "cube_sweep_spans",
+    "early_exit_spans",
     "rank_to_word",
     "packed_first_rank",
     "packed_clear_sorted_cube_words",
@@ -290,8 +290,8 @@ def packed_all_binary_words(n: int) -> PackedBatch:
     return packed_cube_range(n, 0, _blocks_for(1 << n))
 
 
-#: The first chunk of an early-exit cube sweep is this fraction of the
-#: cube's blocks (:func:`cube_sweep_spans`) ...
+#: The first chunk of an early-exit sweep is this fraction of the
+#: blocks (:func:`early_exit_spans`) ...
 _FIRST_CHUNK_FRACTION = 16
 
 #: ... but at least this many blocks (4096 words).  Below about this
@@ -302,34 +302,53 @@ _FIRST_CHUNK_FRACTION = 16
 _FIRST_CHUNK_MIN_BLOCKS = 64
 
 
-def cube_sweep_spans(n: int) -> tuple[tuple[int, int], ...]:
-    """The chunk schedule of a single-shot, early-exit sweep of the cube.
+def early_exit_spans(
+    total_blocks: int, max_blocks: int | None = None
+) -> tuple[tuple[int, int], ...]:
+    """The chunk schedule of an early-exit sweep over *total_blocks* blocks.
 
-    By the zero-one principle one unsorted output refutes a sorter, and a
-    non-sorter's first failing input usually has a low rank: most mutants
-    of a sorter fail within the first sixteenth of the cube.  So the
-    cached 0/1 sorter check (:func:`repro.cache.cached_cube_sorted`)
-    judges the cube in two chunks — the first ``1/16`` of its blocks (at
-    least 64 blocks), then the rest — and stops after the first chunk
-    with an unsorted judged output.  A sorter pays one extra chunk
-    dispatch; a cube of at most 64 blocks (``n <= 12``) is one chunk.
+    An answer that one failing word settles usually settles early: most
+    mutants of a sorter fail within the first sixteenth of the 0/1 cube,
+    and a fault simulation's any-reduction detects most faults there.  So
+    such a sweep judges the first ``1/16`` of the blocks (at least 64
+    blocks), then the rest, and skips the rest once the first chunk has
+    decided.  The cached 0/1 sorter check
+    (:func:`repro.cache.cached_cube_sorted`) sweeps the cube this way and
+    stops at the first chunk with an unsorted output; the bit-packed
+    coverage kernel streams its vectors this way and drops the faults the
+    first chunk detected.  A sweep of at most 64 blocks (a cube of
+    ``n <= 12``) is one chunk.
 
     Parameters
     ----------
-    n : int
-        Cube dimension (number of lines).
+    total_blocks : int
+        Packed blocks to cover.
+    max_blocks : int, optional
+        Cap on every chunk (the first included); the rest is then streamed
+        in chunks of at most this many blocks.  ``None``: no cap, so the
+        rest is one chunk.
 
     Returns
     -------
     tuple of (int, int)
-        Half-open block spans in rank order, covering all
-        ``ceil(2**n / 64)`` blocks; one span when there are at most 64.
+        Half-open block spans in order, covering ``range(total_blocks)``;
+        empty for ``total_blocks <= 0``.
     """
-    total = _blocks_for(1 << n)
-    first = max(_FIRST_CHUNK_MIN_BLOCKS, total // _FIRST_CHUNK_FRACTION)
-    if first >= total:
-        return ((0, total),)
-    return ((0, first), (first, total))
+    if total_blocks <= 0:
+        return ()
+    first = max(_FIRST_CHUNK_MIN_BLOCKS, total_blocks // _FIRST_CHUNK_FRACTION)
+    if max_blocks is not None:
+        first = min(first, max(1, max_blocks))
+    if first >= total_blocks:
+        return ((0, total_blocks),)
+    step = total_blocks if max_blocks is None else max(1, max_blocks)
+    spans = [(0, first)]
+    start = first
+    while start < total_blocks:
+        stop = min(total_blocks, start + step)
+        spans.append((start, stop))
+        start = stop
+    return tuple(spans)
 
 
 def rank_to_word(rank: int, n: int) -> tuple[int, ...]:
@@ -599,7 +618,7 @@ def packed_is_sorted_arena(
     block_start : int, optional
         *packed* holds blocks ``[block_start, block_start + n_blocks)``
         of the geometry the arena serves (one chunk of an early-exit
-        sweep, see :func:`cube_sweep_spans`): the mask lands in that
+        sweep, see :func:`early_exit_spans`): the mask lands in that
         block range of the arena rows.
 
     Returns

@@ -116,16 +116,16 @@ def route_words(
     """``(engine, words)`` of one workload call on explicit words.
 
     A pin leaves *words* as given.  Without one, anything but an array
-    becomes one ``int64`` array (the dtype every explicit-word path
-    builds), which :func:`route_engine` tests and the call then
-    evaluates, so the words are converted once.
+    becomes one array (:func:`_explicit_word_array`), which
+    :func:`route_engine` tests and the call then evaluates, so the words
+    are converted once.
     """
     if engine is not None:
         return check_engine(engine), words
     batch = (
         words
         if isinstance(words, np.ndarray)
-        else words_to_array(words, dtype=np.int64, n_lines=n_lines)
+        else _explicit_word_array(words, n_lines=n_lines)
     )
     return route_engine(None, batch), batch
 
@@ -165,6 +165,25 @@ def _explicit_word_dtype(words: object) -> np.dtype:
     ):
         return words.dtype
     return np.dtype(np.int64)
+
+
+def _explicit_word_array(
+    words: Iterable[WordLike], *, n_lines: int | None = None
+) -> Batch:
+    """Explicit words as the one array a call evaluates.
+
+    An array follows :func:`_explicit_word_dtype` (a fresh copy).  Any
+    other iterable is converted once with numpy's own type inference and
+    then follows the same rule, so a list of fractional float words keeps
+    its values, exactly like the same words passed as an array, while
+    integer and 0/1 lists become ``int64``.
+    """
+    if isinstance(words, np.ndarray):
+        return words_to_array(
+            words, dtype=_explicit_word_dtype(words), n_lines=n_lines
+        )
+    batch = words_to_array(words, dtype=None, n_lines=n_lines)
+    return batch.astype(_explicit_word_dtype(batch), copy=False)
 
 
 def narrow_binary_batch(batch: np.ndarray) -> np.ndarray:

@@ -25,9 +25,14 @@ every pool worker and every thread its own long-lived arena).  :meth:`PlaneArena
 between faults is an ``O(n_lines)`` index wipe; no memory is touched.
 
 The arena is also the home of the value-plane scratch used by the
-allocation-free ``PrefixStates.state_after(..., out=...)`` reconstruction
-and the single-row comparator scratch consumed by
-:func:`repro.core.bitpacked.apply_comparators_packed`.
+allocation-free ``PrefixStates.state_after(..., out=...)`` reconstruction,
+the single-row comparator scratch consumed by
+:func:`repro.core.bitpacked.apply_comparators_packed`, and the *fault
+stack* (:class:`FaultStack`, :meth:`PlaneArena.fault_stack`): the working
+set of the stacked fault kernel, which carries up to
+:data:`STACK_BYTES` worth of faults' error planes through the network at
+once.  The stack is allocated on first use and reused across stacks,
+chunks and calls of the geometry.
 
 Examples
 --------
@@ -53,6 +58,8 @@ from typing import TypeVar
 import numpy as np
 
 __all__ = [
+    "STACK_BYTES",
+    "FaultStack",
     "PlaneArena",
     "shared_arena",
     "comparator_scratch",
@@ -119,6 +126,11 @@ def allocation_free_functions() -> tuple[Callable[..., object], ...]:
 #: temporaries while every line may still own a live error plane.
 _EXTRA_SLOTS = 4
 
+#: Byte budget of a :class:`FaultStack`'s error planes: the stack height
+#: is this budget divided by one fault's ``n_lines × n_blocks`` planes (at
+#: least 1), so small planes stack many faults and cube-sized planes few.
+STACK_BYTES = 1 << 20
+
 #: Cap on each thread's :func:`shared_arena` cache (distinct
 #: ``(n_lines, n_blocks)`` shapes kept alive at once).
 _CACHE_CAP = 8
@@ -127,6 +139,81 @@ _CACHE_CAP = 8
 #: arena is mutable scratch, so threads of one process (the verification
 #: service's Session pool) must never be handed the same one.
 _SHARED_ARENAS = threading.local()
+
+
+class FaultStack:
+    """The working set of the stacked fault kernel.
+
+    Parameters
+    ----------
+    n_lines, height, n_blocks : int
+        Lines per fault, faults per stack and blocks per plane.
+    dtype : numpy.dtype
+        Block dtype.
+
+    Attributes
+    ----------
+    errors : numpy.ndarray
+        ``(n_lines, height, n_blocks)`` error planes: ``errors[line, run]``
+        is the XOR of run ``run``'s faulty plane with the fault-free one,
+        all-zero exactly when the line is clean.
+    dirty : numpy.ndarray
+        ``(n_lines, height)`` boolean per-run dirty masks (``errors`` row
+        non-zero).
+    temps : numpy.ndarray
+        ``(4, height, n_blocks)`` temporaries: gathered error rows and
+        fault-free planes copied out to the gathered rows' shape (a ufunc
+        that broadcasts one plane over many rows runs through numpy's
+        iterator buffers, which allocate up to 64 KiB per call).
+    evaluated : numpy.ndarray
+        ``(height,)`` stages each run evaluated in the last sweep.
+    active, nonzero, peak : numpy.ndarray
+        Per-run work vectors of a sweep (active runs, non-zero output
+        rows, row maxima).
+    clean : bool
+        Are ``errors`` and ``dirty`` all-zero?  A sweep starts from a
+        clean stack and :meth:`clear` restores it by zeroing only the
+        dirty rows, so no sweep pays for a full wipe.
+    """
+
+    __slots__ = (
+        "height", "errors", "dirty", "temps", "active", "nonzero", "peak",
+        "evaluated", "clean", "_line_views",
+    )
+
+    def __init__(
+        self, n_lines: int, height: int, n_blocks: int, dtype: np.dtype
+    ) -> None:
+        self.height = height
+        self.errors = np.zeros((n_lines, height, n_blocks), dtype=dtype)
+        self.dirty = np.zeros((n_lines, height), dtype=bool)
+        self.temps = np.zeros((4, height, n_blocks), dtype=dtype)
+        # Small per-run work vectors (one entry per stacked fault).
+        self.active = np.zeros(height, dtype=bool)
+        self.nonzero = np.zeros((2, height), dtype=bool)
+        self.peak = np.zeros((2, height), dtype=dtype)
+        self.evaluated = np.zeros(height, dtype=np.int64)
+        self.clean = True
+        self._line_views: tuple[int, list[np.ndarray], list[np.ndarray]] = (
+            -1, [], []
+        )
+
+    def line_views(self, h: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-line ``(errors[line, :h], dirty[line, :h])`` views (cached
+        for the last *h*, so a sweep indexes plain lists)."""
+        cached_h, errs, dirty = self._line_views
+        if cached_h != h:
+            errs = list(self.errors[:, :h])
+            dirty = list(self.dirty[:, :h])
+            self._line_views = (h, errs, dirty)
+        return errs, dirty
+
+    def clear(self, h: int) -> None:
+        """Zero the dirty rows of the first *h* runs, leaving a clean stack."""
+        dirty = self.dirty[:, :h]
+        self.errors[:, :h][dirty] = 0
+        dirty.fill(False)
+        self.clean = True
 
 
 class PlaneArena:
@@ -181,6 +268,7 @@ class PlaneArena:
     ) -> None:
         self.err_slot: dict[int, int] = {}
         self._free: list[int] = []
+        self._stack: FaultStack | None = None
         self._allocate(n_lines, n_blocks, np.dtype(dtype))
 
     def _allocate(self, n_lines: int, n_blocks: int, dtype: np.dtype) -> None:
@@ -198,6 +286,7 @@ class PlaneArena:
         self._pad_tail = -1
         self.err_slot.clear()
         self._free = list(range(self.store.shape[0]))
+        self._stack = None
 
     # ------------------------------------------------------------------
     # Slot management
@@ -268,6 +357,34 @@ class PlaneArena:
                 pad[-1] = np.uint64((1 << tail) - 1)
             self._pad_tail = tail
         return self._pad
+
+    def stack_height(self) -> int:
+        """Most faults per :class:`FaultStack`: :data:`STACK_BYTES` over
+        one fault's ``n_lines × n_blocks`` planes, at least 1."""
+        per_fault = self.n_lines * self.n_blocks * self.dtype.itemsize
+        return max(1, STACK_BYTES // per_fault) if per_fault else 1
+
+    def fault_stack(self, runs: int) -> FaultStack:
+        """The arena's fault stack for a call of *runs* kernel runs.
+
+        Allocated on first use and reused by later calls of the geometry;
+        its height is :meth:`stack_height`, or the most runs a call has
+        needed so far when that is fewer — a small fault universe never
+        holds a full budget of planes (a lower budget reallocates once).
+
+        Returns
+        -------
+        FaultStack
+            The stack working set for this arena's geometry.
+        """
+        cap = self.stack_height()
+        height = min(cap, max(1, runs))
+        stack = self._stack
+        if stack is None or not height <= stack.height <= cap:
+            stack = self._stack = FaultStack(
+                self.n_lines, height, self.n_blocks, self.dtype
+            )
+        return stack
 
     def reset(self) -> None:
         """Drop every checked-out slot and dirty line (``O(n_lines)``).

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .._typing import WordLike
-from ..core.evaluation import _explicit_word_dtype, words_to_array
+from ..core.evaluation import _explicit_word_array
 from ..core.network import ComparatorNetwork
 from ..exceptions import FaultModelError
 from .models import Fault
@@ -234,20 +234,17 @@ def greedy_test_selection(
     -------
     list of tuple
         The selected vectors, in greedy order, as Python ints — or with
-        their own values when the candidates are a float array holding
-        fractional ones.
+        their own values when the candidates are float words holding
+        fractional ones (an array or a list).
     """
     if not 0.0 < target_coverage <= 1.0:
         raise FaultModelError(
             f"target_coverage must be in (0, 1], got {target_coverage}"
         )
-    # A float array's fractional candidates are simulated and returned as
-    # given; everything else is built as int64 (returned as ints).
-    batch = words_to_array(
-        candidate_vectors,
-        dtype=_explicit_word_dtype(candidate_vectors),
-        n_lines=network.n_lines,
-    )
+    # Fractional float candidates, as an array or a list, are simulated
+    # and returned as given; everything else is built as int64 (returned
+    # as ints).
+    batch = _explicit_word_array(candidate_vectors, n_lines=network.n_lines)
     matrix = _fault_detection_matrix_impl(
         network, faults, batch, criterion=criterion
     )

@@ -50,9 +50,19 @@ inherits the fault-free detection row.  The skipped work is reported
 through :class:`SimulationStats` and the result is bit-identical to the
 unpruned path by construction (see ``tests/test_fault_streaming.py``).
 
+Below :data:`_STACK_MAX_BLOCKS` blocks per plane the pruned kernel does
+not run one fault at a time: :func:`_sweep_stack` carries a *stack* of
+faults through the suffix and issues one set of ufunc calls per
+comparator for every stacked fault with a dirty input, keeping per-fault
+dirty masks so the counters are those of the one-fault kernel.
+
 The coverage (any-reduction) kernel saves whole fault simulations on top
 of that, in two ways.  *Fault dropping*: a fault detected by an earlier
-vector chunk is skipped in later chunks.  *Twin sharing*: a line stuck-at
+vector chunk is skipped in later chunks — and without a ``chunk_size``
+the vectors stream on an early-exit schedule
+(:func:`repro.core.bitpacked.early_exit_spans`: the first sixteenth, at
+least 64 blocks, then the rest), so most faults are dropped before the
+large planes.  *Twin sharing*: a line stuck-at
 fault placed at stage ``s`` is the same faulty device as one placed at
 ``s'`` whenever no comparator touches the line between the two stages,
 so faults with the same ``(line, value, last writer of the line)`` form
@@ -64,10 +74,11 @@ single-fault universe (``3·size + 2n(size + 1)`` faults) then costs
 
 The pruned hot loop runs allocation-free on a scratch-plane arena
 (:class:`repro.core.scratch.PlaneArena`): every error plane lives in a
-reusable slot pool written through ``out=`` ufuncs, one arena serving all
-faults of a run (and, in the sharded executors, all tiles of a worker
-process).  A Session hands down its own arena, reused across its calls;
-the free functions use this thread's shared arena.
+reusable slot pool (or the arena's fault stack) written through ``out=``
+ufuncs, one arena serving all faults of a run (and, in the sharded
+executors, all tiles of a worker process).  A Session hands down its own
+arena, reused across its calls; the free functions use this thread's
+shared arena.
 
 The vector axis streams exactly like exhaustive verification does: pass a
 :class:`CubeVectors` marker (the full ``2**n`` cube, never materialised) or
@@ -85,7 +96,7 @@ helpers in :mod:`repro.faults.coverage`).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -98,6 +109,7 @@ from ..core.bitpacked import (
     PackedBatch,
     apply_comparators_packed,
     apply_network_packed,
+    early_exit_spans,
     pack_words,
     packed_cube_range,
 )
@@ -110,7 +122,7 @@ from ..core.evaluation import (
     words_to_array,
 )
 from ..core.network import ComparatorNetwork
-from ..core.scratch import PlaneArena, allocation_free, shared_arena
+from ..core.scratch import FaultStack, PlaneArena, allocation_free, shared_arena
 from ..exceptions import FaultModelError
 from ..observe import Metrics
 from ..words.binary import is_sorted_word
@@ -1064,6 +1076,10 @@ def _pruned_fault_errors(
 ) -> dict[int, np.ndarray] | PackedBatch | None:
     """Suffix re-evaluation with dominated-state pruning (difference form).
 
+    The one-fault form of the pruned kernel, which :func:`_pruned_runs`
+    runs from :data:`_STACK_MAX_BLOCKS` blocks per plane on (below that it
+    stacks faults, :func:`_sweep_stack`, with the same semantics).
+
     Instead of re-running the faulty suffix on full value planes, only the
     *error planes* ``err[line] = faulty_plane XOR fault_free_plane`` of the
     currently-diverged (*dirty*) lines are propagated.  Comparators whose
@@ -1377,6 +1393,316 @@ def _row_from_errors(
     return row
 
 
+# ----------------------------------------------------------------------
+# The fault stack: many faults per ufunc call
+# ----------------------------------------------------------------------
+#: Run codes of :func:`_run_spec`.
+_PASS, _SWAP, _REV, _LINE = range(4)
+
+
+def _run_spec(
+    network: ComparatorNetwork, fault: Fault
+) -> tuple[int, int, int, int] | None:
+    """``(start, code, site, value)`` of one pruned-kernel run.
+
+    *start* is the stage the run enters the sweep at (its errors describe
+    the state after *start* comparators), *site* the faulty comparator or
+    the stuck line, *value* a stuck line's value.  ``None`` for fault
+    models without a prefix-restart structure (the generic fallback).
+    Out-of-range faults raise :class:`repro.exceptions.FaultModelError`.
+    """
+    if isinstance(fault, LineStuckFault):
+        n, size = network.n_lines, network.size
+        if fault.line < 0 or fault.line >= n:
+            raise FaultModelError(
+                f"line {fault.line} out of range for {n} lines"
+            )
+        if fault.stage < 0 or fault.stage > size:
+            raise FaultModelError(
+                f"stage {fault.stage} out of range for a network of size {size}"
+            )
+        return (fault.stage, _LINE, fault.line, 1 if fault.value else 0)
+    if isinstance(fault, StuckPassFault):
+        code = _PASS
+    elif isinstance(fault, StuckSwapFault):
+        code = _SWAP
+    elif isinstance(fault, ReversedComparatorFault):
+        code = _REV
+    else:
+        return None
+    index = _checked_index(network, fault.index)
+    return (index + 1, code, index, 0)
+
+
+@allocation_free
+def _sweep_stack(
+    prefix: PrefixStates,
+    specs: Sequence[tuple[int, int, int, int]],
+    stack: FaultStack,
+    arena: PlaneArena,
+) -> None:
+    """Carry a stack of runs through the network suffix (difference form).
+
+    *specs* are :func:`_run_spec` tuples sorted by start stage, one per
+    row of the *stack* (at most its height).  Every run keeps the
+    semantics of :func:`_pruned_fault_errors` — the error planes of its
+    dirty lines, a per-run dirty mask and an evaluated-stage count — but
+    each comparator issues one set of ufunc calls for all runs with a
+    dirty input: their error
+    rows are gathered into the stack's temporaries, updated with the
+    one-dirty-input formula when only one of the two lines is dirty in the
+    stack (``err_and = err_in & ff_other``, ``err_or = err_in ^ err_and``)
+    or the general one otherwise, and scattered back.  Runs enter at their
+    start stage; a stuck line is re-forced after every comparator writing
+    it; a run with no dirty line and no forced line is never touched again
+    (the convergence exit).  On return ``stack.errors`` / ``stack.dirty``
+    hold the output errors and ``stack.evaluated`` the evaluated stages.
+    """
+    size = prefix.network.size
+    h = len(specs)
+    n_blocks = prefix.input_planes.shape[1]
+    probe = n_blocks >> 1
+    last_writer, writer_pos = prefix.writer_tables()
+    comps = prefix.comp_table()
+    dviews = prefix.delta_views()
+    iviews = prefix.input_views()
+    pad_mask = arena.pad_row(prefix.num_words)
+    nonzero = np.count_nonzero
+    bxor = np.bitwise_xor
+    band = np.bitwise_and
+    take = np.take
+    flatnonzero = np.flatnonzero
+
+    def line_value(stage: int, line: int) -> np.ndarray:
+        index = last_writer[stage][line]
+        if index < 0:
+            return iviews[line]
+        return dviews[index][writer_pos[stage][line]]
+
+    dirty_all = stack.dirty[:, :h]
+    if not stack.clean:
+        stack.errors.fill(0)
+        stack.dirty.fill(False)
+    stack.clean = False
+    errs, dirty = stack.line_views(h)
+    ev = stack.evaluated[:h]
+    ev.fill(0)
+    temps = stack.temps[:, :h]
+    t0, t1, t2, t3 = temps
+    pair_all = temps[:2]
+    nz_all = stack.nonzero[:, :h]
+    peak_all = stack.peak[:, :h]
+    act = stack.active[:h]
+    # (line, value) -> index vector of the entered runs forcing it.
+    forced: dict[tuple[int, int], np.ndarray] = {}
+    forced_rows: dict[tuple[int, int], list[int]] = {}
+    forced_lines: set[int] = set()
+
+    i = specs[0][0] if h else size
+    p = 0
+    while True:
+        while p < h and specs[p][0] == i:
+            _start, code, site, value = specs[p]
+            if code == _LINE:
+                e = errs[site][p]
+                bxor(
+                    pad_mask if value else arena.zero,
+                    line_value(i, site),
+                    out=e,
+                )
+                dirty[site][p] = bool(e[probe] or nonzero(e))
+                rows = forced_rows.setdefault((site, value), [])
+                rows.append(p)
+                forced[(site, value)] = np.array(rows, dtype=np.intp)  # repro: noqa RPR001 — per-entry index vector
+                forced_lines.add(site)
+            else:
+                # The faulty comparator leaves one error plane on both of
+                # its lines: the XOR of a comparator's two outputs is that
+                # of its inputs, for the fault-free and the faulty device.
+                c_lo, c_hi, _rev = comps[site]
+                a = line_value(site, c_lo)
+                e = errs[c_lo][p]
+                if code == _REV:
+                    bxor(a, line_value(site, c_hi), out=e)
+                    ev[p] = 1
+                elif code == _PASS:
+                    bxor(a, dviews[site][0], out=e)
+                else:
+                    bxor(line_value(site, c_hi), dviews[site][0], out=e)
+                if e[probe] or nonzero(e):
+                    np.copyto(errs[c_hi][p], e)
+                    dirty[c_lo][p] = True
+                    dirty[c_hi][p] = True
+            p += 1
+        if i >= size:
+            break
+        lo, hi, rev = comps[i]
+        d_lo_mask = dirty[lo]
+        d_hi_mask = dirty[hi]
+        idx_lo = flatnonzero(d_lo_mask)  # repro: noqa RPR001 — per-run index vector
+        idx_hi = flatnonzero(d_hi_mask)  # repro: noqa RPR001 — per-run index vector
+        if idx_lo.size or idx_hi.size:
+            e_lo = errs[lo]
+            e_hi = errs[hi]
+            # Fault-free planes enter as row copies (copyto), never as a
+            # broadcast ufunc operand (see FaultStack.temps).
+            if not idx_hi.size or not idx_lo.size:
+                # One dirty input line in the whole stack:
+                # err_and = err_in & ff_other, err_or = err_in ^ err_and.
+                if idx_hi.size:
+                    idx, dirty_in, src, other = idx_hi, d_hi_mask, e_hi, lo
+                else:
+                    idx, dirty_in, src, other = idx_lo, d_lo_mask, e_lo, hi
+                k = idx.size
+                np.add(ev, dirty_in, out=ev)
+                g0 = t0[:k]
+                g1 = t1[:k]
+                take(src, idx, axis=0, out=g0, mode="clip")
+                np.copyto(g1, line_value(i, other))
+                band(g0, g1, out=g1)
+                bxor(g0, g1, out=g0)
+            else:
+                np.bitwise_or(d_lo_mask, d_hi_mask, out=act)
+                idx = flatnonzero(act)  # repro: noqa RPR001 — per-run index vector
+                k = idx.size
+                np.add(ev, act, out=ev)
+                g0 = t0[:k]
+                g1 = t1[:k]
+                g2 = t2[:k]
+                g3 = t3[:k]
+                take(e_lo, idx, axis=0, out=g0, mode="clip")  # err_a
+                take(e_hi, idx, axis=0, out=g1, mode="clip")  # err_b
+                np.copyto(g2, line_value(i, hi))
+                bxor(g2, g1, out=g2)  # faulty b
+                band(g2, g0, out=g2)  # err_a & faulty b
+                bxor(g0, g1, out=g0)  # err_a ^ err_b
+                np.copyto(g3, line_value(i, lo))
+                band(g3, g1, out=g1)  # ff a & err_b
+                bxor(g2, g1, out=g1)  # err of the AND output
+                bxor(g0, g1, out=g0)  # err of the OR output
+            # t0 holds the OR output's errors, t1 the AND output's.
+            pair = pair_all[:, :k]
+            nz = nz_all[:, :k]
+            np.not_equal(pair[:, :, probe], 0, out=nz)
+            if not nz.all():
+                peak = peak_all[:, :k]
+                np.maximum.reduce(pair, axis=2, out=peak)
+                np.not_equal(peak, 0, out=nz)
+            lo_t, hi_t = (0, 1) if rev else (1, 0)
+            e_lo[idx] = pair[lo_t]
+            e_hi[idx] = pair[hi_t]
+            d_lo_mask[idx] = nz[lo_t]
+            d_hi_mask[idx] = nz[hi_t]
+        elif p == h and not forced_lines and not dirty_all.any():
+            break  # every run entered and converged
+        if lo in forced_lines or hi in forced_lines:
+            for line, pos in ((lo, 0), (hi, 1)):
+                if line not in forced_lines:
+                    continue
+                d = dviews[i][pos]
+                for value in (0, 1):
+                    runs = forced.get((line, value))
+                    if runs is None:
+                        continue
+                    if value:
+                        plane = arena.tmp
+                        bxor(pad_mask, d, out=plane)
+                    else:
+                        plane = d
+                    errs[line][runs] = plane
+                    dirty[line][runs] = bool(plane[probe] or nonzero(plane))
+        i += 1
+
+
+@allocation_free
+def _stack_verdicts(
+    reference: PackedBatch,
+    stack: FaultStack,
+    h: int,
+    criterion: str,
+    ref_pair_any: Sequence[bool],
+    pad_mask: np.ndarray,
+) -> np.ndarray:
+    """Per-run any-verdicts of a swept stack (boolean vector of *h*).
+
+    ``"reference"``: a run detects when any output line is dirty.
+    ``"specification"``: only the adjacent-line pairs touching a dirty
+    line can change their violation mask, so a ref-violating pair clear of
+    a run's dirty lines decides it, and the others recompute just the
+    touched pairs, stacked over the runs still undecided.
+    """
+    dirty = stack.dirty[:, :h]
+    if criterion == "reference":
+        return dirty.any(axis=0)
+    planes = reference.planes
+    n = planes.shape[0]
+    verdict = np.zeros(h, dtype=bool)  # repro: noqa RPR001 — one flag per run
+    touched = [dirty[j] | dirty[j + 1] for j in range(n - 1)]
+    for j, ref_violates in enumerate(ref_pair_any):
+        if ref_violates:
+            verdict |= ~touched[j]
+    errors = stack.errors
+    t0, t1, t2 = stack.temps[0], stack.temps[1], stack.temps[2]
+    peak = stack.peak[0]
+    tail = pad_mask[-1]
+    for j in range(n - 1):
+        idx = np.flatnonzero(touched[j] & ~verdict)  # repro: noqa RPR001 — per-run index vector
+        k = idx.size
+        if not k:
+            continue
+        g0 = t0[:k]
+        g1 = t1[:k]
+        g2 = t2[:k]
+        np.take(errors[j, :h], idx, axis=0, out=g0, mode="clip")
+        np.take(errors[j + 1, :h], idx, axis=0, out=g1, mode="clip")
+        np.copyto(g2, planes[j])
+        np.bitwise_xor(g0, g2, out=g0)  # faulty line j
+        np.copyto(g2, planes[j + 1])
+        np.bitwise_xor(g1, g2, out=g1)  # faulty line j + 1
+        np.invert(g1, out=g1)
+        np.bitwise_and(g0, g1, out=g0)
+        np.bitwise_and(g0[:, -1], tail, out=g0[:, -1])
+        np.maximum.reduce(g0, axis=1, out=peak[:k])
+        verdict[idx] |= peak[:k] != 0
+    return verdict
+
+
+@allocation_free
+def _stack_rows(
+    reference: PackedBatch,
+    stack: FaultStack,
+    h: int,
+    criterion: str,
+) -> np.ndarray:
+    """Detection rows of a swept stack, ``(h, num_words)`` booleans.
+
+    One packed mask per run: the OR of its error planes (``"reference"``)
+    or of its adjacent-pair violations (``"specification"``), computed
+    for the whole stack at once and unpacked.  A clean line's error plane
+    is zero, so a converged run gets the reference's own row.
+    """
+    errors = stack.errors[:, :h]
+    acc, ff, prev, cur = stack.temps[:, :h]
+    planes = reference.planes
+    n = planes.shape[0]
+    if criterion == "reference":
+        np.bitwise_or.reduce(errors, axis=0, out=acc)
+    else:
+        # Unpacking truncates to num_words, so padding bits need no mask.
+        acc.fill(0)
+        np.copyto(ff, planes[0])
+        np.bitwise_xor(errors[0], ff, out=prev)  # faulty line 0
+        for j in range(1, n):
+            np.copyto(ff, planes[j])
+            np.bitwise_xor(errors[j], ff, out=cur)  # faulty line j
+            np.invert(cur, out=ff)
+            np.bitwise_and(ff, prev, out=ff)
+            np.bitwise_or(acc, ff, out=acc)
+            prev, cur = cur, prev
+    bits = np.unpackbits(acc.view(np.uint8), axis=1, bitorder="little")  # repro: noqa RPR001 — the result rows
+    return bits[:, : reference.num_words].view(bool)
+
+
 def _resolve_arena(
     arena: PlaneArena | None,
     n_lines: int,
@@ -1395,6 +1721,124 @@ def _resolve_arena(
     return arena.ensure(n_lines, n_blocks, dtype)
 
 
+#: Plane length (blocks) from which the pruned kernel runs one fault at a
+#: time instead of stacking them (:func:`_pruned_runs`).  Stacking saves
+#: numpy calls, and gathering rows costs memory traffic that the
+#: one-fault loop's slot swaps avoid; on a 2-vCPU VM the two broke even
+#: at 384–512 blocks (Batcher(16) mutant, extended universe) and the
+#: one-fault loop led from 768 on (up to 1.4× at 1,024); the table is in
+#: docs/ARCHITECTURE.md.
+_STACK_MAX_BLOCKS = 512
+
+
+def _pruned_runs(
+    network: ComparatorNetwork,
+    faults: Sequence[Fault],
+    prefix: PrefixStates,
+    criterion: str,
+    stats: SimulationStats,
+    pool: PlaneArena,
+    *,
+    rows_out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run every fault of *faults* through the pruned kernel once.
+
+    Returns ``(verdicts, evaluated, converged)`` per fault — the
+    any-verdict, the evaluated stage-blocks and whether the run converged
+    — and adds each run's counters to *stats*.  With *rows_out* (shape
+    ``(len(faults), num_words)``) the detection rows are written there
+    instead and *verdicts* stays all-false.  Faults of unknown models take
+    the generic full-state fallback; the others are stacked
+    (:func:`_sweep_stack`) below :data:`_STACK_MAX_BLOCKS` blocks per
+    plane and run one by one (:func:`_pruned_fault_errors`) from there on.
+    Every fault is range-checked before anything runs.
+    """
+    size = network.size
+    n_blocks = prefix.input_planes.shape[1]
+    count = len(faults)
+    verdicts = np.zeros(count, dtype=bool)
+    evaluated = np.zeros(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    specs = [_run_spec(network, fault) for fault in faults]
+    reference = prefix.reference()
+    pad_mask = reference.pad_mask()
+    ref_pair_any: list[bool] = []
+    if rows_out is None and criterion == "specification":
+        planes = reference.planes
+        ref_pair_any = [
+            bool((planes[j] & ~planes[j + 1] & pad_mask).any())
+            for j in range(reference.n_lines - 1)
+        ]
+    kernel_rows = []
+    for row, spec in enumerate(specs):
+        if spec is not None:
+            kernel_rows.append(row)
+            continue
+        # Unknown fault model: no prefix-restart structure to exploit.
+        stats.evaluated_stage_blocks += size * n_blocks
+        stats.faults += 1
+        evaluated[row] = size * n_blocks
+        state = _fault_state(network, faults[row], prefix, arena=pool)
+        detection = _detection_row(state, reference, criterion, arena=pool)
+        if rows_out is None:
+            verdicts[row] = bool(detection.any())
+        else:
+            rows_out[row] = detection
+    if not kernel_rows:
+        return verdicts, evaluated, converged
+    if n_blocks >= _STACK_MAX_BLOCKS:
+        ref_detect = any(ref_pair_any)
+        converged_row = (
+            _detection_row(reference, reference, criterion, arena=pool)
+            if rows_out is not None
+            else None
+        )
+        for row in kernel_rows:
+            evaluated_before = stats.evaluated_stage_blocks
+            converged_before = stats.converged_faults
+            result = _pruned_fault_errors(network, faults[row], prefix, stats, pool)
+            evaluated[row] = stats.evaluated_stage_blocks - evaluated_before
+            converged[row] = stats.converged_faults != converged_before
+            if rows_out is not None:
+                rows_out[row] = (
+                    converged_row
+                    if result is None
+                    else _row_from_errors(reference, result, criterion, pad_mask, pool)
+                )
+            elif result is None:
+                verdicts[row] = ref_detect
+            else:
+                verdicts[row] = _errors_detect(
+                    reference, result, criterion, pad_mask, ref_pair_any, arena=pool
+                )
+        return verdicts, evaluated, converged
+    stack = pool.fault_stack(len(kernel_rows))
+    order = sorted(kernel_rows, key=lambda row: specs[row][0])
+    baseline = 0
+    for row in kernel_rows:
+        start, code = specs[row][0], specs[row][1]
+        baseline += size - start + (code == _REV)
+    for first in range(0, len(order), stack.height):
+        rows = order[first : first + stack.height]
+        h = len(rows)
+        _sweep_stack(prefix, [specs[row] for row in rows], stack, pool)
+        evaluated[rows] = stack.evaluated[:h] * n_blocks
+        converged[rows] = ~stack.dirty[:, :h].any(axis=0)
+        if rows_out is None:
+            verdicts[rows] = _stack_verdicts(
+                reference, stack, h, criterion, ref_pair_any, pad_mask
+            )
+        else:
+            rows_out[rows] = _stack_rows(reference, stack, h, criterion)
+        stack.clear(h)
+    ran = int(evaluated[kernel_rows].sum())
+    stats.faults += len(kernel_rows)
+    stats.converged_faults += int(converged[kernel_rows].sum())
+    stats.evaluated_stage_blocks += ran
+    stats.pruned_stage_blocks += baseline * n_blocks - ran
+    return verdicts, evaluated, converged
+
+
 def _fault_rows(
     network: ComparatorNetwork,
     faults: Sequence[Fault],
@@ -1410,12 +1854,11 @@ def _fault_rows(
 
     ``out`` may be a slice of a shared-memory matrix — this is the unit of
     work a sharded worker executes on its (fault-slice × vector-chunk)
-    tile.  With ``prune=True`` the dominated-state pruner runs and faults
-    whose state converged inherit the fault-free detection row.  One
-    resolved *arena* (see :func:`_resolve_arena`) serves every fault of
-    the call.
+    tile.  With ``prune=True`` the dominated-state pruner runs
+    (:func:`_pruned_runs`) and faults whose state converged inherit the
+    fault-free detection row.  One resolved *arena* (see
+    :func:`_resolve_arena`) serves every fault of the call.
     """
-    reference = prefix.reference()
     pool = _resolve_arena(
         arena,
         network.n_lines,
@@ -1423,24 +1866,15 @@ def _fault_rows(
         prefix.input_planes.dtype,
     )
     if not prune:
+        reference = prefix.reference()
         for row, fault in enumerate(faults):
             state = _fault_state(network, fault, prefix, arena=pool)
             out[row] = _detection_row(state, reference, criterion, arena=pool)
         return out
-    if stats is None:
-        stats = SimulationStats()
-    converged_row = _detection_row(reference, reference, criterion, arena=pool)
-    pad_mask = reference.pad_mask()
-    for row, fault in enumerate(faults):
-        result = _pruned_fault_errors(network, fault, prefix, stats, pool)
-        if result is None:
-            out[row] = converged_row
-        elif isinstance(result, PackedBatch):
-            out[row] = _detection_row(result, reference, criterion, arena=pool)
-        else:
-            out[row] = _row_from_errors(
-                reference, result, criterion, pad_mask, pool
-            )
+    _pruned_runs(
+        network, faults, prefix, criterion,
+        stats if stats is not None else SimulationStats(), pool, rows_out=out,
+    )
     return out
 
 
@@ -1522,17 +1956,17 @@ def _fault_any(
     """OR one vector chunk's detection verdicts into ``detected``.
 
     The any-reduction unit of work: with ``prune=True`` the dominated-state
-    pruner runs, verdicts are taken straight from the packed violation
-    masks (no boolean row is ever expanded), and faults already detected by
-    an earlier chunk are *dropped* — skipped entirely, since another
-    detection cannot change the OR.  Line stuck-at *twins* (same line,
-    value and last writer, :func:`_line_stuck_class`) are simulated once
-    per call: the first member still to be decided runs the kernel, the
-    others take its verdict and replay the counters their own run would
-    have added, so :class:`SimulationStats` does not depend on the sharing.
-    ``prune=False`` reproduces the plain row-building loop.  Either way
-    ``detected`` ends up identical.  The *arena* follows
-    :func:`_fault_rows`.
+    pruner runs (:func:`_pruned_runs`), verdicts are taken straight from
+    the packed violation masks (no boolean row is ever expanded), and
+    faults already detected by an earlier chunk are *dropped* — skipped
+    entirely, since another detection cannot change the OR.  Line stuck-at
+    *twins* (same line, value and last writer, :func:`_line_stuck_class`)
+    are simulated once per call: the first member still to be decided
+    runs the kernel, the others take its verdict and replay the counters
+    their own run would have added, so :class:`SimulationStats` does not
+    depend on the sharing.  ``prune=False`` reproduces the plain
+    row-building loop.  Either way ``detected`` ends up identical.  The
+    *arena* follows :func:`_fault_rows`.
     """
     if not prune:
         rows = np.zeros((len(faults), prefix.num_words), dtype=bool)
@@ -1545,65 +1979,39 @@ def _fault_any(
     pool = _resolve_arena(
         arena, network.n_lines, n_blocks, prefix.input_planes.dtype
     )
-    reference = prefix.reference()
-    pad_mask = reference.pad_mask()
-    planes = reference.planes
-    ref_pair_any: list[bool] = []
-    if criterion == "specification":
-        ref_pair_any = [
-            bool((planes[j] & ~planes[j + 1] & pad_mask).any())
-            for j in range(reference.n_lines - 1)
-        ]
-    ref_detect = any(ref_pair_any)
     size = network.size
     last_writer = prefix.writer_tables()[0]
-    # class key -> (verdict, evaluated stage-blocks, converged 0/1) of the
-    # member that ran the kernel; twins accumulate their replayed counters
-    # locally and are flushed once, also when a later fault raises.
-    classes: dict[tuple[int, int, int], tuple[bool, int, int]] = {}
-    twins = twin_converged = twin_evaluated = twin_pruned = 0
-    try:
-        for row, fault in enumerate(faults):
-            if detected[row]:
-                stats.dropped_faults += 1
+    # class key -> position in `runs` of the member that runs the kernel.
+    classes: dict[tuple[int, int, int], int] = {}
+    runs: list[int] = []
+    twin_rows: list[int] = []
+    twin_runs: list[int] = []
+    twin_tail = 0  # the twins' unpruned stages, sum of size - stage
+    undecided = np.flatnonzero(~detected).tolist()
+    stats.dropped_faults += len(faults) - len(undecided)
+    for row in undecided:
+        fault = faults[row]
+        key = _line_stuck_class(fault, last_writer)
+        if key is not None:
+            known = classes.get(key)
+            if known is not None:
+                twin_rows.append(row)
+                twin_runs.append(known)
+                twin_tail += size - fault.stage
                 continue
-            key = _line_stuck_class(fault, last_writer)
-            if key is not None:
-                known = classes.get(key)
-                if known is not None:
-                    detected[row], evaluated, converged = known
-                    twins += 1
-                    twin_converged += converged
-                    twin_evaluated += evaluated
-                    twin_pruned += (size - fault.stage) * n_blocks - evaluated
-                    continue
-                evaluated_before = stats.evaluated_stage_blocks
-                converged_before = stats.converged_faults
-            result = _pruned_fault_errors(network, fault, prefix, stats, pool)
-            if result is None:
-                verdict = ref_detect
-            elif isinstance(result, PackedBatch):
-                verdict = bool(
-                    _detection_row(result, reference, criterion, arena=pool).any()
-                )
-            else:
-                verdict = _errors_detect(
-                    reference, result, criterion, pad_mask, ref_pair_any,
-                    arena=pool,
-                )
-            detected[row] = verdict
-            if key is not None:
-                classes[key] = (
-                    verdict,
-                    stats.evaluated_stage_blocks - evaluated_before,
-                    stats.converged_faults - converged_before,
-                )
-    finally:
-        if twins:
-            stats.faults += twins
-            stats.converged_faults += twin_converged
-            stats.evaluated_stage_blocks += twin_evaluated
-            stats.pruned_stage_blocks += twin_pruned
+            classes[key] = len(runs)
+        runs.append(row)
+    verdicts, evaluated, converged = _pruned_runs(
+        network, [faults[row] for row in runs], prefix, criterion, stats, pool
+    )
+    detected[runs] = verdicts
+    if twin_rows:
+        detected[twin_rows] = verdicts[twin_runs]
+        twin_evaluated = int(evaluated[twin_runs].sum())
+        stats.faults += len(twin_rows)
+        stats.converged_faults += int(converged[twin_runs].sum())
+        stats.evaluated_stage_blocks += twin_evaluated
+        stats.pruned_stage_blocks += twin_tail * n_blocks - twin_evaluated
     return detected
 
 
@@ -1632,36 +2040,63 @@ def _line_stuck_class(
 # ----------------------------------------------------------------------
 # Streamed vector axis (serial; the sharded grid lives in repro.parallel)
 # ----------------------------------------------------------------------
-def _iter_packed_chunks(
-    network: ComparatorNetwork,
-    vectors,
-    config: ExecutionConfig | None,
-) -> Iterator[tuple[int, PackedBatch]]:
-    """Yield ``(word_start, packed_chunk)`` pairs along the vector axis.
+def _vector_chunks(
+    vectors, chunk_words: int | None
+) -> list[tuple[int, int, int]]:
+    """``(word_start, lo, hi)`` per chunk of a streamed vector axis.
 
-    :class:`CubeVectors` chunks are generated directly in packed form via
-    :func:`repro.core.bitpacked.packed_cube_range`; explicit batches are
-    normalised once and packed slice by slice.  The chunk size follows
-    ``config.chunk_words()`` (the streaming default when *config* is
-    ``None``).
+    ``[lo, hi)`` is a block span of the cube for :class:`CubeVectors` and
+    a row span of an explicit batch otherwise — everything needed to
+    (re)generate the packed chunk (:func:`_pack_chunk`).  *chunk_words*
+    gives fixed chunks of that many words; ``None`` gives the
+    any-reduction's early-exit schedule
+    (:func:`repro.core.bitpacked.early_exit_spans`: the first sixteenth
+    of the blocks, at least 64, then the rest, every chunk capped at
+    :data:`repro.parallel.config.DEFAULT_CHUNK_WORDS`).
     """
     from ..parallel.chunking import chunk_spans, cube_block_spans
     from ..parallel.config import DEFAULT_CHUNK_WORDS
 
-    chunk_words = config.chunk_words() if config is not None else DEFAULT_CHUNK_WORDS
+    cube = isinstance(vectors, CubeVectors)
+    total = len(vectors)
+    if chunk_words is not None:
+        if cube:
+            return [
+                (lo * BLOCK_BITS, lo, hi)
+                for lo, hi in cube_block_spans(vectors.n, chunk_words)
+            ]
+        return [(lo, lo, hi) for lo, hi in chunk_spans(total, chunk_words)]
+    spans = early_exit_spans(
+        -(-total // BLOCK_BITS), DEFAULT_CHUNK_WORDS // BLOCK_BITS
+    )
+    if cube:
+        return [(lo * BLOCK_BITS, lo, hi) for lo, hi in spans]
+    return [
+        (lo * BLOCK_BITS, lo * BLOCK_BITS, min(hi * BLOCK_BITS, total))
+        for lo, hi in spans
+    ]
+
+
+def _pack_chunk(
+    network: ComparatorNetwork, vectors, batch, chunk: tuple[int, int, int]
+) -> PackedBatch:
+    """The packed vectors of one :func:`_vector_chunks` entry; *batch* is
+    the normalised array of an explicit vector source (unused for
+    :class:`CubeVectors`, whose chunks are generated in packed form)."""
+    _word_start, lo, hi = chunk
     if isinstance(vectors, CubeVectors):
-        for block_start, block_stop in cube_block_spans(vectors.n, chunk_words):
-            yield (
-                block_start * BLOCK_BITS,
-                packed_cube_range(vectors.n, block_start, block_stop),
-            )
-        return
+        return packed_cube_range(vectors.n, lo, hi)
+    return _pack_vectors(network, batch[lo:hi])
+
+
+def _vector_batch(network: ComparatorNetwork, vectors):
+    """The array an explicit vector source is packed from, chunk by chunk
+    (``None`` for :class:`CubeVectors`)."""
+    if isinstance(vectors, CubeVectors):
+        return None
     if isinstance(vectors, np.ndarray):
-        batch = vectors
-    else:
-        batch = words_to_array(vectors, dtype=np.int8, n_lines=network.n_lines)
-    for start, stop in chunk_spans(batch.shape[0], chunk_words):
-        yield start, _pack_vectors(network, batch[start:stop])
+        return vectors
+    return words_to_array(vectors, dtype=np.int8, n_lines=network.n_lines)
 
 
 def _streamed_bitpacked_detection(
@@ -1689,9 +2124,9 @@ def _streamed_bitpacked_detection(
     are replayed on a hit — bit-identical either way, including the
     accumulated :class:`SimulationStats`."""
     from ..cache.restore import acquire_prefix_states
+    from ..parallel.config import DEFAULT_CHUNK_WORDS
 
     num_faults = len(faults)
-    chunks_seen = 0
     caching = cache is not None and base_token is not None
     net_token: tuple = ()
     faults_token: tuple = ()
@@ -1701,10 +2136,26 @@ def _streamed_bitpacked_detection(
 
         net_token = network_token(network)
         faults_token = universe_token(faults)
+    # The caller's chunk size, else the early-exit schedule for the
+    # any-reduction and the streaming default for the matrix.
+    if config is not None and config.chunk_size is not None:
+        chunk_words: int | None = config.chunk_size
+    else:
+        chunk_words = None if reduce == "any" else DEFAULT_CHUNK_WORDS
+    chunks = _vector_chunks(vectors, chunk_words)
+    batch = _vector_batch(network, vectors)
+    if stats is not None:
+        stats.planned_grid = (1, len(chunks))
     if reduce == "any":
         detected = np.zeros(num_faults, dtype=bool)
-        for word_start, packed in _iter_packed_chunks(network, vectors, config):
-            chunks_seen += 1
+        for chunk in chunks:
+            if prune and detected.all():
+                # Every fault is decided: the chunk would drop them all.
+                if stats is not None:
+                    stats.dropped_faults += num_faults
+                continue
+            word_start = chunk[0]
+            packed = _pack_chunk(network, vectors, batch, chunk)
             if not caching:
                 prefix = acquire_prefix_states(network, packed)
                 _fault_any(
@@ -1736,13 +2187,12 @@ def _streamed_bitpacked_detection(
             cache.put_verdict(verdict_key, (detected.copy(), local.counts()))
             if stats is not None:
                 stats.merge_counts(local.counts())
-        if stats is not None:
-            stats.planned_grid = (1, chunks_seen)
         return detected
     out = np.zeros((num_faults, len(vectors)), dtype=bool)
     rows: np.ndarray | None = None
-    for word_start, packed in _iter_packed_chunks(network, vectors, config):
-        chunks_seen += 1
+    for chunk in chunks:
+        word_start = chunk[0]
+        packed = _pack_chunk(network, vectors, batch, chunk)
         token = verdict_key = None
         if caching:
             token = (*base_token, word_start, packed.num_words)
@@ -1772,8 +2222,6 @@ def _streamed_bitpacked_detection(
             cache.put_verdict(verdict_key, (rows.copy(), local.counts()))
             if stats is not None:
                 stats.merge_counts(local.counts())
-    if stats is not None:
-        stats.planned_grid = (1, chunks_seen)
     return out
 
 

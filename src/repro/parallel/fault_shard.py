@@ -16,6 +16,11 @@ re-evaluates only its suffix.  Two work shapes live here:
   allocates the matrix: the shared output is a ``(num_faults,)`` verdict
   vector and each worker reduces its slice through the same coverage
   kernel as the serial path (fault dropping, line stuck-at twin sharing).
+  Without an explicit ``chunk_size`` coverage follows the serial
+  early-exit schedule (the first sixteenth of the words, at least 64
+  blocks, then the rest): one fault-axis shard per chunk on the same
+  verdict vector, so the second chunk drops what the first detected and
+  the counters equal the serial run's.
 
 * **2-D (faults × vector-chunks) grid** (streamed vector axis).  When the
   vector axis is larger than one chunk — an explicit batch above
@@ -57,10 +62,9 @@ import pickle
 
 import numpy as np
 
-from ..core.bitpacked import BLOCK_BITS
 from ..core.network import ComparatorNetwork
 from ..faults.models import Fault
-from .chunking import chunk_spans, cube_block_spans, grid_tiles, shard_spans
+from .chunking import grid_tiles, shard_spans
 from .config import ExecutionConfig, resolve_config
 from .shm import SharedArray, SharedSpec, attach_shared_array, create_shared_array
 
@@ -377,23 +381,6 @@ def _run_generic_span(span: tuple[int, int]) -> int:
     return stop - start
 
 
-def _vector_chunk_table(vectors, chunk_words: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """``(cube_n, chunks)`` describing the streamed vector axis.
-
-    Each chunk entry is ``(word_start, lo, hi)`` where ``[lo, hi)`` is a
-    cube *block* span (``cube_n >= 0``) or a raw *row* span
-    (``cube_n == -1``) — everything a worker needs to regenerate its own
-    packed chunk.
-    """
-    from ..faults.simulation import CubeVectors
-
-    if isinstance(vectors, CubeVectors):
-        spans = cube_block_spans(vectors.n, chunk_words)
-        return vectors.n, [(lo * BLOCK_BITS, lo, hi) for lo, hi in spans]
-    total = len(vectors)
-    return -1, [(lo, lo, hi) for lo, hi in chunk_spans(total, chunk_words)]
-
-
 def sharded_fault_detection_matrix(
     network: ComparatorNetwork,
     faults: Sequence[Fault],
@@ -457,8 +444,7 @@ def sharded_fault_detection_matrix(
         ``(num_faults, num_vectors)`` boolean matrix, or the
         ``(num_faults,)`` any-reduction.
     """
-    from ..cache.restore import acquire_prefix_states
-    from ..faults.simulation import CubeVectors, _pack_vectors
+    from ..faults.simulation import CubeVectors
 
     cfg = resolve_config(config)
     fault_list = list(faults)
@@ -468,6 +454,18 @@ def sharded_fault_detection_matrix(
     if not fault_list:
         shape = (0, num_vectors) if reduce == "matrix" else (0,)
         return np.zeros(shape, dtype=bool)
+    if engine == "bitpacked" and reduce == "any" and cfg.chunk_size is None:
+        return _scheduled_any(
+            network,
+            fault_list,
+            vectors,
+            criterion=criterion,
+            cfg=cfg,
+            prune=prune,
+            stats=stats,
+            cache=cache if caching else None,
+            base_token=base_token,
+        )
     if engine == "bitpacked" and (
         isinstance(vectors, CubeVectors)
         or cfg.wants_vector_chunking(num_vectors)
@@ -497,50 +495,20 @@ def sharded_fault_detection_matrix(
     )
     try:
         if engine == "bitpacked":
-            packed_input = None
+            from ..faults.simulation import _pack_vectors
+
             token = (*base_token, 0, num_vectors) if caching else None
-            if caching:
-                packed_input = cache.get_input(token)
+            packed_input = cache.get_input(token) if caching else None
             if packed_input is None:
                 packed_input = _pack_vectors(network, vectors)
                 if caching:
                     cache.put_input(token, packed_input)
-            dtype = packed_input.planes.dtype
-            input_shared = create_shared_array(packed_input.planes.shape, dtype)
-            deltas_shared = create_shared_array(
-                (network.size, 2, packed_input.n_blocks), dtype
+            _fault_axis_shard(
+                network, fault_list, packed_input, out_shared, spans,
+                criterion=criterion, cfg=cfg, workers=workers, prune=prune,
+                stats=stats, cache=cache if caching else None, token=token,
+                reduce=reduce,
             )
-            try:
-                input_shared.array[...] = packed_input.planes
-                acquire_prefix_states(
-                    network,
-                    packed_input,
-                    cache=cache if caching else None,
-                    token=token,
-                    deltas_out=deltas_shared.array,
-                )
-                all_counts = _map_work(
-                    cfg,
-                    workers,
-                    _init_bitpacked_worker,
-                    (
-                        network,
-                        fault_list,
-                        criterion,
-                        prune,
-                        packed_input.num_words,
-                        input_shared.spec,
-                        deltas_shared.spec,
-                        out_shared.spec,
-                        reduce,
-                    ),
-                    _run_bitpacked_span,
-                    spans,
-                )
-                _merge_shipped(stats, all_counts)
-            finally:
-                input_shared.unlink()
-                deltas_shared.unlink()
         else:
             _map_work(
                 cfg,
@@ -565,6 +533,127 @@ def sharded_fault_detection_matrix(
         out_shared.unlink()
 
 
+def _fault_axis_shard(
+    network: ComparatorNetwork,
+    fault_list: list[Fault],
+    packed_input,
+    out_shared: SharedArray,
+    spans: list[tuple[int, int]],
+    *,
+    criterion: str,
+    cfg: ExecutionConfig,
+    workers: int,
+    prune: bool,
+    stats,
+    cache,
+    token: tuple | None,
+    reduce: str,
+) -> None:
+    """One packed vector batch, sharded over the fault axis.
+
+    The packed input and the prefix deltas are published once through
+    shared memory and each worker fills its *spans* slice of *out_shared*
+    — matrix rows, or (any-reduction) its slice of the ``(num_faults,)``
+    verdict vector, which the worker reduces in place through the
+    coverage kernel, so verdicts already set there are dropped.
+    """
+    from ..cache.restore import acquire_prefix_states
+
+    dtype = packed_input.planes.dtype
+    input_shared = create_shared_array(packed_input.planes.shape, dtype)
+    deltas_shared = create_shared_array(
+        (network.size, 2, packed_input.n_blocks), dtype
+    )
+    try:
+        input_shared.array[...] = packed_input.planes
+        acquire_prefix_states(
+            network,
+            packed_input,
+            cache=cache,
+            token=token,
+            deltas_out=deltas_shared.array,
+        )
+        all_counts = _map_work(
+            cfg,
+            workers,
+            _init_bitpacked_worker,
+            (
+                network,
+                fault_list,
+                criterion,
+                prune,
+                packed_input.num_words,
+                input_shared.spec,
+                deltas_shared.spec,
+                out_shared.spec,
+                reduce,
+            ),
+            _run_bitpacked_span,
+            spans,
+        )
+        _merge_shipped(stats, all_counts)
+    finally:
+        input_shared.unlink()
+        deltas_shared.unlink()
+
+
+def _scheduled_any(
+    network: ComparatorNetwork,
+    fault_list: list[Fault],
+    vectors,
+    *,
+    criterion: str,
+    cfg: ExecutionConfig,
+    prune: bool,
+    stats,
+    cache,
+    base_token: tuple | None,
+) -> np.ndarray:
+    """The any-reduction on the serial early-exit schedule, sharded.
+
+    The vector axis follows the serial streamed path's chunks
+    (:func:`repro.faults.simulation._vector_chunks` with no chunk size:
+    the first sixteenth of the blocks, at least 64, then the rest), one
+    fault-axis shard (:func:`_fault_axis_shard`) per chunk on one shared
+    ``(num_faults,)`` verdict vector.  Each chunk is seeded with every
+    verdict of the chunks before it, so faults they detected are dropped
+    exactly as serially, and the merged counters equal the serial run's.
+    """
+    from ..faults.simulation import _pack_chunk, _vector_batch, _vector_chunks
+
+    workers = cfg.resolved_workers()
+    spans = shard_spans(len(fault_list), workers)
+    workers = min(workers, len(spans))
+    chunks = _vector_chunks(vectors, None)
+    if stats is not None:
+        stats.planned_grid = (len(spans), len(chunks))
+    batch = _vector_batch(network, vectors)
+    out_shared = create_shared_array((len(fault_list),), np.bool_)
+    try:
+        detected = out_shared.array
+        for chunk in chunks:
+            if prune and detected.all():
+                # Every fault is decided: the chunk would drop them all.
+                if stats is not None:
+                    stats.dropped_faults += len(fault_list)
+                continue
+            packed = _pack_chunk(network, vectors, batch, chunk)
+            token = (
+                (*base_token, chunk[0], packed.num_words)
+                if cache is not None and base_token is not None
+                else None
+            )
+            _fault_axis_shard(
+                network, fault_list, packed, out_shared, spans,
+                criterion=criterion, cfg=cfg, workers=workers, prune=prune,
+                stats=stats, cache=cache if token is not None else None,
+                token=token, reduce="any",
+            )
+        return detected.copy()
+    finally:
+        out_shared.unlink()
+
+
 def _grid_detection(
     network: ComparatorNetwork,
     fault_list: list[Fault],
@@ -579,10 +668,14 @@ def _grid_detection(
     reduce: str,
 ) -> np.ndarray:
     """The 2-D (faults × vector-chunks) grid (module docstring)."""
-    from ..faults.simulation import CubeVectors
+    from ..faults.simulation import CubeVectors, _vector_chunks
 
     num_vectors = len(vectors)
-    cube_n, chunks = _vector_chunk_table(vectors, cfg.chunk_words())
+    # (word_start, lo, hi) per chunk: [lo, hi) is a cube block span
+    # (cube_n >= 0) or a raw row span (cube_n == -1) — everything a worker
+    # needs to regenerate its own packed chunk.
+    cube_n = vectors.n if isinstance(vectors, CubeVectors) else -1
+    chunks = _vector_chunks(vectors, cfg.chunk_words())
     workers = cfg.resolved_workers()
     tiles = grid_tiles(len(fault_list), len(chunks), workers)
     workers = min(workers, len(tiles))

@@ -44,7 +44,7 @@ cube and its prefix donors (:func:`repro.cache.cached_cube_sorted`), each
 strategy under its own verdict key.  By the zero-one principle one
 unsorted output refutes a sorter, so that cached sweep stops early: it
 judges the cube in the chunks of
-:func:`repro.core.bitpacked.cube_sweep_spans` (the first sixteenth of the
+:func:`repro.core.bitpacked.early_exit_spans` (the first sixteenth of the
 blocks but at least 64, then the rest) and stops after the first chunk
 with an unsorted judged output.  The uncached single-shot sweep judges the
 whole cube in one pass.  The fault-model networks of

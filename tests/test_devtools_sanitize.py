@@ -5,7 +5,10 @@ One scenario per decorated function drives its steady-state scratch path
 :func:`repro.devtools.sanitize.assert_allocation_free` with a transient
 budget far below one bit-plane — the planes here are 8 KiB
 (``N_BLOCKS = 1024``), so a single plane-sized temporary escaping onto
-the hot path blows the budget immediately.  A completeness check pins the
+the hot path blows the budget immediately.  The stacked fault kernel's
+scenarios add a stated per-run bookkeeping allowance (``PER_RUN``): a
+plane broadcast over the stack's rows (numpy's iterator buffers, up to
+64 KiB) still blows it.  A completeness check pins the
 scenario set to the :func:`repro.core.scratch.allocation_free_functions`
 registry, so decorating a new function without adding a scenario fails
 the suite.
@@ -36,7 +39,11 @@ from repro.devtools.sanitize import (
     assert_allocation_free,
     trace_allocations,
 )
-from repro.faults import ReversedComparatorFault, SimulationStats
+from repro.faults import (
+    ReversedComparatorFault,
+    SimulationStats,
+    enumerate_single_faults,
+)
 from repro.faults.simulation import (
     PrefixStates,
     _detection_row,
@@ -44,6 +51,10 @@ from repro.faults.simulation import (
     _pack_vectors,
     _pruned_fault_errors,
     _row_from_errors,
+    _run_spec,
+    _stack_rows,
+    _stack_verdicts,
+    _sweep_stack,
 )
 
 N_LINES = 8
@@ -52,6 +63,12 @@ TILE = 256  # 256 × 2^8 words → 65536 words → 1024 blocks → 8 KiB planes
 #: Budget for functions that only write into caller-provided buffers:
 #: generous for Python bookkeeping, half of one plane.
 TIGHT = 4096
+
+#: Per-run bookkeeping allowance of the stacked fault kernel, on top of
+#: TIGHT: its per-comparator index vectors, the forced-line index arrays
+#: and numpy's fancy-index state scale with the runs in the stack, not
+#: with the planes (the env's stack holds 16 runs: 8 KiB in all).
+PER_RUN = 512
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +277,63 @@ def test_errors_detect(env):
     )
 
 
+@pytest.fixture(scope="module")
+def swept(env):
+    """A full stack of the extended universe's runs (every run code),
+    swept once; the scenarios re-sweep it in place."""
+    faults = enumerate_single_faults(env.network, line_stuck_at_input_only=False)
+    stack = env.arena.fault_stack(len(faults))
+    step = max(1, len(faults) // stack.height)
+    specs = sorted(_run_spec(env.network, f) for f in faults[::step])
+    specs = specs[: stack.height]
+    assert len(specs) == stack.height == 16
+    assert {spec[1] for spec in specs} == {0, 1, 2, 3}
+    _sweep_stack(env.prefix, specs, stack, env.arena)
+    assert stack.dirty[:, : len(specs)].any(), "fixture runs should stay dirty"
+    return SimpleNamespace(stack=stack, specs=specs, h=len(specs))
+
+
+def test_sweep_stack(env, swept):
+    def sweep():
+        swept.stack.clear(swept.h)
+        _sweep_stack(env.prefix, swept.specs, swept.stack, env.arena)
+
+    run_budgeted(
+        sweep,
+        transient=TIGHT + PER_RUN * swept.h,
+        retained=TIGHT,
+        label="_sweep_stack",
+    )
+
+
+def test_stack_verdicts(env, swept):
+    planes = env.reference.planes
+    ref_pair_any = [
+        bool((planes[j] & ~planes[j + 1] & env.pad).any())
+        for j in range(N_LINES - 1)
+    ]
+    run_budgeted(
+        lambda: _stack_verdicts(
+            env.reference, swept.stack, swept.h, "specification",
+            ref_pair_any, env.pad,
+        ),
+        transient=TIGHT + PER_RUN * swept.h,
+        retained=TIGHT,
+        label="_stack_verdicts",
+    )
+
+
+def test_stack_rows(env, swept):
+    # The unpacked result rows (num_words bytes per run) are irreducible.
+    rows = swept.h * env.row_bytes
+    run_budgeted(
+        lambda: _stack_rows(env.reference, swept.stack, swept.h, "specification"),
+        transient=rows + TIGHT + PER_RUN * swept.h,
+        retained=rows + TIGHT,
+        label="_stack_rows",
+    )
+
+
 def test_detection_row(env):
     # The unpacked boolean result row (num_words bytes) and the unpack
     # buffer are irreducible; plane-sized sweep temporaries are not.
@@ -296,7 +370,7 @@ def test_donor_chunk_sorted():
     """One chunk of the cached sorter check's early-exit sweep: restore,
     suffix and judge all run in views of the cube-geometry arena."""
     from repro.cache.restore import _donor_chunk_sorted
-    from repro.core.bitpacked import cube_sweep_spans, packed_all_binary_words
+    from repro.core.bitpacked import early_exit_spans, packed_all_binary_words
 
     n = 16  # 2**16 words → 1024 blocks → 8 KiB planes, like the env batch
     network = batcher_sorting_network(n)
@@ -308,7 +382,7 @@ def test_donor_chunk_sorted():
     )
     suffix = mutant.comparators[lcp:]
     arena = PlaneArena(n, cube.n_blocks, cube.planes.dtype)
-    (_, first), span = cube_sweep_spans(n)
+    (_, first), span = early_exit_spans(cube.n_blocks)
     assert span == (first, cube.n_blocks)
     run_budgeted(
         lambda: _donor_chunk_sorted(donor, lcp, suffix, arena, span, True),
@@ -335,6 +409,9 @@ COVERED = {
     "repro.faults.simulation._errors_detect",
     "repro.faults.simulation._detection_row",
     "repro.faults.simulation._row_from_errors",
+    "repro.faults.simulation._sweep_stack",
+    "repro.faults.simulation._stack_verdicts",
+    "repro.faults.simulation._stack_rows",
     "repro.cache.restore._donor_chunk_sorted",
 }
 

@@ -23,13 +23,8 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Every example script but ``serve_client.py``, which boots a server and
-#: by design leaves its job store in the temp directory.
-EXAMPLES = sorted(
-    path.name
-    for path in (REPO_ROOT / "examples").glob("*.py")
-    if path.name != "serve_client.py"
-)
+#: Every example script (``serve_client.py`` boots a server).
+EXAMPLES = sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py"))
 
 DOCUMENTED_MODULES = [
     "repro.parallel",
@@ -228,6 +223,7 @@ def test_caching_doc_is_committed_and_linked():
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_example_runs(name):
+    before = set(Path("/tmp").glob("repro-serve-demo-*"))
     result = subprocess.run(
         [sys.executable, str(REPO_ROOT / "examples" / name)],
         cwd=REPO_ROOT,
@@ -237,3 +233,5 @@ def test_example_runs(name):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    # serve_client.py keeps its server's job store in a temporary directory.
+    assert set(Path("/tmp").glob("repro-serve-demo-*")) <= before

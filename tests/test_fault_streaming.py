@@ -377,20 +377,20 @@ def test_twin_sharing_is_invisible_on_every_coverage_route(
 def test_twin_classes_run_the_kernel_once(monkeypatch):
     """The optimisation pin: one chunk of Batcher(8)'s stage-extended
     universe runs the pruned kernel once per comparator fault and once per
-    line stuck-at class, 3·size + 2(2·size + n) times instead of once per
-    fault, while the counters still report every fault."""
+    line stuck-at class, 3·size + 2(2·size + n) stacked runs instead of
+    one per fault, while the counters still report every fault."""
     network = batcher_sorting_network(8)
     size, n = network.size, network.n_lines
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     assert len(faults) == 3 * size + 2 * n * (size + 1)
-    kernel = simulation._pruned_fault_errors
+    kernel = simulation._sweep_stack
     calls = []
 
-    def counting(network, fault, *args):
-        calls.append(fault)
-        return kernel(network, fault, *args)
+    def counting(prefix, specs, *args):
+        calls.extend(specs)
+        return kernel(prefix, specs, *args)
 
-    monkeypatch.setattr(simulation, "_pruned_fault_errors", counting)
+    monkeypatch.setattr(simulation, "_sweep_stack", counting)
     stats = SimulationStats()
     _fault_detection_any_impl(
         network, faults, unsorted_binary_words_array(n), engine="bitpacked",

@@ -264,6 +264,26 @@ def test_greedy_selection_keeps_fractional_candidates():
     assert reached == pytest.approx(16 / 23)
 
 
+def test_fractional_word_lists_are_applied_as_given():
+    """A list of fractional float words is converted once with the array's
+    dtype rule: the list and the array give the same answers."""
+    identity = ComparatorNetwork.identity(4)
+    word_list = [tuple(FRACTIONAL_WORD[0].tolist())]
+    assert network_passes_test_set(identity, word_list) is False
+    assert Session().passes_test_set(identity, word_list).passed is False
+    network = batcher_sorting_network(4)
+    faults = enumerate_single_faults(network)
+    words = np.vstack([FRACTIONAL_WORD, FRACTIONAL_WORD[:, ::-1]])
+    as_list = [tuple(row) for row in words.tolist()]
+    assert fault_coverage(network, faults, as_list) == pytest.approx(16 / 23)
+    assert fault_coverage(network, faults, as_list) == fault_coverage(
+        network, faults, words
+    )
+    assert greedy_test_selection(network, faults, as_list) == (
+        greedy_test_selection(network, faults, words)
+    )
+
+
 class TestBitpackedPinRefusesPermutations:
     """A bit-packed pin raises instead of running another engine."""
 

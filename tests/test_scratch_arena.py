@@ -263,30 +263,36 @@ def test_never_converging_fault_reports_zero_pruned(chunk_size):
 
 
 # ----------------------------------------------------------------------
-# _row_from_errors on an empty error dict (defensive satellite)
+# A converged run gets the reference's own row, stacked or one by one
 # ----------------------------------------------------------------------
-def test_row_from_errors_empty_dict():
+@pytest.mark.parametrize("criterion", ["specification", "reference"])
+def test_converged_run_gets_the_reference_row(criterion):
+    from repro.faults import StuckPassFault
     from repro.faults.simulation import (
         PrefixStates,
         _detection_row,
         _pack_vectors,
         _row_from_errors,
+        _run_spec,
+        _stack_rows,
+        _sweep_stack,
     )
 
-    network = batcher_sorting_network(4)
+    # Not a sorter (its own rows are not all-false), and the repeated
+    # last comparator is redundant: sticking it converges at once.
+    network = ComparatorNetwork.from_pairs(4, [(0, 1), (2, 3), (1, 2), (1, 2)])
     packed = _pack_vectors(network, all_binary_words_array(4))
     prefix = PrefixStates.build(network, packed)
     reference = prefix.reference()
-    pad_mask = reference.pad_mask()
     arena = PlaneArena(4, packed.n_blocks)
+    expected = _detection_row(reference, reference, criterion, arena=arena)
+    assert expected.any() == (criterion == "specification")
 
-    row = _row_from_errors(reference, {}, "reference", pad_mask, arena)
-    assert row.shape == (packed.num_words,)
-    assert not row.any()
-    # Under "specification" an empty dict degenerates to the reference's
-    # own violation row (all-false for a sorter).
-    spec_row = _row_from_errors(reference, {}, "specification", pad_mask, arena)
-    assert np.array_equal(
-        spec_row,
-        _detection_row(reference, reference, "specification", arena=arena),
-    )
+    stack = arena.fault_stack(1)
+    spec = _run_spec(network, StuckPassFault(network.size - 1))
+    _sweep_stack(prefix, [spec], stack, arena)
+    assert not stack.dirty[:, :1].any()
+    assert np.array_equal(_stack_rows(reference, stack, 1, criterion)[0], expected)
+    # The one-fault kernel's form of a converged run: no error planes.
+    row = _row_from_errors(reference, {}, criterion, reference.pad_mask(), arena)
+    assert np.array_equal(row, expected)
