@@ -51,8 +51,8 @@ Six workloads, all cross-checked for bit-identical results before timing:
   size because each side runs several calls).  Coverage numbers must be
   identical, the serial Session may cost at most ``--max-session-overhead``
   (ratio, e.g. 1.05 = 5 %) over direct calls, and the multi-worker
-  Session's persistent pool + owned arena must beat the per-call-pool
-  direct path by ``--min-reuse-speedup`` across repeated calls.  The
+  Session's persistent pool must beat the per-call-pool direct path by
+  ``--min-reuse-speedup`` across repeated calls.  The
   same serial loop is re-run with span capture disabled
   (:func:`repro.observe.set_observation_enabled`); the instrumented /
   uninstrumented ratio must stay under

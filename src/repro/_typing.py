@@ -57,14 +57,20 @@ def as_word(values: WordLike) -> Word:
     """Normalise *values* into a plain tuple of Python ints.
 
     Accepts any sequence of integers or a 1-D numpy array.  Floats that are
-    integral are accepted (and converted); anything else raises
-    ``TypeError``/``ValueError`` from the ``int`` conversion.
+    integral are accepted (and converted); a non-integral value raises
+    ``ValueError`` instead of being truncated, and anything ``int`` cannot
+    convert raises ``TypeError``/``ValueError`` from the conversion.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"expected a 1-D array, got shape {values.shape}")
-        return tuple(int(v) for v in values.tolist())
-    return tuple(int(v) for v in values)
+        values = values.tolist()
+    given = tuple(values)
+    word = tuple(map(int, given))
+    if word != given:
+        value = next(v for v, w in zip(given, word) if v != w)
+        raise ValueError(f"word value {value!r} is not an integer")
+    return word
 
 
 def as_words(items: Iterable[WordLike]) -> tuple[Word, ...]:

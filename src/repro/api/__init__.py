@@ -5,7 +5,7 @@ execution is configured (engine pin, workers, chunk size, pruning, cache):
 
 :class:`Session`
     Owns the execution configuration *and* the reusable resources behind
-    it (persistent worker pool, scratch-plane arena) and exposes
+    it (persistent worker pool, result cache) and exposes
     ``verify`` / ``passes_test_set`` / ``fault_matrix`` /
     ``fault_coverage`` / ``diagnose``, each returning a typed result
     object.

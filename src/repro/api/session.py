@@ -3,9 +3,13 @@
 A Session is the one place where execution is configured — evaluation
 engine, worker count, chunk size and pruning policy — and it owns the
 *resources* behind them: a lazily-created persistent worker pool
-(:class:`repro.parallel.WorkerPool`) and a process-local scratch-plane
-arena (:class:`repro.core.scratch.PlaneArena`), both reused across calls
-so repeated workloads pay the spawn / allocation cost once.
+(:class:`repro.parallel.WorkerPool`), reused across calls so repeated
+workloads pay the spawn cost once, and an optional result cache.  Scratch
+planes are not a Session resource: every fault-simulation call takes them
+from its thread's :func:`repro.core.scratch.shared_arena` cache, exactly
+as the free functions do, so one serial, uncached Session may be called
+from several threads at once.  Its worker pool and a ``cache=True`` store
+are not thread-safe.
 
 The four paper workloads run through it::
 
@@ -46,7 +50,6 @@ from .._typing import WordLike
 from ..cache.store import CacheStats, ResultCache, resolve_cache
 from ..core.evaluation import check_engine, route_engine, route_words
 from ..core.network import ComparatorNetwork
-from ..core.scratch import PlaneArena
 from ..exceptions import ExecutionConfigError, TestSetError
 from ..faults.coverage import _coverage_report_impl
 from ..faults.diagnosis import adaptive_test_order, fault_dictionary_from_matrix
@@ -113,9 +116,7 @@ class Session:
         :class:`repro.parallel.ExecutionConfig`.
     prune : bool, optional
         Dominated-state pruning in the bit-packed fault simulator
-        (default ``True``; results are identical either way).  The
-        simulator runs on a Session-owned scratch-plane arena
-        (:class:`~repro.core.scratch.PlaneArena`) reused across calls.
+        (default ``True``; results are identical either way).
     cache : ResultCache, bool, int or None, optional
         Cross-call result cache (:mod:`repro.cache`; contract in
         ``docs/CACHING.md``).  ``None`` / ``False`` (default) runs
@@ -165,7 +166,6 @@ class Session:
         # helpers); everything else follows ``resolve_cache``.
         self.cache = ResultCache() if cache is True else resolve_cache(cache)
         self._pool: WorkerPool | None = None
-        self._owned_arena: PlaneArena | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers and lifecycle
@@ -229,16 +229,6 @@ class Session:
         return ExecutionConfig(
             max_workers=self.workers, chunk_size=self.chunk_size, pool=pool
         )
-
-    def _fault_arena(self) -> PlaneArena:
-        """The Session-owned arena for a fault-simulation call.
-
-        Created on first use and resized by the simulator's ``ensure`` on
-        geometry changes, so repeated calls reuse one plane pool.
-        """
-        if self._owned_arena is None:
-            self._owned_arena = PlaneArena(1, 1)
-        return self._owned_arena
 
     # ------------------------------------------------------------------
     # Execution metadata
@@ -466,7 +456,6 @@ class Session:
                     config=config,
                     prune=self.prune,
                     stats=stats,
-                    arena=self._fault_arena(),
                     cache=self.cache,
                 )
         return FaultMatrixResult(
@@ -524,7 +513,6 @@ class Session:
                     config=config,
                     prune=self.prune,
                     stats=stats,
-                    arena=self._fault_arena(),
                     cache=self.cache,
                 )
         return CoverageReport(
@@ -591,7 +579,6 @@ class Session:
                     config=config,
                     prune=self.prune,
                     stats=stats,
-                    arena=self._fault_arena(),
                     cache=self.cache,
                 )
             with trace.span("dictionary"):
@@ -648,9 +635,9 @@ class Session:
         """Coverage of several named test sets (one report per entry).
 
         The Session-native form of
-        :func:`repro.faults.coverage.compare_test_sets`: the same pool and
-        arena serve every entry, so comparing many candidate sets amortises
-        the setup cost once.
+        :func:`repro.faults.coverage.compare_test_sets`: the same pool (and
+        cache) serve every entry, so comparing many candidate sets
+        amortises the setup cost once.
         """
         return {
             name: self.fault_coverage(

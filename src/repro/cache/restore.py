@@ -55,7 +55,6 @@ def acquire_prefix_states(
     cache: ResultCache | None = None,
     token: tuple | None = None,
     deltas_out: np.ndarray | None = None,
-    arena: PlaneArena | None = None,
 ) -> PrefixStates:
     """Fault-free prefix states for *network* on *packed_input*.
 
@@ -85,9 +84,6 @@ def acquire_prefix_states(
         shared-memory array of the sharded executor.  The cache never
         keeps references into it — entries built through it are copied
         into cache-owned storage.
-    arena : PlaneArena, optional
-        Scratch arena for the prefix restore (``None`` = this thread's
-        shared arena for the geometry).
 
     Returns
     -------
@@ -119,7 +115,7 @@ def acquire_prefix_states(
     if donor is not None and lcp > 0:
         np.copyto(deltas[:lcp], donor.deltas[:lcp])
     if lcp < size:
-        running = _running_after(donor, packed_input, lcp, arena)
+        running = _running_after(donor, packed_input, lcp)
         PrefixStates.record_deltas(network, running, deltas, lcp)
     states = PrefixStates(
         network, packed_input.planes, deltas, packed_input.num_words
@@ -143,16 +139,12 @@ def _running_after(
     donor: PrefixStates | None,
     packed_input: PackedBatch,
     lcp: int,
-    arena: PlaneArena | None,
 ) -> np.ndarray:
     """The full packed state after the common prefix, restored into the
-    arena's ``state`` buffer (no allocation)."""
+    ``state`` buffer of this thread's shared arena for the geometry (no
+    allocation)."""
     n_lines, n_blocks = packed_input.planes.shape
-    if arena is None:
-        arena = shared_arena(n_lines, n_blocks, packed_input.planes.dtype)
-    else:
-        arena.ensure(n_lines, n_blocks, packed_input.planes.dtype)
-    buf = arena.state
+    buf = shared_arena(n_lines, n_blocks, packed_input.planes.dtype).state
     if donor is None or lcp == 0:
         np.copyto(buf, packed_input.planes)
     else:
@@ -187,7 +179,6 @@ def cached_cube_sorted(
     network: ComparatorNetwork,
     *,
     cache: ResultCache,
-    arena: PlaneArena | None = None,
     restrict_to_unsorted_inputs: bool = False,
 ) -> bool:
     """Does *network* sort the whole 0/1 cube?  (Cache-accelerated.)
@@ -224,9 +215,6 @@ def cached_cube_sorted(
     cache : ResultCache
         The store to consult (required — the uncached spelling is the
         ordinary property checker).
-    arena : PlaneArena, optional
-        Scratch arena (``None`` = this thread's shared arena for the
-        geometry).
     restrict_to_unsorted_inputs : bool, optional
         Judge only the unsorted inputs (the ``testset`` verdict).
 
@@ -249,11 +237,7 @@ def cached_cube_sorted(
         return bool(hit)
     n = network.n_lines
     packed = cached_cube_packed(n, cache)
-    if arena is None:
-        work = shared_arena(n, packed.n_blocks, packed.planes.dtype)
-    else:
-        arena.ensure(n, packed.n_blocks, packed.planes.dtype)
-        work = arena
+    work = shared_arena(n, packed.n_blocks, packed.planes.dtype)
     codes = comparator_codes(network)
     hashes = prefix_hashes(codes)
     context = (cube_token(n), "bitpacked", n, packed.n_blocks)

@@ -39,7 +39,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .._registry import EVALUATION_ENGINES
-from .._typing import Batch, WordLike
+from .._typing import Batch, WordLike, as_word
 from ..exceptions import EngineError, InputLengthError
 from .bitpacked import nonbinary_reason
 from .network import ComparatorNetwork
@@ -115,19 +115,18 @@ def route_words(
 ) -> tuple[str, Iterable[WordLike]]:
     """``(engine, words)`` of one workload call on explicit words.
 
-    A pin leaves *words* as given.  Without one, anything but an array
-    becomes one array (:func:`_explicit_word_array`), which
-    :func:`route_engine` tests and the call then evaluates, so the words
-    are converted once.
+    Anything but an array becomes one array (:func:`_explicit_word_array`),
+    pinned or not, so a list of fractional words is applied as given, as
+    the same words passed as an array are; the call then evaluates that
+    array, so the words are converted once.  Without a pin
+    :func:`route_engine` tests the batch; a pin is returned as given.
     """
-    if engine is not None:
-        return check_engine(engine), words
     batch = (
         words
         if isinstance(words, np.ndarray)
         else _explicit_word_array(words, n_lines=n_lines)
     )
-    return route_engine(None, batch), batch
+    return route_engine(engine, batch), batch
 
 
 def min_word_dtype(words: Iterable[Sequence[int]]):
@@ -251,7 +250,8 @@ def array_to_words(batch: Batch):
 def _apply_scalar(network: ComparatorNetwork, data: np.ndarray) -> np.ndarray:
     out = np.empty_like(data)
     for index in range(data.shape[0]):
-        out[index] = network.apply(tuple(int(v) for v in data[index]))
+        # as_word refuses a non-integral value instead of truncating it.
+        out[index] = network.apply(as_word(data[index]))
     return out
 
 

@@ -18,10 +18,12 @@ acquires two free rows, writes its outputs into them with
 recycles the rows of the planes it consumed.  Swapping which line owns
 which plane is a slot-index update, never a copy.
 
-One arena is reused across *all* faults of a simulation run (and across
-vector chunks of the same shape — :func:`shared_arena` keeps a small
-per-thread cache keyed by ``(n_lines, n_blocks)``, which is what gives
-every pool worker and every thread its own long-lived arena).  :meth:`PlaneArena.reset`
+Every fault-simulation call takes its scratch from :func:`shared_arena`,
+whether it comes from a :class:`repro.api.Session` or a free function,
+serially or in a pool worker: a per-thread cache of at most
+:data:`_CACHE_CAP` arenas keyed by ``(n_lines, n_blocks)``, so one arena
+serves *all* faults of a run and every later chunk and call of its
+geometry, and no two threads ever share one.  :meth:`PlaneArena.reset`
 between faults is an ``O(n_lines)`` index wipe; no memory is touched.
 
 The arena is also the home of the value-plane scratch used by the
@@ -266,9 +268,6 @@ class PlaneArena:
     def __init__(
         self, n_lines: int, n_blocks: int, dtype: np.dtype = _BLOCK_DTYPE
     ) -> None:
-        self.err_slot: dict[int, int] = {}
-        self._free: list[int] = []
-        self._stack: FaultStack | None = None
         self._allocate(n_lines, n_blocks, np.dtype(dtype))
 
     def _allocate(self, n_lines: int, n_blocks: int, dtype: np.dtype) -> None:
@@ -284,9 +283,9 @@ class PlaneArena:
         self.zero = np.zeros(n_blocks, dtype=dtype)
         self._pad = np.zeros(n_blocks, dtype=dtype)
         self._pad_tail = -1
-        self.err_slot.clear()
+        self.err_slot: dict[int, int] = {}
         self._free = list(range(self.store.shape[0]))
-        self._stack = None
+        self._stack: FaultStack | None = None
 
     # ------------------------------------------------------------------
     # Slot management
@@ -397,49 +396,22 @@ class PlaneArena:
         free.clear()
         free.extend(range(self.store.shape[0]))
 
-    # ------------------------------------------------------------------
-    # Shape adaptation
-    # ------------------------------------------------------------------
-    def matches(self, n_lines: int, n_blocks: int, dtype: np.dtype) -> bool:
-        """Does the arena already serve this plane geometry?"""
-        return (
-            self.n_lines == n_lines
-            and self.n_blocks == n_blocks
-            and self.dtype == np.dtype(dtype)
-        )
-
-    def ensure(self, n_lines: int, n_blocks: int, dtype: np.dtype) -> PlaneArena:
-        """Reset the arena, reallocating its buffers only on a shape change.
-
-        This is what lets one arena be shared across repeated
-        ``fault_detection_matrix`` calls (and across the uneven tail chunk
-        of a streamed run): same shape → a pure index reset; different
-        shape → one reallocation, after which the new shape is served.
-
-        Returns
-        -------
-        PlaneArena
-            ``self``, for chaining.
-        """
-        if not self.matches(n_lines, n_blocks, dtype):
-            self._allocate(n_lines, n_blocks, np.dtype(dtype))
-        else:
-            self.reset()
-        return self
-
 
 def shared_arena(
     n_lines: int, n_blocks: int, dtype: np.dtype = _BLOCK_DTYPE
 ) -> PlaneArena:
     """A thread-local arena for this plane geometry (reset, never copied).
 
-    Arenas are cached per ``(n_lines, n_blocks)`` key, so every worker
-    process of the sharded fault simulator reuses one long-lived arena per
-    chunk shape instead of reallocating between tiles.  The cache holds at
-    most a handful of shapes; the least recently created entry is evicted
-    beyond that.  Each thread has its own cache, so concurrent threads
-    (e.g. Sessions of the verification service's pool) never share or
-    reset each other's scratch; one arena is still for one thread only.
+    The one scratch source of the bit-packed paths.  Arenas are cached per
+    ``(n_lines, n_blocks)`` key, so serial calls, Sessions and the workers
+    of the sharded fault simulator reuse one long-lived arena per chunk
+    shape instead of reallocating between chunks, tiles and calls.  The
+    cache holds at most :data:`_CACHE_CAP` shapes; the least recently
+    created entry is evicted beyond that.  Each thread has its own cache,
+    so concurrent threads (e.g. one Session driven from several threads,
+    or the verification service's pool) never share or reset each
+    other's scratch.  Resetting is why code that holds rows of an arena
+    must not call code that resolves the same geometry again.
 
     Returns
     -------

@@ -46,7 +46,6 @@ from .simulation import (
 )
 
 if TYPE_CHECKING:
-    from ..core.scratch import PlaneArena
     from ..parallel.config import ExecutionConfig
 
 __all__ = [
@@ -132,7 +131,6 @@ def _fault_coverage_impl(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | None = None,
     cache=None,
 ) -> float:
     """:func:`fault_coverage` with its execution configured (Session
@@ -142,7 +140,7 @@ def _fault_coverage_impl(
         return 1.0
     detected = _fault_detection_any_impl(
         network, faults, test_vectors, criterion=criterion, engine=engine,
-        config=config, prune=prune, stats=stats, arena=arena, cache=cache,
+        config=config, prune=prune, stats=stats, cache=cache,
     )
     return float(np.mean(detected))
 
@@ -182,7 +180,6 @@ def _coverage_report_impl(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | None = None,
     cache=None,
 ) -> CoverageReport:
     """:func:`coverage_report` with its execution configured (Session
@@ -190,7 +187,7 @@ def _coverage_report_impl(
     detected = (
         _fault_detection_any_impl(
             network, faults, test_vectors, criterion=criterion, engine=engine,
-            config=config, prune=prune, stats=stats, arena=arena, cache=cache,
+            config=config, prune=prune, stats=stats, cache=cache,
         )
         if faults
         else np.zeros(0, dtype=bool)

@@ -75,10 +75,18 @@ single-fault universe (``3·size + 2n(size + 1)`` faults) then costs
 The pruned hot loop runs allocation-free on a scratch-plane arena
 (:class:`repro.core.scratch.PlaneArena`): every error plane lives in a
 reusable slot pool (or the arena's fault stack) written through ``out=``
-ufuncs, one arena serving all faults of a run (and, in the sharded
-executors, all tiles of a worker process).  A Session hands down its own
-arena, reused across its calls; the free functions use this thread's
-shared arena.
+ufuncs.  Every call, from a Session or a free function, serial or in a
+pool worker, takes its arena from this thread's
+:func:`repro.core.scratch.shared_arena` cache for the chunk geometry, so
+one arena serves all faults of a run and every later chunk, tile and
+call of that geometry.
+
+Every serial bit-packed call runs one chunk loop
+(:func:`_streamed_bitpacked_detection`): the any-reduction on the
+early-exit schedule, a cube matrix in chunks of
+:data:`repro.parallel.config.DEFAULT_CHUNK_WORDS`, and an explicit
+matrix as one chunk that spans its vectors, unless the Session sets a
+``chunk_size``.
 
 The vector axis streams exactly like exhaustive verification does: pass a
 :class:`CubeVectors` marker (the full ``2**n`` cube, never materialised) or
@@ -103,14 +111,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .._registry import EVALUATION_ENGINES
-from .._typing import WordLike
+from .._typing import WordLike, as_word
 from ..core.bitpacked import (
     BLOCK_BITS,
     PackedBatch,
     apply_comparators_packed,
     apply_network_packed,
     early_exit_spans,
-    pack_words,
     packed_cube_range,
 )
 from ..core.evaluation import (
@@ -438,7 +445,6 @@ def _fault_detection_matrix_impl(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | None = None,
     cache: ResultCache | None = None,
 ) -> np.ndarray:
     """:func:`fault_detection_matrix` with its execution configured.
@@ -452,13 +458,10 @@ def _fault_detection_matrix_impl(
     or a 2-D (faults × vector-chunks) grid when the vector axis streams;
     an explicit ``chunk_size`` bounds the packed working set per process.
     *prune* enables dominated-state pruning in the bit-packed engine (the
-    matrix is identical either way).  *arena* is the scratch-plane arena
-    of the bit-packed engine (``None`` = this thread's shared arena for
-    the geometry; an explicit instance is resized on a geometry change;
-    worker processes always use their own).  *cache* is a
+    matrix is identical either way).  *cache* is a
     :class:`repro.cache.ResultCache` consulted by the bit-packed paths for
-    prefix states, packed inputs and per-chunk verdict rows; results are
-    bit-identical with or without it (other engines ignore it).
+    prefix states and per-chunk verdict rows; results are bit-identical
+    with or without it (other engines ignore it).
     """
     if criterion not in DETECTION_CRITERIA:
         raise FaultModelError(
@@ -474,7 +477,6 @@ def _fault_detection_matrix_impl(
         config=config,
         prune=prune,
         stats=stats,
-        arena=arena,
         cache=cache,
         reduce="matrix",
     )
@@ -516,7 +518,6 @@ def _fault_detection_any_impl(
     config: ExecutionConfig | None = None,
     prune: bool = True,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | None = None,
     cache: ResultCache | None = None,
 ) -> np.ndarray:
     """:func:`fault_detection_any` with its execution configured (Session
@@ -536,7 +537,6 @@ def _fault_detection_any_impl(
         config=config,
         prune=prune,
         stats=stats,
-        arena=arena,
         cache=cache,
         reduce="any",
     )
@@ -552,7 +552,6 @@ def _detection_run(
     config: ExecutionConfig | None,
     prune: bool,
     stats: SimulationStats | None,
-    arena: PlaneArena | None,
     reduce: str,
     cache: ResultCache | None = None,
 ) -> np.ndarray:
@@ -567,10 +566,10 @@ def _detection_run(
         return np.zeros(shape, dtype=bool)
     if stats is not None:
         # Serial single-shot unless a dispatcher below overwrites it with
-        # the shard / streamed grid it actually plans.
+        # the shard / chunk grid it actually plans.
         stats.planned_grid = (1, 1)
     base_token = (
-        _vectors_token(network, vectors)
+        _vectors_token(vectors)
         if cache is not None and engine == "bitpacked"
         else None
     )
@@ -590,11 +589,7 @@ def _detection_run(
             base_token=base_token,
             reduce=reduce,
         )
-    if engine == "bitpacked" and (
-        reduce == "any"
-        or isinstance(vectors, CubeVectors)
-        or (config is not None and config.streaming)
-    ):
+    if engine == "bitpacked":
         return _streamed_bitpacked_detection(
             network,
             faults,
@@ -603,18 +598,12 @@ def _detection_run(
             config,
             prune=prune,
             stats=stats,
-            arena=arena,
             cache=cache,
             base_token=base_token,
             reduce=reduce,
         )
     if engine == "scalar":
         matrix = _scalar_detection_matrix(network, faults, vectors, criterion)
-    elif engine == "bitpacked":
-        matrix = _bitpacked_detection_matrix(
-            network, faults, vectors, criterion, prune=prune, stats=stats,
-            arena=arena, cache=cache, base_token=base_token,
-        )
     else:
         matrix = _vectorized_detection_matrix(network, faults, vectors, criterion)
     return matrix if reduce == "matrix" else matrix.any(axis=1)
@@ -635,15 +624,13 @@ def _route_vectors(
     return route_words(engine, test_vectors, n_lines)
 
 
-def _vectors_token(network: ComparatorNetwork, vectors) -> tuple:
+def _vectors_token(vectors) -> tuple:
     """Content token of a normalised vector source (cache key ingredient)."""
-    from ..cache.keys import array_token, words_token
+    from ..cache.keys import array_token
 
     if isinstance(vectors, CubeVectors):
         return ("cube", vectors.n)
-    if isinstance(vectors, np.ndarray):
-        return array_token(vectors)
-    return words_token(vectors, network.n_lines)
+    return array_token(vectors)
 
 
 def _normalise_vectors(
@@ -651,7 +638,8 @@ def _normalise_vectors(
     test_vectors: Sequence[WordLike] | CubeVectors,
     engine: str,
 ):
-    """Normalise the vector source: cube marker, 2-D array, or tuple list."""
+    """Normalise the vector source: a cube marker or a 2-D array (explicit
+    words arrive as one array from :func:`_route_vectors`)."""
     if isinstance(test_vectors, CubeVectors):
         if test_vectors.n != network.n_lines:
             raise FaultModelError(
@@ -665,17 +653,14 @@ def _normalise_vectors(
         from ..core.evaluation import all_binary_words_array
 
         return all_binary_words_array(test_vectors.n)
-    if isinstance(test_vectors, np.ndarray):
-        # Fast path for exhaustive-scale vector batches: a 2-D integer
-        # array is used as-is, skipping the per-element normalisation loop
-        # (which would dominate the packed engines' wall-clock).
-        if test_vectors.ndim != 2:
-            raise FaultModelError(
-                "test-vector arrays must be 2-D (num_vectors, n_lines), "
-                f"got shape {test_vectors.shape}"
-            )
-        return test_vectors
-    return [tuple(int(v) for v in w) for w in test_vectors]
+    # An array is used as-is: exhaustive-scale batches must not pay a
+    # per-element normalisation loop before the packed engines start.
+    if test_vectors.ndim != 2:
+        raise FaultModelError(
+            "test-vector arrays must be 2-D (num_vectors, n_lines), "
+            f"got shape {test_vectors.shape}"
+        )
+    return test_vectors
 
 
 def _vectorized_detection_matrix(
@@ -717,8 +702,8 @@ def _scalar_detection_matrix(
     vectors,
     criterion: str,
 ) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        vectors = [tuple(int(v) for v in row) for row in vectors]
+    # as_word refuses a non-integral value instead of truncating it.
+    vectors = [as_word(row) for row in vectors]
     reference = None
     if criterion == "reference":
         reference = [network.apply(vector) for vector in vectors]
@@ -1703,24 +1688,6 @@ def _stack_rows(
     return bits[:, : reference.num_words].view(bool)
 
 
-def _resolve_arena(
-    arena: PlaneArena | None,
-    n_lines: int,
-    n_blocks: int,
-    dtype: np.dtype,
-) -> PlaneArena:
-    """A ready arena for the plane geometry.
-
-    ``None`` → this thread's shared arena for the geometry (worker-local
-    in pool processes — reset between tiles, never reallocated while the
-    geometry is stable); a :class:`PlaneArena` → that instance, resized on
-    a geometry change.
-    """
-    if arena is None:
-        return shared_arena(n_lines, n_blocks, dtype)
-    return arena.ensure(n_lines, n_blocks, dtype)
-
-
 #: Plane length (blocks) from which the pruned kernel runs one fault at a
 #: time instead of stacking them (:func:`_pruned_runs`).  Stacking saves
 #: numpy calls, and gathering rows costs memory traffic that the
@@ -1848,7 +1815,6 @@ def _fault_rows(
     *,
     prune: bool = False,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | None = None,
 ) -> np.ndarray:
     """Fill ``out[row]`` with the detection row of ``faults[row]``.
 
@@ -1856,15 +1822,11 @@ def _fault_rows(
     work a sharded worker executes on its (fault-slice × vector-chunk)
     tile.  With ``prune=True`` the dominated-state pruner runs
     (:func:`_pruned_runs`) and faults whose state converged inherit the
-    fault-free detection row.  One resolved *arena* (see
-    :func:`_resolve_arena`) serves every fault of the call.
+    fault-free detection row.  This thread's shared arena for the chunk
+    geometry serves every fault of the call.
     """
-    pool = _resolve_arena(
-        arena,
-        network.n_lines,
-        prefix.input_planes.shape[1],
-        prefix.input_planes.dtype,
-    )
+    planes = prefix.input_planes
+    pool = shared_arena(network.n_lines, planes.shape[1], planes.dtype)
     if not prune:
         reference = prefix.reference()
         for row, fault in enumerate(faults):
@@ -1951,7 +1913,6 @@ def _fault_any(
     *,
     prune: bool = False,
     stats: SimulationStats | None = None,
-    arena: PlaneArena | None = None,
 ) -> np.ndarray:
     """OR one vector chunk's detection verdicts into ``detected``.
 
@@ -1966,19 +1927,18 @@ def _fault_any(
     their own run would have added, so :class:`SimulationStats` does not
     depend on the sharing.  ``prune=False`` reproduces the plain
     row-building loop.  Either way ``detected`` ends up identical.  The
-    *arena* follows :func:`_fault_rows`.
+    arena follows :func:`_fault_rows`.
     """
     if not prune:
         rows = np.zeros((len(faults), prefix.num_words), dtype=bool)
-        _fault_rows(network, faults, prefix, criterion, rows, arena=arena)
+        _fault_rows(network, faults, prefix, criterion, rows)
         detected |= rows.any(axis=1)
         return detected
     if stats is None:
         stats = SimulationStats()
-    n_blocks = prefix.input_planes.shape[1]
-    pool = _resolve_arena(
-        arena, network.n_lines, n_blocks, prefix.input_planes.dtype
-    )
+    planes = prefix.input_planes
+    n_blocks = planes.shape[1]
+    pool = shared_arena(network.n_lines, n_blocks, planes.dtype)
     size = network.size
     last_writer = prefix.writer_tables()[0]
     # class key -> position in `runs` of the member that runs the kernel.
@@ -2078,25 +2038,15 @@ def _vector_chunks(
 
 
 def _pack_chunk(
-    network: ComparatorNetwork, vectors, batch, chunk: tuple[int, int, int]
+    network: ComparatorNetwork, vectors, chunk: tuple[int, int, int]
 ) -> PackedBatch:
-    """The packed vectors of one :func:`_vector_chunks` entry; *batch* is
-    the normalised array of an explicit vector source (unused for
-    :class:`CubeVectors`, whose chunks are generated in packed form)."""
+    """The packed vectors of one :func:`_vector_chunks` entry: a cube
+    block range, generated in packed form, or a row range of an explicit
+    batch."""
     _word_start, lo, hi = chunk
     if isinstance(vectors, CubeVectors):
         return packed_cube_range(vectors.n, lo, hi)
-    return _pack_vectors(network, batch[lo:hi])
-
-
-def _vector_batch(network: ComparatorNetwork, vectors):
-    """The array an explicit vector source is packed from, chunk by chunk
-    (``None`` for :class:`CubeVectors`)."""
-    if isinstance(vectors, CubeVectors):
-        return None
-    if isinstance(vectors, np.ndarray):
-        return vectors
-    return words_to_array(vectors, dtype=np.int8, n_lines=network.n_lines)
+    return _pack_vectors(network, vectors[lo:hi])
 
 
 def _streamed_bitpacked_detection(
@@ -2108,21 +2058,21 @@ def _streamed_bitpacked_detection(
     *,
     prune: bool,
     stats: SimulationStats | None,
-    arena: PlaneArena | None = None,
     cache: ResultCache | None = None,
     base_token: tuple | None = None,
     reduce: str,
 ) -> np.ndarray:
-    """Serial streamed detection: one packed chunk (and its prefix states)
-    resident at a time, matrix columns or the any-reduction filled per
-    chunk.  In any-reduction mode verdicts come straight from the packed
+    """The serial bit-packed chunk loop: one packed chunk (and its prefix
+    states) resident at a time, matrix columns or the any-reduction filled
+    per chunk.  Matrix chunks are written straight into their columns of
+    the result; a single-shot matrix is one chunk that spans the vectors.
+    In any-reduction mode verdicts come straight from the packed
     violation masks and (with *prune*) faults detected by an earlier chunk
-    are dropped from later ones.  The scratch arena is resolved per chunk
-    (same geometry → a pure reset, so equal-sized chunks share one arena).
-    With a *cache*, prefix states are acquired through the incremental
-    front end and whole chunk verdicts (plus their pruning-counter deltas)
-    are replayed on a hit — bit-identical either way, including the
-    accumulated :class:`SimulationStats`."""
+    are dropped from later ones.  With a *cache*, prefix states are
+    acquired through the incremental front end and whole chunk verdicts
+    (plus their pruning-counter deltas) are replayed on a hit —
+    bit-identical either way, including the accumulated
+    :class:`SimulationStats`."""
     from ..cache.restore import acquire_prefix_states
     from ..parallel.config import DEFAULT_CHUNK_WORDS
 
@@ -2136,14 +2086,20 @@ def _streamed_bitpacked_detection(
 
         net_token = network_token(network)
         faults_token = universe_token(faults)
-    # The caller's chunk size, else the early-exit schedule for the
-    # any-reduction and the streaming default for the matrix.
+    # The caller's chunk size; else the early-exit schedule for the
+    # any-reduction, the streaming default for a cube matrix (or under a
+    # streaming config), and one chunk spanning an explicit matrix.
     if config is not None and config.chunk_size is not None:
         chunk_words: int | None = config.chunk_size
+    elif reduce == "any":
+        chunk_words = None
+    elif isinstance(vectors, CubeVectors) or (
+        config is not None and config.streaming
+    ):
+        chunk_words = DEFAULT_CHUNK_WORDS
     else:
-        chunk_words = None if reduce == "any" else DEFAULT_CHUNK_WORDS
+        chunk_words = len(vectors)
     chunks = _vector_chunks(vectors, chunk_words)
-    batch = _vector_batch(network, vectors)
     if stats is not None:
         stats.planned_grid = (1, len(chunks))
     if reduce == "any":
@@ -2155,12 +2111,12 @@ def _streamed_bitpacked_detection(
                     stats.dropped_faults += num_faults
                 continue
             word_start = chunk[0]
-            packed = _pack_chunk(network, vectors, batch, chunk)
+            packed = _pack_chunk(network, vectors, chunk)
             if not caching:
                 prefix = acquire_prefix_states(network, packed)
                 _fault_any(
                     network, faults, prefix, criterion, detected,
-                    prune=prune, stats=stats, arena=arena,
+                    prune=prune, stats=stats,
                 )
                 continue
             token = (*base_token, word_start, packed.num_words)
@@ -2178,114 +2134,56 @@ def _streamed_bitpacked_detection(
                 continue
             local = SimulationStats()
             prefix = acquire_prefix_states(
-                network, packed, cache=cache, token=token, arena=arena
+                network, packed, cache=cache, token=token
             )
             _fault_any(
                 network, faults, prefix, criterion, detected,
-                prune=prune, stats=local, arena=arena,
+                prune=prune, stats=local,
             )
             cache.put_verdict(verdict_key, (detected.copy(), local.counts()))
             if stats is not None:
                 stats.merge_counts(local.counts())
         return detected
     out = np.zeros((num_faults, len(vectors)), dtype=bool)
-    rows: np.ndarray | None = None
     for chunk in chunks:
         word_start = chunk[0]
-        packed = _pack_chunk(network, vectors, batch, chunk)
-        token = verdict_key = None
-        if caching:
-            token = (*base_token, word_start, packed.num_words)
-            verdict_key = (
-                "fault-rows", net_token, token, criterion, bool(prune),
-                faults_token,
+        packed = _pack_chunk(network, vectors, chunk)
+        columns = out[:, word_start : word_start + packed.num_words]
+        if not caching:
+            prefix = acquire_prefix_states(network, packed)
+            _fault_rows(
+                network, faults, prefix, criterion, columns,
+                prune=prune, stats=stats,
             )
-            hit = cache.get_verdict(verdict_key)
-            if hit is not None:
-                out[:, word_start : word_start + packed.num_words] = hit[0]
-                if stats is not None:
-                    stats.merge_counts(hit[1])
-                continue
-        prefix = acquire_prefix_states(
-            network, packed, cache=cache if caching else None, token=token,
-            arena=arena,
+            continue
+        token = (*base_token, word_start, packed.num_words)
+        verdict_key = (
+            "fault-rows", net_token, token, criterion, bool(prune),
+            faults_token,
         )
-        if rows is None or rows.shape[1] != packed.num_words:
-            rows = np.zeros((num_faults, packed.num_words), dtype=bool)
-        local = SimulationStats() if caching else None
-        _fault_rows(
-            network, faults, prefix, criterion, rows,
-            prune=prune, stats=local if caching else stats, arena=arena,
-        )
-        out[:, word_start : word_start + packed.num_words] = rows
-        if caching:
-            cache.put_verdict(verdict_key, (rows.copy(), local.counts()))
+        hit = cache.get_verdict(verdict_key)
+        if hit is not None:
+            columns[...] = hit[0]
             if stats is not None:
-                stats.merge_counts(local.counts())
+                stats.merge_counts(hit[1])
+            continue
+        local = SimulationStats()
+        prefix = acquire_prefix_states(network, packed, cache=cache, token=token)
+        _fault_rows(
+            network, faults, prefix, criterion, columns,
+            prune=prune, stats=local,
+        )
+        cache.put_verdict(verdict_key, (columns.copy(), local.counts()))
+        if stats is not None:
+            stats.merge_counts(local.counts())
     return out
 
 
-def _bitpacked_detection_matrix(
-    network: ComparatorNetwork,
-    faults: Sequence[Fault],
-    vectors,
-    criterion: str,
-    *,
-    prune: bool = True,
-    stats: SimulationStats | None = None,
-    arena: PlaneArena | None = None,
-    cache: ResultCache | None = None,
-    base_token: tuple | None = None,
-) -> np.ndarray:
-    from ..cache.restore import acquire_prefix_states
+def _pack_vectors(network: ComparatorNetwork, vectors: np.ndarray) -> PackedBatch:
+    """Pack a normalised 2-D batch of test vectors."""
+    from ..core.bitpacked import pack_batch
 
-    caching = cache is not None and base_token is not None
-    if not caching:
-        packed_input = _pack_vectors(network, vectors)
-        prefix = acquire_prefix_states(network, packed_input)
-        matrix = np.zeros((len(faults), packed_input.num_words), dtype=bool)
-        return _fault_rows(
-            network, faults, prefix, criterion, matrix, prune=prune,
-            stats=stats, arena=arena,
-        )
-    from ..cache.keys import faults_token, network_token
-
-    token = (*base_token, 0, len(vectors))
-    verdict_key = (
-        "fault-rows", network_token(network), token, criterion, bool(prune),
-        faults_token(faults),
-    )
-    hit = cache.get_verdict(verdict_key)
-    if hit is not None:
-        if stats is not None:
-            stats.merge_counts(hit[1])
-        return hit[0].copy()
-    packed_input = cache.get_input(token)
-    if packed_input is None:
-        packed_input = _pack_vectors(network, vectors)
-        cache.put_input(token, packed_input)
-    prefix = acquire_prefix_states(
-        network, packed_input, cache=cache, token=token, arena=arena
-    )
-    matrix = np.zeros((len(faults), packed_input.num_words), dtype=bool)
-    local = SimulationStats()
-    _fault_rows(
-        network, faults, prefix, criterion, matrix, prune=prune,
-        stats=local, arena=arena,
-    )
-    cache.put_verdict(verdict_key, (matrix.copy(), local.counts()))
-    if stats is not None:
-        stats.merge_counts(local.counts())
-    return matrix
-
-
-def _pack_vectors(network: ComparatorNetwork, vectors) -> PackedBatch:
-    """Pack normalised test vectors (tuple list or 2-D ndarray fast path)."""
-    if isinstance(vectors, np.ndarray):
-        from ..core.bitpacked import pack_batch
-
-        return pack_batch(vectors, n_lines=network.n_lines)
-    return pack_words(vectors, n_lines=network.n_lines)
+    return pack_batch(vectors, n_lines=network.n_lines)
 
 
 def _checked_index(network: ComparatorNetwork, index: int) -> int:

@@ -38,12 +38,11 @@ re-evaluates only its suffix.  Two work shapes live here:
   unsynchronised read can only under-drop, never change the result).
   Peak memory per process is bounded by the chunk size at any ``n``.
 
-Every bit-packed worker owns a **worker-local scratch arena**
-(:class:`repro.core.scratch.PlaneArena`, resolved through the
-thread-local :func:`repro.core.scratch.shared_arena` cache keyed by the
-``(n_lines, n_blocks)`` chunk geometry): between the tiles a worker
-executes it is reset, never reallocated, so the pruned hot loop runs
-allocation-free inside every process exactly as it does serially.
+Every bit-packed worker takes its scratch exactly as a serial call does,
+from the thread-local :func:`repro.core.scratch.shared_arena` cache keyed
+by the ``(n_lines, n_blocks)`` chunk geometry: between the tiles a worker
+executes its arena is reset, never reallocated, so the pruned hot loop
+runs allocation-free inside every process.
 
 For the non-bit-packed engines there is a generic fallback that runs the
 requested serial engine on each fault slice (no prefix sharing, but the
@@ -181,21 +180,6 @@ def _init_bitpacked_worker(
     _WORKER["out"] = attach_shared_array(out_spec)
 
 
-def _worker_arena(network: ComparatorNetwork, prefix):
-    """This worker's scratch arena for the current chunk geometry.
-
-    Resolved through :func:`repro.core.scratch.shared_arena`, whose
-    thread-local cache keyed by ``(n_lines, n_blocks)`` makes the arena
-    *worker-local*: it is reset — never reallocated — between the tiles a
-    worker executes at a stable chunk geometry (only the uneven tail chunk
-    triggers a second allocation).
-    """
-    from ..core.scratch import shared_arena
-
-    planes = prefix.input_planes
-    return shared_arena(network.n_lines, planes.shape[1], planes.dtype)
-
-
 def _ship_counters(stats) -> tuple[int, ...]:
     """Worker-side half of the counter aggregation path: the tile's
     :class:`repro.faults.simulation.SimulationStats` counters packed into
@@ -240,7 +224,6 @@ def _run_bitpacked_span(span: tuple[int, int]) -> tuple[int, ...]:
         out.array[start:stop],
         prune=bool(_WORKER["prune"]),
         stats=stats,
-        arena=_worker_arena(network, prefix),
     )
     return _ship_counters(stats)
 
@@ -322,12 +305,11 @@ def _run_grid_tile(
     stats = SimulationStats()
     prune = bool(_WORKER["prune"])
     criterion = str(_WORKER["criterion"])
-    arena = _worker_arena(network, prefix)
     if _WORKER["reduce"] == "matrix":
         rows = np.zeros((f_stop - f_start, prefix.num_words), dtype=bool)
         _fault_rows(
             network, faults[f_start:f_stop], prefix, criterion, rows,
-            prune=prune, stats=stats, arena=arena,
+            prune=prune, stats=stats,
         )
         word_start = chunks[chunk_index][0]
         out.array[f_start:f_stop, word_start : word_start + prefix.num_words] = rows
@@ -341,7 +323,7 @@ def _run_grid_tile(
         detected = out.array[f_start:f_stop, :].any(axis=1)
         _fault_any(
             network, faults[f_start:f_stop], prefix, criterion, detected,
-            prune=prune, stats=stats, arena=arena,
+            prune=prune, stats=stats,
         )
         out.array[f_start:f_stop, chunk_index] = detected
     return _ship_counters(stats)
@@ -498,13 +480,9 @@ def sharded_fault_detection_matrix(
             from ..faults.simulation import _pack_vectors
 
             token = (*base_token, 0, num_vectors) if caching else None
-            packed_input = cache.get_input(token) if caching else None
-            if packed_input is None:
-                packed_input = _pack_vectors(network, vectors)
-                if caching:
-                    cache.put_input(token, packed_input)
             _fault_axis_shard(
-                network, fault_list, packed_input, out_shared, spans,
+                network, fault_list, _pack_vectors(network, vectors),
+                out_shared, spans,
                 criterion=criterion, cfg=cfg, workers=workers, prune=prune,
                 stats=stats, cache=cache if caching else None, token=token,
                 reduce=reduce,
@@ -619,7 +597,7 @@ def _scheduled_any(
     verdict of the chunks before it, so faults they detected are dropped
     exactly as serially, and the merged counters equal the serial run's.
     """
-    from ..faults.simulation import _pack_chunk, _vector_batch, _vector_chunks
+    from ..faults.simulation import _pack_chunk, _vector_chunks
 
     workers = cfg.resolved_workers()
     spans = shard_spans(len(fault_list), workers)
@@ -627,7 +605,6 @@ def _scheduled_any(
     chunks = _vector_chunks(vectors, None)
     if stats is not None:
         stats.planned_grid = (len(spans), len(chunks))
-    batch = _vector_batch(network, vectors)
     out_shared = create_shared_array((len(fault_list),), np.bool_)
     try:
         detected = out_shared.array
@@ -637,7 +614,7 @@ def _scheduled_any(
                 if stats is not None:
                     stats.dropped_faults += len(fault_list)
                 continue
-            packed = _pack_chunk(network, vectors, batch, chunk)
+            packed = _pack_chunk(network, vectors, chunk)
             token = (
                 (*base_token, chunk[0], packed.num_words)
                 if cache is not None and base_token is not None
@@ -683,11 +660,7 @@ def _grid_detection(
         stats.planned_grid = (len(tiles) // max(1, len(chunks)), len(chunks))
     raw_shared: SharedArray | None = None
     if not isinstance(vectors, CubeVectors):
-        raw = (
-            np.ascontiguousarray(vectors)
-            if isinstance(vectors, np.ndarray)
-            else np.asarray(vectors, dtype=np.int8)
-        )
+        raw = np.ascontiguousarray(vectors)
         raw_shared = create_shared_array(raw.shape, raw.dtype)
         raw_shared.array[...] = raw
     if reduce == "matrix":

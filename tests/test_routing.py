@@ -33,7 +33,7 @@ from repro.core.evaluation import (
     evaluate_on_all_binary_inputs,
     unsorted_binary_words_array,
 )
-from repro.exceptions import EngineError
+from repro.exceptions import EngineError, NotBinaryError
 from repro.faults import (
     CubeVectors,
     StuckSwapFault,
@@ -264,24 +264,42 @@ def test_greedy_selection_keeps_fractional_candidates():
     assert reached == pytest.approx(16 / 23)
 
 
-def test_fractional_word_lists_are_applied_as_given():
+@pytest.mark.parametrize(
+    "engine,refusal",
+    [
+        (None, None),
+        ("vectorized", None),
+        ("bitpacked", NotBinaryError),
+        ("scalar", ValueError),
+    ],
+)
+def test_fractional_word_lists_are_applied_as_given(engine, refusal):
     """A list of fractional float words is converted once with the array's
-    dtype rule: the list and the array give the same answers."""
+    dtype rule, pinned or not: the list and the array give the same
+    answers, and an engine that cannot apply them refuses both instead of
+    truncating them."""
     identity = ComparatorNetwork.identity(4)
-    word_list = [tuple(FRACTIONAL_WORD[0].tolist())]
-    assert network_passes_test_set(identity, word_list) is False
-    assert Session().passes_test_set(identity, word_list).passed is False
     network = batcher_sorting_network(4)
     faults = enumerate_single_faults(network)
     words = np.vstack([FRACTIONAL_WORD, FRACTIONAL_WORD[:, ::-1]])
     as_list = [tuple(row) for row in words.tolist()]
-    assert fault_coverage(network, faults, as_list) == pytest.approx(16 / 23)
-    assert fault_coverage(network, faults, as_list) == fault_coverage(
-        network, faults, words
-    )
-    assert greedy_test_selection(network, faults, as_list) == (
-        greedy_test_selection(network, faults, words)
-    )
+    for given in (as_list, words):
+        with Session(engine=engine) as session:
+            if refusal is not None:
+                with pytest.raises(refusal):
+                    session.passes_test_set(identity, given[:1])
+                with pytest.raises(refusal):
+                    session.fault_coverage(network, faults, given)
+                continue
+            assert session.passes_test_set(identity, given[:1]).passed is False
+            coverage = session.fault_coverage(network, faults, given).coverage
+            assert coverage == pytest.approx(16 / 23)
+    if engine is None:
+        assert network_passes_test_set(identity, as_list[:1]) is False
+        assert fault_coverage(network, faults, as_list) == pytest.approx(16 / 23)
+        assert greedy_test_selection(network, faults, as_list) == (
+            greedy_test_selection(network, faults, words)
+        )
 
 
 class TestBitpackedPinRefusesPermutations:

@@ -91,16 +91,6 @@ def test_arena_reset_restores_all_slots():
     assert np.all(arena.zero == 0)
 
 
-def test_arena_ensure_reallocates_only_on_geometry_change():
-    arena = PlaneArena(4, 8)
-    store = arena.store
-    assert arena.ensure(4, 8, arena.dtype) is arena
-    assert arena.store is store  # same geometry: pure reset
-    arena.ensure(5, 16, arena.dtype)
-    assert arena.store.shape == (14, 16)
-    assert arena.state.shape == (5, 16)
-
-
 def test_shared_arena_is_cached_per_geometry():
     a = shared_arena(6, 32)
     b = shared_arena(6, 32)
@@ -122,31 +112,31 @@ def test_shared_arena_is_cached_per_geometry():
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_shared_arena_reuse_bit_identical(network, criterion, chunk):
-    """Repeated calls sharing one arena, mixed fault models and odd chunks
-    reproduce the vectorized matrix, as does the unpruned path."""
+    """Repeated calls on this thread's shared arenas, mixed fault models
+    and odd chunks reproduce the vectorized matrix, as does the unpruned
+    path."""
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = all_binary_words_array(network.n_lines)
     reference = session_matrix(
         network, faults, vectors, criterion, engine="vectorized"
     )
     config = ExecutionConfig(max_workers=1, chunk_size=chunk)
-    # Deliberately mis-sized: the first call must adapt it, later calls
-    # (and the streamed tail chunk) must reuse it.
-    arena = PlaneArena(1, 1)
+    # Later calls (and the streamed tail chunk) reuse the arenas the
+    # first call left in the thread's cache.
     for _ in range(2):
         pruned = _fault_detection_matrix_impl(
             network, faults, vectors, criterion=criterion, engine="bitpacked",
-            config=config, prune=True, arena=arena,
+            config=config, prune=True,
         )
         assert np.array_equal(pruned, reference)
     unpruned = _fault_detection_matrix_impl(
         network, faults, vectors, criterion=criterion, engine="bitpacked",
-        config=config, prune=False, arena=arena,
+        config=config, prune=False,
     )
     assert np.array_equal(unpruned, reference)
     detected = _fault_detection_any_impl(
         network, faults, CubeVectors(network.n_lines), criterion=criterion,
-        engine="bitpacked", config=config, prune=True, arena=arena,
+        engine="bitpacked", config=config, prune=True,
     )
     assert np.array_equal(detected, reference.any(axis=1))
 

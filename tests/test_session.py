@@ -5,23 +5,30 @@ The load-bearing guarantee of the facade: every workload run through
 ``Session(engine="scalar")`` (the oracle), across random networks, all
 engines, pruning on and off, both criteria and streamed configurations
 (hypothesis-driven).  A few deterministic tests pin the resource
-behaviour — persistent pool reuse across calls, the Session-owned arena,
-env-var construction.
+behaviour — persistent pool reuse across calls, scratch reuse through the
+thread's shared arenas, one Session driven from several threads, env-var
+construction.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
+from strategies import mutate_one
 
 from repro.api import Session
 from repro.constructions import batcher_sorting_network
 from repro.core import ComparatorNetwork
+from repro.core.evaluation import unsorted_binary_words_array
+from repro.core.scratch import FaultStack, PlaneArena
 from repro.exceptions import ExecutionConfigError, TestSetError
-from repro.faults import enumerate_single_faults
-from repro.faults.simulation import _fault_detection_matrix_impl
+from repro.faults import SimulationStats, enumerate_single_faults
+from repro.faults.simulation import fault_detection_matrix
 from repro.testsets import sorting_binary_test_set
 
 
@@ -129,33 +136,106 @@ def test_streamed_coverage_matches_scalar_session(network, criterion, chunk):
 
 @given(networks())
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_owned_and_shared_arenas_agree(network):
-    """The Session-owned arena and this thread's shared arena are
-    bit-identical."""
+def test_session_and_free_function_agree(network):
+    """A Session call and the free function run the same kernel on the
+    same scratch source: equal matrices and equal counters."""
     faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
     vectors = sorting_binary_test_set(network.n_lines)
     if not vectors:
         return
-    with Session(engine="bitpacked") as session:
-        owned = session.fault_matrix(network, faults, vectors).matrix
-    shared = _fault_detection_matrix_impl(
-        network, faults, vectors, engine="bitpacked"
-    )
-    assert np.array_equal(owned, shared)
+    with Session() as session:
+        result = session.fault_matrix(network, faults, vectors)
+    stats = SimulationStats()
+    matrix = fault_detection_matrix(network, faults, vectors, stats=stats)
+    assert np.array_equal(result.matrix, matrix)
+    assert result.stats.counts() == stats.counts()
+
+
+@pytest.fixture(scope="module")
+def sorter_mutants() -> dict[int, tuple]:
+    """``n -> (network, extended single-fault universe, Theorem 2.2
+    words)`` of a Batcher(n) mutant with one comparator reversed."""
+    mutants = {}
+    for n in (12, 14, 16):
+        network = mutate_one(batcher_sorting_network(n), n // 2)
+        faults = enumerate_single_faults(network, line_stuck_at_input_only=False)
+        mutants[n] = (network, faults, unsorted_binary_words_array(n))
+    return mutants
+
+
+def test_one_session_serves_several_threads(sorter_mutants):
+    """An uncached serial Session may be called from several threads at
+    once: every call takes its scratch from its own thread's arenas, so
+    each answers exactly as a serial call does."""
+
+    def outcome(session: Session, n: int) -> tuple:
+        report = session.fault_coverage(*sorter_mutants[n])
+        return report.detected_faults, report.stats.counts()
+
+    sizes = (12, 14, 12, 14)
+    outcomes: dict[int, list[tuple]] = {}
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Session() as session:
+            expected = {n: outcome(session, n) for n in set(sizes)}
+            start = threading.Barrier(4, timeout=30)
+
+            def run(index: int) -> None:
+                order = sizes[index % 2 :] + sizes[: index % 2]
+                start.wait()
+                outcomes[index] = [(n, outcome(session, n)) for n in order]
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert sorted(outcomes) == [0, 1, 2, 3]
+    for calls in outcomes.values():
+        assert [got for _, got in calls] == [expected[n] for n, _ in calls]
 
 
 # ----------------------------------------------------------------------
 # Resource reuse and lifecycle
 # ----------------------------------------------------------------------
 class TestSessionResources:
-    def test_owned_arena_is_reused_across_calls(self, batcher8):
-        faults = enumerate_single_faults(batcher8)
-        vectors = sorting_binary_test_set(8)
-        with Session(engine="bitpacked") as session:
-            session.fault_matrix(batcher8, faults, vectors)
-            arena_first = session._owned_arena
-            session.fault_coverage(batcher8, faults, vectors)
-            assert session._owned_arena is arena_first
+    def test_fault_calls_reuse_the_thread_arenas(self, monkeypatch, sorter_mutants):
+        """A call on a geometry its thread has met allocates no arena and
+        no fault stack, whichever geometries ran in between."""
+        allocations: list[str] = []
+        allocate, init_stack = PlaneArena._allocate, FaultStack.__init__
+
+        def counted_allocate(arena, *args):
+            allocations.append("arena")
+            allocate(arena, *args)
+
+        def counted_init_stack(stack, *args):
+            allocations.append("stack")
+            init_stack(stack, *args)
+
+        monkeypatch.setattr(PlaneArena, "_allocate", counted_allocate)
+        monkeypatch.setattr(FaultStack, "__init__", counted_init_stack)
+        per_call: list[list[str]] = []
+
+        def run() -> None:
+            with Session() as session:
+                for n in (16, 14, 16):
+                    before = len(allocations)
+                    session.fault_coverage(*sorter_mutants[n])
+                    per_call.append(allocations[before:])
+
+        # A fresh thread starts with an empty arena cache.
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(per_call) == 3
+        assert per_call[0] and per_call[1]
+        assert per_call[2] == []
 
     def test_serial_session_creates_no_pool(self, batcher8):
         with Session(engine="bitpacked") as session:
